@@ -160,17 +160,13 @@ def _compile_terms(p: Polynomial, s: int):
 def count_solutions_bruteforce(
     system: AugmentationSystem,
     q: int,
-    chunk_size: int = 4096,
-    threads: int = 1,
     budget: int = BRUTE_FORCE_BUDGET,
 ) -> int:
     """Exact number of (z, t) in F_q^s x F_q^* solving every equation.
 
     Enumerates all z-assignments (budget-guarded), testing each stored
-    equation with early exit; the workload is split into chunks whose
-    partial counts are summed in order, so the result is independent of
-    the worker count.  Every solution found is checked against the sign
-    law t = (-1)^(n+s).
+    equation with early exit.  Every solution found is checked against
+    the sign law t = (-1)^(n+s).
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
@@ -195,33 +191,16 @@ def count_solutions_bruteforce(
             total += term
         return total % q
 
-    def count_chunk(chunk) -> int:
-        found = 0
-        for zs in chunk:
-            for t_val in range(1, q):
-                if all(eval_equation(eq, zs, t_val) == 0 for eq in compiled):
-                    if t_val != expected_t:
-                        raise AugmentError(
-                            f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
-                        )
-                    found += 1
-        return found
-
-    assignments = itertools.product(range(q), repeat=s)
-
-    def chunks():
-        while True:
-            chunk = list(itertools.islice(assignments, chunk_size))
-            if not chunk:
-                return
-            yield chunk
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(count_chunk, chunks()))
-    return sum(count_chunk(chunk) for chunk in chunks())
+    found = 0
+    for zs in itertools.product(range(q), repeat=s):
+        for t_val in range(1, q):
+            if all(eval_equation(eq, zs, t_val) == 0 for eq in compiled):
+                if t_val != expected_t:
+                    raise AugmentError(
+                        f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
+                    )
+                found += 1
+    return found
 
 
 def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:

@@ -52,8 +52,13 @@ def _braid_from_args(args) -> tuple[str, links.BraidWord | None, dict]:
         return f"braid:{braid.to_text() or '(empty)'}", braid, {}
     pairs = []
     for token in args.puiseux.replace(";", " ").split():
-        n_text, m_text = token.split(",")
-        pairs.append((int(n_text), int(m_text)))
+        try:
+            n_text, m_text = token.split(",")
+            pairs.append((int(n_text), int(m_text)))
+        except ValueError:
+            raise UsageError(
+                f"bad Puiseux pair {token!r}: expected N,M with integers N and M"
+            ) from None
     puiseux = links.PuiseuxPairs(tuple(pairs))
     cables = links.cable_pairs_from_puiseux(puiseux)
     extras = {
@@ -304,9 +309,7 @@ def cmd_aug(args) -> int:
         if args.method == "dp":
             count = augment.count_solutions_dp(word, q, t_convention=args.t_convention)
         else:
-            count = augment.count_solutions_bruteforce(
-                system, q, threads=args.threads, budget=args.budget
-            )
+            count = augment.count_solutions_bruteforce(system, q, budget=args.budget)
         payload["count"] = {"q": q, "method": args.method, "solutions": count}
     _emit(payload)
     return 0
@@ -413,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_aug.add_argument("--t-convention", choices=augment.T_CONVENTIONS, default="t")
     p_aug.add_argument("--count-fq", type=int, metavar="Q")
     p_aug.add_argument("--method", choices=("brute", "dp"), default="brute")
-    p_aug.add_argument("--threads", type=int, default=1)
     p_aug.add_argument("--budget", type=int, default=augment.BRUTE_FORCE_BUDGET)
     p_aug.set_defaults(func=cmd_aug)
 

@@ -49,18 +49,42 @@ class DivisionError(ExactMathError):
 _VAR_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
+class PrimalityBoundError(ExactMathError):
+    """The number is too large for the deterministic primality test."""
+
+
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# 3317044064679887385961981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every n < ``MR_EXACT_BOUND``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MR_EXACT_BOUND:
+        raise PrimalityBoundError(
+            f"{n} is too large for the deterministic primality test "
+            f"(limit {MR_EXACT_BOUND - 1})"
+        )
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -16,9 +16,12 @@ graded lex, which makes the two generators agree as exact polynomial
 sets.  For n = 2, eliminating x_2 turns the system into the surface
 x*y*z + x - z - 1 = 0 under (x, y, z) = (a_2, x_1, a_1).
 
-Point counting over F_q: a transfer/chain dynamic program exploits the
-banded variable structure (fast, any n), with a budget-guarded brute
-force over F_q^(2n) as the independent oracle.
+Point counting over F_q: the chain count walks the equations left to
+right with state (a_j, x_{j+1}).  Its q^2 states lump exactly into six
+classes (seven with the unreachable (0, 0)), so the count is a linear
+recurrence on six integers: O(n) work for every prime q, with its own
+two-class branch in characteristic 2, where 1 = -1.  A budget-guarded
+brute force over F_q^(2n) is the independent oracle.
 """
 
 from __future__ import annotations
@@ -127,44 +130,43 @@ def count_theta_points_chain(n: int, q: int) -> int:
     """Exact count via the chain structure of the equations.
 
     Processing vanishing cycles left to right, the state after step j is
-    (a_j, x_{j+1}); each equation determines the next coordinate (or
-    branches by a free choice when a leading coefficient vanishes).  This
-    is polynomial in q and n, and agrees with the brute-force oracle.
+    (a_j, x_{j+1}).  E_1 sends the q^2 choices of (x_1, a_1) to
+    x_2 = -1 - x_1 a_1.  A middle equation 1 + x_j a_j = a_{j-1} x_{j+1}
+    sends a state (a, x) with x != 0 to (-1/x, 0) and to one state
+    (*, x') for every x' != 0; it sends (a, 0) with a != 0 to q states
+    (*, 1/a), and (0, 0) to none.  E_n keeps every state with x_n != 0
+    once and (-1, 0) with a free a_n.  So the state counts lump exactly
+    into classes by x, or by a when x = 0:
+
+        p = (1, 0), m = (-1, 0), r = (a, 0) with a not in {0, 1, -1},
+        x1 = (*, 1), xm = (*, -1), xr = (*, x) with x not in {0, 1, -1}.
+
+    With o = q - 3 and s = x1 + xm + xr, a middle step maps
+
+        p, m, r <- xm, x1, xr
+        x1, xm, xr <- s + q p, s + q m, o s + q r
+
+    and the count is s + q m: O(n) integer operations for every prime.
+    In characteristic 2, 1 = -1, so p = m and x1 = xm are single classes
+    and r, xr are empty: a step maps (p, x) <- (x, x + 2 p), and the
+    count is x + 2 p.
     """
     if n < 2:
         raise ThetaError("the chain system needs n >= 2")
     if not is_prime(q):
         raise ThetaError(f"{q} is not prime")
-    inverse = {v: pow(v, q - 2, q) for v in range(1, q)}
-    # E_1: x_2 = -1 - x_1 a_1, state (a_1, x_2).
-    states: dict[tuple[int, int], int] = {}
-    for x1 in range(q):
-        for a1 in range(q):
-            key = (a1, (-1 - x1 * a1) % q)
-            states[key] = states.get(key, 0) + 1
-    # Middle equations: 1 + x_j a_j = a_{j-1} x_{j+1}.
+    if q == 2:
+        p, x = 1, 3
+        for _ in range(2, n):
+            p, x = x, x + 2 * p
+        return x + 2 * p
+    o = q - 3
+    p, m, r = 1, 1, o
+    x1, xm, xr = q - 1, 2 * q - 1, (q - 1) * o
     for _ in range(2, n):
-        new_states: dict[tuple[int, int], int] = {}
-        for (a_prev, x_j), count in states.items():
-            if a_prev != 0:
-                inv = inverse[a_prev]
-                for a_j in range(q):
-                    key = (a_j, (1 + x_j * a_j) * inv % q)
-                    new_states[key] = new_states.get(key, 0) + count
-            elif x_j != 0:
-                a_j = (-inverse[x_j]) % q
-                for x_next in range(q):
-                    key = (a_j, x_next)
-                    new_states[key] = new_states.get(key, 0) + count
-        states = new_states
-    # E_n: x_n a_n + 1 + a_{n-1} = 0.
-    total = 0
-    for (a_prev, x_n), count in states.items():
-        if x_n != 0:
-            total += count
-        elif a_prev == (q - 1):
-            total += count * q
-    return total
+        s = x1 + xm + xr
+        p, m, r, x1, xm, xr = xm, x1, xr, s + q * p, s + q * m, o * s + q * r
+    return x1 + xm + xr + q * m
 
 
 def count_theta_points(n: int, q: int, method: str = "chain") -> int:

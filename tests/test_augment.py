@@ -122,13 +122,6 @@ def test_trefoil_counts_match():
         assert count_solutions_bruteforce(system, q) == count_solutions_dp(word, q)
 
 
-def test_count_thread_chunking_deterministic():
-    word = append_full_twist(BraidWord(2, (1, 1, 1)))
-    system = augmentation_equations(word)
-    base = count_solutions_bruteforce(system, 3)
-    assert count_solutions_bruteforce(system, 3, chunk_size=7, threads=3) == base
-
-
 def test_dp_matches_brute_on_random_words():
     rng = random.Random(5)
     for _ in range(25):

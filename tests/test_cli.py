@@ -6,7 +6,7 @@ import contextlib
 
 from singlink import cli
 from singlink.cluster import exchange_matrix_from_json
-from singlink.exactmath import parse_polynomial
+from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
 from singlink.links import braid_from_text
 from singlink.sheafmoduli import theta_ring
 
@@ -56,6 +56,30 @@ def test_link_puiseux_torus_and_warning():
     code, out, _ = run_cli("link", "--puiseux", "3,2 7,2")
     data = json.loads(out)
     assert code == 0 and data["algebraic"] is True
+
+
+def test_link_puiseux_bad_pair_is_usage_error():
+    code, out, err = run_cli("link", "--puiseux", "3,2,1")
+    assert code == 2
+    assert out == ""
+    assert "'3,2,1'" in err and "N,M" in err
+    assert "Traceback" not in err and "unpack" not in err
+
+
+def test_aug_threads_flag_is_gone():
+    code, _, err = run_cli("aug", "--ade", "A1", "--count-fq", "2", "--threads", "2")
+    assert code == 2
+    assert "--threads" in err
+
+
+def test_theta_count_with_huge_prime_modulus():
+    q = 10**18 + 3
+    code, out, _ = run_cli("theta", "--n", "4", "--count-fq", str(q))
+    assert code == 0
+    assert json.loads(out)["count"] == {"q": q, "solutions": q**4 + q**2 + 1}
+    code, _, err = run_cli("theta", "--n", "4", "--count-fq", str(MR_EXACT_BOUND))
+    assert code == 2
+    assert "too large" in err and "Traceback" not in err
 
 
 def test_link_pipeline_report():

@@ -10,6 +10,8 @@ from singlink.exactmath import (
     DivisionError,
     EvaluationError,
     ExactMathError,
+    MR_EXACT_BOUND,
+    PrimalityBoundError,
     PolyMatrix,
     Polynomial,
     PolynomialParseError,
@@ -17,6 +19,7 @@ from singlink.exactmath import (
     RingMismatchError,
     SubstitutionError,
     divide_exact,
+    is_prime,
     parse_polynomial,
     poly_arith,
 )
@@ -262,3 +265,37 @@ def test_poly_arith_dispatcher():
     assert poly_arith("neg", x) == -x
     with pytest.raises(ExactMathError):
         poly_arith("div", x, x)
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_2e5():
+    for n in range(-3, 200_000):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_is_prime_large_cases():
+    # Strong pseudoprimes to bases 2, 3, 5, 7 and to bases 2..37.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 + 3)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_is_prime_rejects_numbers_past_its_bound():
+    # The bound is the least strong pseudoprime to all thirteen bases.
+    with pytest.raises(PrimalityBoundError):
+        is_prime(MR_EXACT_BOUND)
+    assert issubclass(PrimalityBoundError, ValueError)
+    # Multiples of a base are still decided at any size.
+    assert not is_prime(2 * MR_EXACT_BOUND)

@@ -19,6 +19,45 @@ from singlink.sheafmoduli import (
     theta_system,
 )
 
+PRIMES_TO_23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def chain_count_by_state_dp(n: int, q: int) -> int:
+    """Oracle: the chain walk over all q^2 states (a_j, x_{j+1}), n q^3 work.
+
+    E_1 gives x_2 = -1 - x_1 a_1; a middle equation
+    1 + x_j a_j = a_{j-1} x_{j+1} fixes x_{j+1} when a_{j-1} != 0, or
+    fixes a_j = -1/x_j and frees x_{j+1} when a_{j-1} = 0; E_n keeps
+    x_n != 0 once and (a_{n-1}, x_n) = (-1, 0) with a free a_n.
+    """
+    inverse = {v: pow(v, q - 2, q) for v in range(1, q)}
+    states: dict[tuple[int, int], int] = {}
+    for x1 in range(q):
+        for a1 in range(q):
+            key = (a1, (-1 - x1 * a1) % q)
+            states[key] = states.get(key, 0) + 1
+    for _ in range(2, n):
+        new_states: dict[tuple[int, int], int] = {}
+        for (a_prev, x_j), count in states.items():
+            if a_prev != 0:
+                inv = inverse[a_prev]
+                for a_j in range(q):
+                    key = (a_j, (1 + x_j * a_j) * inv % q)
+                    new_states[key] = new_states.get(key, 0) + count
+            elif x_j != 0:
+                a_j = (-inverse[x_j]) % q
+                for x_next in range(q):
+                    key = (a_j, x_next)
+                    new_states[key] = new_states.get(key, 0) + count
+        states = new_states
+    total = 0
+    for (a_prev, x_n), count in states.items():
+        if x_n != 0:
+            total += count
+        elif a_prev == q - 1:
+            total += count * q
+    return total
+
 
 def test_recursion_n2():
     system = theta_equations_recursion(2)
@@ -156,3 +195,26 @@ def test_n5_n6_closed_forms():
     for q in (2, 3, 5, 7, 11, 13):
         assert count_theta_points(5, q) == q**5 + 2 * q**3 - q**2 - 1
         assert count_theta_points(6, q) == q**6 + q**4 + q**2 + 1
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_23)
+def test_chain_matches_state_dp_oracle(q):
+    for n in range(2, 15):
+        assert count_theta_points_chain(n, q) == chain_count_by_state_dp(n, q), (n, q)
+
+
+def test_chain_matches_brute_in_small_characteristic():
+    for n in range(2, 9):
+        assert count_theta_points_chain(n, 2) == count_theta_points_brute(
+            theta_equations_recursion(n), 2
+        ), n
+    for n in range(2, 7):
+        assert count_theta_points_chain(n, 3) == count_theta_points_brute(
+            theta_equations_recursion(n), 3
+        ), n
+
+
+def test_even_chains_follow_closed_form_at_large_q():
+    for n, q in [(n, 101) for n in range(2, 41, 2)] + [(24, 61)]:
+        expected = sum(q ** (2 * i) for i in range(n // 2 + 1))
+        assert count_theta_points_chain(n, q) == expected, (n, q)
