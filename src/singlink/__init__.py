@@ -16,7 +16,6 @@ from .exactmath import (
     RingDescriptor,
     divide_exact,
     parse_polynomial,
-    poly_arith,
 )
 from .links import (
     ADELabel,

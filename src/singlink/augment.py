@@ -19,7 +19,8 @@ are raw variety counts.
 
 Counting oracles: a brute-force loop over the stored equations, and an
 independent dynamic program over the distribution of partial matrix
-products in M_n(F_q).
+products in GL_n(F_q), which advances one coset a + F_q b of the
+affected column pair at a time instead of one z at a time.
 """
 
 from __future__ import annotations
@@ -204,12 +205,22 @@ def count_solutions_bruteforce(
 
 
 def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:
-    """Independent count via the distribution of partial products in M_n(F_q).
+    """Independent count via the distribution of partial products in GL_n(F_q).
 
     Maintains, letter by letter, how many z-prefixes produce each matrix
     value of P_{k_1}(z_1)...P_{k_r}(z_r); the final answer sums the
     multiplicity of -diag(t, 1, .., 1) over t in F_q^*.  Agrees exactly
     with :func:`count_solutions_bruteforce`.
+
+    States are stored column-major.  Right-multiplying by P_k(z) sends
+    the columns (a, b) at positions k, k+1 to (b, a + z b) and keeps the
+    others.  Every partial product is invertible, so b != 0 and the q
+    successors of a state depend only on b and the coset a + F_q b; and
+    successors of distinct cosets are distinct.  So each letter first
+    sums the counts per coset, keyed by its representative with a zero
+    where b has its first nonzero entry, then lets every coset assign its
+    count to its q successors: O(|states| + |new states|) work per
+    letter instead of q |states|.
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
@@ -218,27 +229,38 @@ def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:
     n = word.strands
     if q ** (n * n) > DP_STATE_BUDGET:
         raise BudgetExceededError(f"q^(n^2) = {q}^{n*n} exceeds the DP state budget")
-    identity = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+    identity = tuple(1 if i == j else 0 for j in range(n) for i in range(n))
     dist = {identity: 1}
+    if word.letters:
+        # Letters need n >= 2 strands, so the state budget keeps q <= 31.
+        inverse = [0] + [pow(v, q - 2, q) for v in range(1, q)]
+        # lines[a][b] lists (a + z b) mod q for z = 0, .., q - 1.
+        lines = [[tuple((a + z * b) % q for z in range(q)) for b in range(q)] for a in range(q)]
     for k in word.letters:
-        ck = k - 1
-        new_dist: dict[tuple[int, ...], int] = {}
-        for matrix, count in dist.items():
-            rows = [matrix[r * n : (r + 1) * n] for r in range(n)]
-            for z in range(q):
-                flat = []
-                for row in rows:
-                    new_row = list(row)
-                    a, b = row[ck], row[ck + 1]
-                    new_row[ck] = b
-                    new_row[ck + 1] = (a + z * b) % q
-                    flat.extend(new_row)
-                key = tuple(flat)
-                new_dist[key] = new_dist.get(key, 0) + count
-        dist = new_dist
+        lo = (k - 1) * n
+        mid, hi = lo + n, lo + 2 * n
+        # The key of a coset is its z = 0 successor (b, a - c b).
+        cosets: dict[tuple[int, ...], int] = {}
+        for state, count in dist.items():
+            a, b = state[lo:mid], state[mid:hi]
+            i = 0
+            while not b[i]:
+                i += 1
+            c = a[i] * inverse[b[i]] % q
+            if c:
+                a = tuple((x - c * y) % q for x, y in zip(a, b))
+            key = state[:lo] + b + a + state[hi:]
+            cosets[key] = cosets.get(key, 0) + count
+        dist = {}  # drops the old distribution before the cosets emit
+        for key, count in cosets.items():
+            head, tail = key[:mid], key[hi:]
+            entries = [lines[x][y] for x, y in zip(key[mid:hi], key[lo:mid])]
+            for column in zip(*entries):
+                dist[head + column + tail] = count
     total = 0
     for t_val in range(1, q):
-        # Both conventions sum the same multiset of diagonal targets.
+        # Both conventions sum the same multiset of diagonal targets, and
+        # a diagonal target reads the same row- or column-major.
         target = tuple(
             (-(t_val if i == 0 else 1)) % q if i == j else 0
             for i in range(n)

@@ -326,7 +326,7 @@ def cmd_theta(args) -> int:
             "solutions": sheafmoduli.count_theta_points_chain(args.n, q),
         }
         if args.positroid:
-            stratum = sheafmoduli.count_positroid_points(args.n, q, budget=args.budget)
+            stratum = sheafmoduli.count_positroid_points(args.n, q)
             payload["count"]["positroid"] = stratum
             payload["count"]["positroid_ratio"] = (
                 f"{stratum}/{payload['count']['solutions']}"
@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("--count-fq", type=int, metavar="Q")
     p_theta.add_argument("--positroid", action="store_true",
                          help="also count the cyclic positroid stratum")
-    p_theta.add_argument("--budget", type=int, default=4 * 10**6)
     p_theta.set_defaults(func=cmd_theta)
 
     p_check = sub.add_parser("check", help="run the cross-validation suite")

@@ -10,6 +10,7 @@ enumeration counts clusters.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,16 +366,8 @@ def _symmetrizer_for(rows) -> tuple[int, ...]:
                 pending.append(j)
     if any(x == 0 for x in d):
         raise ClusterError("symmetrizer construction needs a connected matrix")
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in d))
     return tuple(int(x * lcm) for x in d)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- canonical forms and classification ---------------------------------------

@@ -537,17 +537,6 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
     return _fast_poly(ring, result)
 
 
-def poly_arith(op: str, a: Polynomial, b: Polynomial | None = None) -> Polynomial:
-    """Dispatch exact arithmetic: ``add``, ``mul``, or ``neg`` (b ignored for neg)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ExactMathError(f"unknown operation {op!r}")
-
-
 # -- exact division -------------------------------------------------------
 
 

@@ -21,7 +21,9 @@ right with state (a_j, x_{j+1}).  Its q^2 states lump exactly into six
 classes (seven with the unreachable (0, 0)), so the count is a linear
 recurrence on six integers: O(n) work for every prime q, with its own
 two-class branch in characteristic 2, where 1 = -1.  A budget-guarded
-brute force over F_q^(2n) is the independent oracle.
+brute force over F_q^(2n) is the independent oracle.  The cyclic open
+positroid stratum of Gr(2, n+3), reported alongside for comparison, is
+counted in closed form.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from .exactmath import Polynomial, RingDescriptor, is_prime
 
 BRUTE_FORCE_BUDGET = 10**8
+THETA_MAX_N = 1000
 
 THETA_METHODS = ("recursion", "wedge")
 
@@ -105,9 +108,24 @@ def theta_equations_wedge(n: int) -> ThetaSystem:
 
 
 def theta_system(n: int, method: str = "recursion") -> ThetaSystem:
+    """The chain system by the chosen generator, for 2 <= n <= THETA_MAX_N.
+
+    Every term stores a dense exponent tuple of length 2n, so time and
+    memory grow as n^2; larger n raise :class:`BudgetExceededError`.
+    """
     if method not in THETA_METHODS:
         raise ThetaError(f"unknown generator {method!r}")
+    if n > THETA_MAX_N:
+        raise BudgetExceededError(f"n = {n} exceeds the chain-system bound {THETA_MAX_N}")
     return theta_equations_recursion(n) if method == "recursion" else theta_equations_wedge(n)
+
+
+def _compile_terms(p: Polynomial) -> tuple:
+    """Precompile for F_q evaluation: (coeff, ((variable index, exponent), ..))."""
+    return tuple(
+        (int(coeff), tuple((idx, e) for idx, e in enumerate(exp) if e))
+        for exp, coeff in p.terms.items()
+    )
 
 
 def count_theta_points_brute(system: ThetaSystem, q: int, budget: int = BRUTE_FORCE_BUDGET) -> int:
@@ -117,11 +135,19 @@ def count_theta_points_brute(system: ThetaSystem, q: int, budget: int = BRUTE_FO
     nvars = 2 * system.n
     if q**nvars > budget:
         raise BudgetExceededError(f"q^(2n) = {q}^{nvars} exceeds the enumeration budget")
-    names = system.variables
+    compiled = [_compile_terms(eq) for eq in system.equations]
+
+    def vanishes(terms, values) -> bool:
+        total = 0
+        for coeff, factors in terms:
+            for idx, e in factors:
+                coeff *= values[idx] ** e
+            total += coeff
+        return total % q == 0
+
     count = 0
     for values in itertools.product(range(q), repeat=nvars):
-        assignment = dict(zip(names, values))
-        if all(eq.evaluate_mod(assignment, q) == 0 for eq in system.equations):
+        if all(vanishes(terms, values) for terms in compiled):
             count += 1
     return count
 
@@ -266,45 +292,28 @@ def check_point_count_polynomiality(
 # -- exploratory positroid comparison ----------------------------------------
 
 
-def count_positroid_points(n: int, q: int, budget: int = 4 * 10**6) -> int:
+def count_positroid_points(n: int, q: int) -> int:
     """Points of the cyclic open positroid stratum in Gr(2, n+3) over F_q.
 
-    Counts row-reduced full-rank 2 x (n+3) matrices whose cyclically
-    consecutive Pluecker minors P_{i,i+1} (indices mod n+3) all vanish
-    nowhere.  Reported alongside the chain count for comparison; the
-    torus-factor relation between the two is not asserted.
+    The stratum is the set of row spans of rank-2 matrices 2 x m, m = n+3,
+    whose cyclically consecutive Pluecker minors P_{i,i+1} (indices mod m)
+    all vanish nowhere.  Its columns form a closed walk v_1, .., v_m in
+    F_q^2 minus 0 with v_i ^ v_{i+1} != 0, and GL_2(F_q) acts freely on
+    such walks.  The transfer matrix A of "v ^ w != 0" is J minus one
+    all-ones block per line through 0, with eigenvalues q^2 - q (once),
+    1 - q (q times) and 0, so the count is
+
+        tr(A^m) / |GL_2(F_q)| = ((q^2 - q)^m + q (1 - q)^m) / ((q^2 - 1)(q^2 - q))
+                              = (q - 1)^(n+1) (q^(n+2) + (-1)^(n+1)) / (q + 1).
+
+    Reported alongside the chain count for comparison; the torus-factor
+    relation between the two is not asserted.
     """
+    if n < 2:
+        raise ThetaError("the chain system needs n >= 2")
     if not is_prime(q):
         raise ThetaError(f"{q} is not prime")
-    m = n + 3
-    total_points = (q**m - 1) * (q ** (m - 1) - 1) // ((q**2 - 1) * (q - 1))
-    if total_points > budget:
-        raise BudgetExceededError(f"Gr(2,{m}) over F_{q} has {total_points} points")
-    count = 0
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            free1 = [c for c in range(i + 1, m) if c != j]
-            free2 = list(range(j + 1, m))
-            for vals1 in itertools.product(range(q), repeat=len(free1)):
-                row1 = [0] * m
-                row1[i] = 1
-                for c, v in zip(free1, vals1):
-                    row1[c] = v
-                for vals2 in itertools.product(range(q), repeat=len(free2)):
-                    row2 = [0] * m
-                    row2[j] = 1
-                    for c, v in zip(free2, vals2):
-                        row2[c] = v
-                    ok = True
-                    for c in range(m):
-                        d = c + 1 if c + 1 < m else 0
-                        minor = (row1[c] * row2[d] - row1[d] * row2[c]) % q
-                        if minor == 0:
-                            ok = False
-                            break
-                    if ok:
-                        count += 1
-    return count
+    return (q - 1) ** (n + 1) * (q ** (n + 2) + (-1) ** (n + 1)) // (q + 1)
 
 
 def system_to_json_dict(system: ThetaSystem) -> dict:

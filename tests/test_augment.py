@@ -5,6 +5,8 @@ import random
 import pytest
 
 from singlink.augment import (
+    DP_STATE_BUDGET,
+    T_CONVENTIONS,
     AugmentError,
     BudgetExceededError,
     augmentation_equations,
@@ -16,10 +18,48 @@ from singlink.augment import (
     symbolic_determinant,
     system_to_json_dict,
 )
-from singlink.exactmath import parse_polynomial
-from singlink.links import BraidWord, append_full_twist
+from singlink.exactmath import is_prime, parse_polynomial
+from singlink.links import BraidWord, ade_braid, append_full_twist, parse_ade_label
 
 WORKED_BETA = BraidWord(4, (2, 1, 3, 2, 1, 3, 2, 1, 3, 1, 2, 3, 1, 2, 3, 1, 2, 1, 3))
+
+ADE_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+)
+
+
+def count_by_full_matrix_dp(word: BraidWord, q: int) -> int:
+    """Oracle: every z of every letter applied to every row-major state of
+    M_n(F_q), q |states| work per letter; the count is the multiplicity of
+    -diag(t, 1, .., 1) summed over t in F_q^*."""
+    n = word.strands
+    identity = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+    dist = {identity: 1}
+    for k in word.letters:
+        ck = k - 1
+        new_dist: dict[tuple[int, ...], int] = {}
+        for matrix, count in dist.items():
+            rows = [matrix[r * n : (r + 1) * n] for r in range(n)]
+            for z in range(q):
+                flat = []
+                for row in rows:
+                    new_row = list(row)
+                    a, b = row[ck], row[ck + 1]
+                    new_row[ck] = b
+                    new_row[ck + 1] = (a + z * b) % q
+                    flat.extend(new_row)
+                key = tuple(flat)
+                new_dist[key] = new_dist.get(key, 0) + count
+        dist = new_dist
+    total = 0
+    for t_val in range(1, q):
+        target = tuple(
+            (-(t_val if i == 0 else 1)) % q if i == j else 0
+            for i in range(n)
+            for j in range(n)
+        )
+        total += dist.get(target, 0)
+    return total
 
 
 def test_pk_matrix_two_strands():
@@ -243,3 +283,32 @@ def test_every_crossing_variable_appears():
             used |= eq.variables_used()
         expected = {f"z{i}" for i in range(1, len(word) + 1)}
         assert expected <= used
+
+
+@pytest.mark.parametrize("label", ADE_LABELS)
+def test_coset_dp_matches_full_matrix_dp_on_ade_links(label):
+    word = append_full_twist(ade_braid(parse_ade_label(label)))
+    for q in (2, 3):
+        if q ** (word.strands**2) <= DP_STATE_BUDGET:
+            assert count_solutions_dp(word, q) == count_by_full_matrix_dp(word, q), q
+
+
+def test_coset_dp_matches_full_matrix_dp_on_two_strands_at_every_prime_to_31():
+    for q in (p for p in range(2, 32) if is_prime(p)):
+        for s in range(5):
+            word = BraidWord(2, (1,) * s)
+            expected = count_by_full_matrix_dp(word, q)
+            for convention in T_CONVENTIONS:
+                assert count_solutions_dp(word, q, convention) == expected, (s, q)
+
+
+def test_coset_dp_matches_full_matrix_dp_on_random_words():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        s = rng.randint(0, 9) if n > 1 else 0
+        word = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(s)))
+        for q in (2, 3, 5, 7) if n < 3 else (2, 3):
+            expected = count_by_full_matrix_dp(word, q)
+            for convention in T_CONVENTIONS:
+                assert count_solutions_dp(word, q, convention) == expected, (word, q)

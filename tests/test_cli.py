@@ -82,6 +82,28 @@ def test_theta_count_with_huge_prime_modulus():
     assert "too large" in err and "Traceback" not in err
 
 
+def test_theta_budget_flag_is_gone():
+    code, _, err = run_cli("theta", "--n", "3", "--count-fq", "5", "--positroid",
+                           "--budget", "10")
+    assert code == 2
+    assert "--budget" in err
+
+
+def test_theta_positroid_count_at_large_n_and_q():
+    n, q = 40, 101
+    code, out, _ = run_cli("theta", "--n", str(n), "--count-fq", str(q), "--positroid")
+    assert code == 0
+    stratum = json.loads(out)["count"]["positroid"]
+    assert stratum == (q - 1) ** (n + 1) * (q ** (n + 2) + (-1) ** (n + 1)) // (q + 1)
+
+
+def test_theta_chain_length_is_bounded():
+    code, out, err = run_cli("theta", "--n", "1001")
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err and "1000" in err and "Traceback" not in err
+
+
 def test_link_pipeline_report():
     code, out, _ = run_cli("link", "--ade", "A3", "--pipeline")
     data = json.loads(out)

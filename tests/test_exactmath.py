@@ -21,7 +21,6 @@ from singlink.exactmath import (
     divide_exact,
     is_prime,
     parse_polynomial,
-    poly_arith,
 )
 
 XY = RingDescriptor(("x", "y"))
@@ -256,15 +255,6 @@ def test_matrix_validation():
     with pytest.raises(ExactMathError):
         PolyMatrix(ring, [[ring.one()]]).det() and None
         PolyMatrix(ring, [[ring.one(), ring.zero()]]).det()
-
-
-def test_poly_arith_dispatcher():
-    x = X.var("x")
-    assert poly_arith("add", x, -x).is_zero()
-    assert poly_arith("mul", x + 1, x - 1) == x * x - 1
-    assert poly_arith("neg", x) == -x
-    with pytest.raises(ExactMathError):
-        poly_arith("div", x, x)
 
 
 def _is_prime_by_trial_division(n: int) -> bool:

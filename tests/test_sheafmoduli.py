@@ -1,9 +1,12 @@
 """Tests for the chain sheaf-moduli systems and point counts."""
 
+import itertools
+
 import pytest
 
-from singlink.exactmath import parse_polynomial
+from singlink.exactmath import is_prime, parse_polynomial
 from singlink.sheafmoduli import (
+    THETA_MAX_N,
     BudgetExceededError,
     ThetaError,
     check_point_count_polynomiality,
@@ -57,6 +60,43 @@ def chain_count_by_state_dp(n: int, q: int) -> int:
         elif a_prev == q - 1:
             total += count * q
     return total
+
+
+def grassmannian_point_count(m: int, q: int) -> int:
+    """Points of Gr(2, m) over F_q."""
+    return (q**m - 1) * (q ** (m - 1) - 1) // ((q**2 - 1) * (q - 1))
+
+
+def positroid_count_by_enumeration(n: int, q: int) -> int:
+    """Oracle: walk every point of Gr(2, n+3) as a row-reduced 2 x (n+3)
+    matrix and keep those whose cyclically consecutive minors are all
+    nonzero."""
+    m = n + 3
+    count = 0
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            free1 = [c for c in range(i + 1, m) if c != j]
+            free2 = list(range(j + 1, m))
+            for vals1 in itertools.product(range(q), repeat=len(free1)):
+                row1 = [0] * m
+                row1[i] = 1
+                for c, v in zip(free1, vals1):
+                    row1[c] = v
+                for vals2 in itertools.product(range(q), repeat=len(free2)):
+                    row2 = [0] * m
+                    row2[j] = 1
+                    for c, v in zip(free2, vals2):
+                        row2[c] = v
+                    ok = True
+                    for c in range(m):
+                        d = c + 1 if c + 1 < m else 0
+                        minor = (row1[c] * row2[d] - row1[d] * row2[c]) % q
+                        if minor == 0:
+                            ok = False
+                            break
+                    if ok:
+                        count += 1
+    return count
 
 
 def test_recursion_n2():
@@ -168,8 +208,55 @@ def test_positroid_counter_smoke():
     assert total == 155
     stratum = count_positroid_points(2, 2)
     assert 0 < stratum < total
-    with pytest.raises(BudgetExceededError):
-        count_positroid_points(8, 11)
+    with pytest.raises(ThetaError):
+        count_positroid_points(3, 4)
+    with pytest.raises(ThetaError):
+        count_positroid_points(1, 3)
+
+
+def test_positroid_closed_form_matches_enumeration():
+    # Every (n, q) whose Gr(2, n+3) has at most 2 * 10^5 points: q = 2 up
+    # to n = 7, q = 3 up to n = 4, and n = 2 at q = 5 and 7.
+    checked = []
+    for q in (p for p in range(2, 100) if is_prime(p)):
+        n = 2
+        while grassmannian_point_count(n + 3, q) <= 2 * 10**5:
+            assert count_positroid_points(n, q) == positroid_count_by_enumeration(n, q), (n, q)
+            checked.append((n, q))
+            n += 1
+    assert len(checked) == 11
+
+
+def test_positroid_closed_form_matches_transfer_matrix_trace():
+    # Closed walks of length m = n + 3 in the graph "v ^ w != 0" on
+    # F_q^2 minus 0, counted by powering its adjacency matrix, over |GL_2|.
+    for q in (2, 3, 5):
+        vectors = [(x, y) for x in range(q) for y in range(q) if (x, y) != (0, 0)]
+        adjacency = [
+            [1 if (v[0] * w[1] - v[1] * w[0]) % q else 0 for w in vectors] for v in vectors
+        ]
+        power = adjacency
+        gl2 = (q * q - 1) * (q * q - q)
+        for m in range(2, 24):
+            power = [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*adjacency)]
+                for row in power
+            ]  # A^m
+            trace = sum(power[i][i] for i in range(len(vectors)))
+            assert trace % gl2 == 0
+            if m >= 5:
+                assert count_positroid_points(m - 3, q) == trace // gl2, (m - 3, q)
+
+
+def test_positroid_n2_is_chain_count_times_torus():
+    for q in PRIMES_TO_23 + (101, 10**9 + 7):
+        assert count_positroid_points(2, q) == (q - 1) ** 4 * (q * q + 1)
+
+
+def test_theta_system_is_bounded():
+    for method in ("recursion", "wedge"):
+        with pytest.raises(BudgetExceededError):
+            theta_system(THETA_MAX_N + 1, method)
 
 
 def test_json_dict():
