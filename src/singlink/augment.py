@@ -17,10 +17,12 @@ for an l-component link is a quotient of this variety times (C*)^l by a
 torus action; that quotient is out of scope here, so counts for links
 are raw variety counts.
 
-Counting oracles: a brute-force loop over the stored equations, and an
-independent dynamic program over the distribution of partial matrix
-products in GL_n(F_q), which advances one coset a + F_q b of the
-affected column pair at a time instead of one z at a time.
+Counting oracles: a brute force over the stored equations, which
+enumerates z_1..z_{s-1} and solves for the last crossing variable z_s
+and for t, and an independent dynamic program over the distribution of
+partial matrix products in GL_n(F_q), which advances one coset
+a + F_q b of the affected column pair at a time instead of one z at a
+time.
 """
 
 from __future__ import annotations
@@ -139,11 +141,10 @@ def augmentation_equations(word: BraidWord, t_convention: str = "t") -> Augmenta
 
 
 def _compile_terms(p: Polynomial, s: int):
-    """Precompile for F_q evaluation: (coeff, z-index list, t exponent).
+    """Precompile for F_q evaluation: (coeff, z-index tuple, t exponent).
 
     Entries of products of P_k matrices are multilinear in each z, so
-    z-exponents are 0/1; t appears only through the diagonal convention
-    term with exponent +-1.
+    z-exponents are 0/1; z-indices come in increasing order.
     """
     compiled = []
     for exp, coeff in p.terms.items():
@@ -158,6 +159,51 @@ def _compile_terms(p: Polynomial, s: int):
     return compiled
 
 
+def _split_last(terms, s: int):
+    """Terms of alpha(z') + beta(z') z_s, z' = (z_1..z_{s-1}): (alpha, beta)."""
+    alpha, beta = [], []
+    for coeff, zs, _ in terms:
+        if zs and zs[-1] == s - 1:
+            beta.append((coeff, zs[:-1]))
+        else:
+            alpha.append((coeff, zs))
+    return tuple(alpha), tuple(beta)
+
+
+def _compile_system(system: AugmentationSystem):
+    """The stored equations, split for solving in z_s and t.
+
+    Returns (c, e, entry, constraints): the (1,1) equation is
+    c t^e + alpha(z') + beta(z') z_s with c, e in {1, -1} and
+    entry = (alpha, beta); constraints holds the (alpha, beta) of every
+    other equation, fewest terms first.  t must occur exactly there.
+    """
+    s = len(system.word)
+    compiled = [_compile_terms(p, s) for p in system.equations]
+    t_terms = [(index, term) for index, eq in enumerate(compiled) for term in eq if term[2]]
+    if len(t_terms) != 1:
+        raise AugmentError(f"t occurs in {len(t_terms)} terms, expected exactly one")
+    index, (coeff, zs, t_exp) = t_terms[0]
+    if index or zs or coeff not in (1, -1) or t_exp not in (1, -1):
+        raise AugmentError("t must occur as a lone term +-t^(+-1) of the (1,1) equation")
+    entry = _split_last([term for term in compiled[0] if not term[2]], s)
+    constraints = sorted(
+        (_split_last(eq, s) for eq in compiled[1:]),
+        key=lambda split: len(split[0]) + len(split[1]),
+    )
+    return coeff, t_exp, entry, constraints
+
+
+def _evaluate(terms, zs) -> int:
+    """Sum of coeff * prod(zs[i]) over compiled terms, not reduced mod q."""
+    total = 0
+    for coeff, idx in terms:
+        for i in idx:
+            coeff *= zs[i]
+        total += coeff
+    return total
+
+
 def count_solutions_bruteforce(
     system: AugmentationSystem,
     q: int,
@@ -165,42 +211,69 @@ def count_solutions_bruteforce(
 ) -> int:
     """Exact number of (z, t) in F_q^s x F_q^* solving every equation.
 
-    Enumerates all z-assignments (budget-guarded), testing each stored
-    equation with early exit.  Every solution found is checked against
-    the sign law t = (-1)^(n+s).
+    Every stored equation is alpha(z') + beta(z') z_s in the last crossing
+    variable, z' = (z_1..z_{s-1}), and t occurs only as one lone term
+    c t^(+-1) of the (1,1) equation.  So only the prefixes z' are
+    enumerated.  For each, the t-free equations, fewest terms first, pin
+    z_s to -alpha/beta where beta != 0 and rule the prefix out where
+    beta = 0 != alpha, with early exit; the (1,1) equation then gives
+    t^(+-1) for each surviving z_s, and a nonzero value is one solution.
+    The work, at most q^(s-1) times the number of terms, is
+    budget-guarded.  Every solution found is checked against the sign law
+    t = (-1)^(n+s).
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
     s = len(system.word)
-    if q**s > budget:
-        raise BudgetExceededError(f"q^s = {q}^{s} exceeds the enumeration budget")
-    compiled = [_compile_terms(p, s) for p in system.equations]
-    n = system.strands
-    expected_t = (-1) ** (n + s) % q
-    inverse = {v: pow(v, q - 2, q) for v in range(1, q)}
+    prefix_length = max(s - 1, 0)
+    terms = sum(len(p.terms) for p in system.equations)
+    if q**prefix_length * terms > budget:
+        raise BudgetExceededError(
+            f"q^(s-1) x terms = {q}^{prefix_length} x {terms} exceeds the work budget {budget}"
+        )
+    t_coeff, t_exp, (entry_alpha, entry_beta), constraints = _compile_system(system)
+    expected_t = (-1) ** (system.strands + s) % q
 
-    def eval_equation(eq, zs, t_val) -> int:
-        total = 0
-        for coeff, z_idx, t_exp in eq:
-            term = coeff
-            for idx in z_idx:
-                term = term * zs[idx]
-            if t_exp == 1:
-                term = term * t_val
-            elif t_exp == -1:
-                term = term * inverse[t_val]
-            total += term
-        return total % q
+    def check_sign_law(u: int) -> None:
+        t_val = u if t_exp == 1 else pow(u, -1, q)
+        if t_val != expected_t:
+            raise AugmentError(
+                f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
+            )
 
     found = 0
-    for zs in itertools.product(range(q), repeat=s):
-        for t_val in range(1, q):
-            if all(eval_equation(eq, zs, t_val) == 0 for eq in compiled):
-                if t_val != expected_t:
-                    raise AugmentError(
-                        f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
-                    )
-                found += 1
+    for prefix in itertools.product(range(q), repeat=prefix_length):
+        # None while z_s is free; the unknot (s = 0) has no z_s to solve for.
+        pinned = None if s else 0
+        for alpha_terms, beta_terms in constraints:
+            alpha = _evaluate(alpha_terms, prefix)
+            beta = _evaluate(beta_terms, prefix) % q
+            if pinned is not None:
+                if (alpha + beta * pinned) % q:
+                    break
+            elif beta:
+                pinned = -alpha * pow(beta, -1, q) % q
+            elif alpha % q:
+                break
+        else:
+            alpha = _evaluate(entry_alpha, prefix)
+            beta = _evaluate(entry_beta, prefix) % q
+            if pinned is not None:
+                u = -t_coeff * (alpha + beta * pinned) % q
+                if u:
+                    check_sign_law(u)
+                    found += 1
+            elif beta:
+                # z_s is free and t^(+-1) = -c (alpha + beta z_s) takes every
+                # value of F_q once: q - 1 solutions with distinct t.
+                check_sign_law(1)
+                check_sign_law(q - 1)
+                found += q - 1
+            else:
+                u = -t_coeff * alpha % q
+                if u:
+                    check_sign_law(u)
+                    found += q
     return found
 
 

@@ -304,7 +304,7 @@ def cmd_aug(args) -> int:
     word = links.append_full_twist(braid) if args.full_twist else braid
     system = augment.augmentation_equations(word, t_convention=args.t_convention)
     payload = augment.system_to_json_dict(system)
-    if args.count_fq:
+    if args.count_fq is not None:
         q = args.count_fq
         if args.method == "dp":
             count = augment.count_solutions_dp(word, q, t_convention=args.t_convention)
@@ -319,7 +319,7 @@ def cmd_theta(args) -> int:
     system = sheafmoduli.theta_system(args.n, args.method)
     payload = sheafmoduli.system_to_json_dict(system)
     payload["method"] = args.method
-    if args.count_fq:
+    if args.count_fq is not None:
         q = args.count_fq
         payload["count"] = {
             "q": q,

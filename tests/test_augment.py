@@ -1,5 +1,6 @@
 """Tests for augmentation equation systems and counting oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from singlink.augment import (
     DP_STATE_BUDGET,
     T_CONVENTIONS,
+    AugmentationSystem,
     AugmentError,
     BudgetExceededError,
+    _compile_terms,
     augmentation_equations,
     augmentation_ring,
     braid_matrix,
@@ -60,6 +63,40 @@ def count_by_full_matrix_dp(word: BraidWord, q: int) -> int:
         )
         total += dist.get(target, 0)
     return total
+
+
+def count_by_points_and_t(system: AugmentationSystem, q: int) -> int:
+    """Oracle: every (z, t) in F_q^s x F_q^* tested against every stored
+    equation, with early exit; solutions are checked against the sign law
+    t = (-1)^(n+s)."""
+    s = len(system.word)
+    compiled = [_compile_terms(p, s) for p in system.equations]
+    expected_t = (-1) ** (system.strands + s) % q
+    inverse = {v: pow(v, q - 2, q) for v in range(1, q)}
+
+    def eval_equation(eq, zs, t_val) -> int:
+        total = 0
+        for coeff, z_idx, t_exp in eq:
+            term = coeff
+            for idx in z_idx:
+                term = term * zs[idx]
+            if t_exp == 1:
+                term = term * t_val
+            elif t_exp == -1:
+                term = term * inverse[t_val]
+            total += term
+        return total % q
+
+    found = 0
+    for zs in itertools.product(range(q), repeat=s):
+        for t_val in range(1, q):
+            if all(eval_equation(eq, zs, t_val) == 0 for eq in compiled):
+                if t_val != expected_t:
+                    raise AugmentError(
+                        f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
+                    )
+                found += 1
+    return found
 
 
 def test_pk_matrix_two_strands():
@@ -312,3 +349,98 @@ def test_coset_dp_matches_full_matrix_dp_on_random_words():
             expected = count_by_full_matrix_dp(word, q)
             for convention in T_CONVENTIONS:
                 assert count_solutions_dp(word, q, convention) == expected, (word, q)
+
+
+# The (z, t) oracle visits q^s (q - 1) points; A8 at q = 3 takes about 10 s.
+ORACLE_CASES = [
+    pytest.param(label, q, marks=[pytest.mark.deep] if (label, q) == ("A8", 3) else [])
+    for label in ADE_LABELS
+    for q in (2, 3)
+    if q == 2 or q ** len(append_full_twist(ade_braid(parse_ade_label(label)))) <= 2 * 10**5
+]
+
+
+@pytest.mark.parametrize("label,q", ORACLE_CASES)
+def test_bruteforce_matches_point_oracle_on_ade_links(label, q):
+    system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label(label))))
+    assert count_solutions_bruteforce(system, q) == count_by_points_and_t(system, q)
+
+
+def test_bruteforce_matches_oracles_on_two_strand_powers_at_every_prime_to_13():
+    # The point oracle runs where it visits at most 10^5 points (13^6 * 12
+    # would take minutes); the coset DP, an independent count, checks every
+    # case, in both t conventions up to q^s = 10^5.
+    for q in (p for p in range(2, 14) if is_prime(p)):
+        for s in range(7):
+            word = BraidWord(2, (1,) * s)
+            for convention in T_CONVENTIONS if q**s <= 10**5 else ("t",):
+                system = augmentation_equations(word, convention)
+                count = count_solutions_bruteforce(system, q)
+                assert count == count_solutions_dp(word, q, convention), (s, q)
+                if q**s * (q - 1) <= 10**5:
+                    assert count == count_by_points_and_t(system, q), (s, q)
+
+
+def test_bruteforce_matches_point_oracle_on_random_words():
+    rng = random.Random(23)
+    for _ in range(48):
+        n = rng.randint(1, 3)
+        s = rng.randint(0, 8) if n > 1 else 0
+        word = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(s)))
+        for convention in T_CONVENTIONS:
+            system = augmentation_equations(word, convention)
+            for q in (2, 3, 5):
+                if q**s <= 2 * 10**4:
+                    expected = count_by_points_and_t(system, q)
+                    assert count_solutions_bruteforce(system, q) == expected, (word, q)
+
+
+def _hand_built(word: BraidWord, texts: list[str]) -> AugmentationSystem:
+    ring = augmentation_ring(len(word))
+    equations = tuple(parse_polynomial(text, ring) for text in texts)
+    return AugmentationSystem(word.strands, word, ring, equations, "t")
+
+
+def test_bruteforce_rejects_t_outside_the_lone_first_term():
+    word = BraidWord(2, (1,))
+    for texts in (
+        ["z1 + t", "1 + t", "0", "0"],  # t in a second equation
+        ["z1 + t^2", "0", "0", "0"],
+        ["z1 + 2*t", "0", "0", "0"],
+        ["z1*t + 1", "0", "0", "0"],
+        ["z1", "t", "0", "0"],
+        ["z1", "0", "0", "0"],  # no t at all
+    ):
+        with pytest.raises(AugmentError):
+            count_solutions_bruteforce(_hand_built(word, texts), 5)
+
+
+def test_bruteforce_enforces_the_sign_law():
+    # n = 1, s = 0: t = 1, but the sign law asks for t = (-1)^1 = 4 at q = 5.
+    system = _hand_built(BraidWord(1, ()), ["t - 1"])
+    with pytest.raises(AugmentError, match="violates"):
+        count_solutions_bruteforce(system, 5)
+    with pytest.raises(AugmentError, match="violates"):
+        count_by_points_and_t(system, 5)
+
+
+def test_bruteforce_with_last_variable_left_free():
+    # Unless an equation pins it, every z1 is a candidate.  With t = -z1
+    # the solutions take every t in F_q^*, so only q = 2 keeps the sign law
+    # t = (-1)^(n+s) = -1; with t = -1 every z1 is a solution.
+    word = BraidWord(2, (1,))
+    for texts, q, expected in (
+        (["t + z1", "0", "0", "0"], 2, 1),
+        (["t + 1", "0", "0", "0"], 2, 2),
+        (["t + 1", "0", "0", "0"], 5, 5),
+        (["-t - 1", "0", "0", "0"], 7, 7),
+        (["t + 1 + z1", "z1", "0", "0"], 3, 1),
+    ):
+        system = _hand_built(word, texts)
+        assert count_solutions_bruteforce(system, q) == expected == count_by_points_and_t(
+            system, q
+        ), (texts, q)
+    system = _hand_built(word, ["t + z1", "0", "0", "0"])
+    for q in (3, 5):
+        with pytest.raises(AugmentError, match="violates"):
+            count_solutions_bruteforce(system, q)

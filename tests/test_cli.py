@@ -3,6 +3,9 @@
 import io
 import json
 import contextlib
+import time
+
+from hypothesis import given, settings, strategies as st
 
 from singlink import cli
 from singlink.cluster import exchange_matrix_from_json
@@ -238,6 +241,27 @@ def test_aug_budget_exit_code():
     assert code == 3
 
 
+def test_aug_brute_force_work_budget():
+    # A6 with the full twist: s = 9 crossings and 146 equation terms.
+    started = time.perf_counter()
+    code, out, err = run_cli("aug", "--ade", "A6", "--count-fq", "7")
+    assert code == 3 and out == ""
+    assert "7^8 x 146" in err and "work budget" in err
+    assert time.perf_counter() - started < 2.0
+    code, out, _ = run_cli("aug", "--ade", "A6", "--count-fq", "5", "--budget", str(5**8 * 146 - 1))
+    assert code == 3 and out == ""
+
+
+def test_count_fq_zero_is_a_usage_error():
+    for argv in (
+        ("aug", "--ade", "A2", "--count-fq", "0"),
+        ("theta", "--n", "3", "--count-fq", "0"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "0 is not prime" in err
+
+
 def test_theta_wedge_and_counts():
     code, out, _ = run_cli("theta", "--n", "4", "--method", "wedge", "--count-fq", "3")
     data = json.loads(out)
@@ -295,3 +319,81 @@ def test_check_output_is_deterministic():
     first = run_cli("check", "--fast")
     second = run_cli("check", "--fast")
     assert first == second
+
+
+# -- fuzzing the exit-code contract ---------------------------------------------
+
+FUZZ_SECONDS = 5.0
+
+# Mostly valid values, with a few that each input check must reject.
+_small = st.integers(-1, 5)
+_labels = st.sampled_from(
+    [f"A{n}" for n in range(9)] + [f"D{n}" for n in range(2, 9)] + ["E6", "E7", "E8", "E9", "X1"]
+    + [""]
+)
+_braid_text = st.lists(
+    st.sampled_from(["1", "1", "2", "2", "3", "0", "-1", "x", "1,2"]), max_size=6
+).map(" ".join)
+_puiseux_text = st.lists(
+    st.sampled_from(["3,2", "5,2", "7,2", "10,3", "2,3", "1,1", "0,2", "3", "2,3,1", "a,b"]),
+    max_size=3,
+).map(" ".join)
+
+
+def _braid_forms(puiseux: bool) -> list:
+    forms = [
+        _labels.map(lambda label: ["--ade", label]),
+        st.tuples(_small, _small).map(lambda ab: ["--torus", str(ab[0]), str(ab[1])]),
+        _braid_text.map(lambda text: ["--braid", text]),
+    ]
+    if puiseux:
+        forms.append(_puiseux_text.map(lambda text: ["--puiseux", text]))
+    return forms
+
+
+@st.composite
+def _braid_inputs(draw, puiseux: bool) -> list[str]:
+    """One braid input form, sometimes with --strands; rarely none or two."""
+    form = st.one_of(_braid_forms(puiseux))
+    argv = draw(form) if draw(st.integers(0, 9)) else []
+    if not draw(st.integers(0, 9)):
+        argv += draw(form)
+    if draw(st.booleans()):
+        argv += ["--strands", str(draw(st.integers(-1, 3)))]
+    return argv
+
+
+def _flag(draw, flag: str, values) -> list[str]:
+    """[flag, value] or, half the time, nothing."""
+    return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def _cli_args(draw) -> list[str]:
+    command = draw(st.sampled_from(["aug", "theta", "link"]))
+    if command == "theta":
+        argv = ["theta", "--n", str(draw(st.integers(-2, 60)))]
+        argv += _flag(draw, "--count-fq", st.integers(-3, 13))
+        argv += _flag(draw, "--method", st.sampled_from(["recursion", "wedge"]))
+        return argv + (["--positroid"] if draw(st.booleans()) else [])
+    if command == "link":
+        return ["link", *draw(_braid_inputs(puiseux=True))]
+    # The slowest aug inputs here take about 1 s: the F_2 DP on four
+    # strands, which holds 2^16 states.
+    argv = ["aug", *draw(_braid_inputs(puiseux=False))]
+    argv += _flag(draw, "--count-fq", st.integers(-3, 13))
+    argv += _flag(draw, "--method", st.sampled_from(["brute", "dp"]))
+    argv += _flag(draw, "--t-convention", st.sampled_from(["t", "t-inverse"]))
+    argv += ["--no-full-twist"] if draw(st.booleans()) else []
+    # Always bounded: the default budget admits about 10 s of brute force.
+    return argv + ["--budget", str(draw(st.integers(-1, 10**6)))]
+
+
+@given(_cli_args())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_exit_codes(argv):
+    started = time.perf_counter()
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err
+    assert time.perf_counter() - started < FUZZ_SECONDS, argv
