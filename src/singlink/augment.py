@@ -35,6 +35,9 @@ from .links import BraidWord
 
 BRUTE_FORCE_BUDGET = 10**8
 DP_STATE_BUDGET = 10**6
+# Terms of the symbolic braid matrix.  T(6,7) with the full twist needs
+# 12331; T(7,9) needs over 77000 and would take about 20 s.
+TERM_BUDGET = 20_000
 
 T_CONVENTIONS = ("t", "t-inverse")
 
@@ -103,12 +106,28 @@ class AugmentationSystem:
 
 
 def braid_matrix(ring: RingDescriptor, word: BraidWord) -> PolyMatrix:
-    """B(word) = P_{k_1}(z_1) ... P_{k_s}(z_s), left-to-right."""
+    """B(word) = P_{k_1}(z_1) ... P_{k_s}(z_s), left-to-right.
+
+    Right multiplication by P_k(z) sends the column pair (c_k, c_{k+1})
+    to (c_{k+1}, c_k + z c_{k+1}), so a letter at most doubles the number
+    of terms.  The count is checked after every letter; above
+    ``TERM_BUDGET`` the product raises :class:`BudgetExceededError`.
+    """
     n = word.strands
-    product = PolyMatrix.identity(ring, n)
+    one, zero = ring.one(), ring.zero()
+    columns = [[one if i == j else zero for i in range(n)] for j in range(n)]
     for pos, k in enumerate(word.letters, start=1):
-        product = product @ pk_matrix(ring, n, k, f"z{pos}")
-    return product
+        z = ring.var(f"z{pos}")
+        left, right = columns[k - 1], columns[k]
+        columns[k - 1] = right
+        columns[k] = [a + z * b for a, b in zip(left, right)]
+        terms = sum(len(entry.terms) for column in columns for entry in column)
+        if terms > TERM_BUDGET:
+            raise BudgetExceededError(
+                f"the braid matrix holds {terms} terms after letter {pos} of "
+                f"{len(word)}, over the term budget {TERM_BUDGET}"
+            )
+    return PolyMatrix(ring, zip(*columns))
 
 
 def augmentation_equations(word: BraidWord, t_convention: str = "t") -> AugmentationSystem:

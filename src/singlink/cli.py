@@ -117,7 +117,6 @@ def build_pipeline_report(
     braid: links.BraidWord,
     ade_label: links.ADELabel | None = None,
     enumerate_cap: int = 2000,
-    classify_cap: int = 20000,
     equations_dir: str | None = None,
 ) -> PipelineReport:
     report = PipelineReport(
@@ -139,7 +138,7 @@ def build_pipeline_report(
         }
     matrix = bricks.to_exchange_matrix(quiver)
     try:
-        dynkin = cluster.is_finite_type(matrix, cap=classify_cap)
+        dynkin = cluster.is_finite_type(matrix)
     except cluster.ClusterError as exc:
         report.classification = {"type": None, "note": str(exc)}
         return report
@@ -272,7 +271,7 @@ def cmd_mutate(args) -> int:
 
 def cmd_classify(args) -> int:
     matrix = _matrix_from_args(args)
-    dynkin = cluster.is_finite_type(matrix, cap=args.cap)
+    dynkin = cluster.is_finite_type(matrix)
     if dynkin is None:
         _emit({"type": None, "seeds": None})
     else:
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--matrix", help="matrix JSON file, or - for stdin")
     p_classify.add_argument("--type", help="Dynkin type, e.g. E6")
     p_classify.add_argument("--ade", help="ADE label; classifies its brick quiver")
-    p_classify.add_argument("--cap", type=int, default=20000)
     p_classify.set_defaults(func=cmd_classify)
 
     p_seeds = sub.add_parser("seeds", help="enumerate cluster seeds")

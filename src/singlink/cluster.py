@@ -1,4 +1,5 @@
-"""Skew-symmetrizable exchange matrices, seed mutation and enumeration.
+"""Skew-symmetrizable exchange matrices, seed mutation and enumeration,
+and finite-type classification.
 
 Seeds carry exact Laurent cluster variables in the initial variables
 u1..un; mutation divides the exchange binomial by the outgoing variable,
@@ -25,7 +26,7 @@ class ClusterError(ValueError):
 
 
 class CapExceededError(ClusterError):
-    """Enumeration or classification exceeded its seed/matrix budget."""
+    """Seed enumeration exceeded its seed budget."""
 
     def __init__(self, cap: int, message: str | None = None):
         super().__init__(message or f"budget of {cap} exceeded")
@@ -122,7 +123,7 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(n, tuple(new_rows), matrix.symmetrizer)
 
 
-# -- seeds --------------------------------------------------------------------
+# -- seeds ---------------------------------------------------------------------
 
 
 def initial_cluster_ring(n: int) -> RingDescriptor:
@@ -234,7 +235,7 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
     return tuple(seen.values())
 
 
-# -- finite type --------------------------------------------------------------
+# -- finite type ---------------------------------------------------------------
 
 FINITE_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -370,7 +371,9 @@ def _symmetrizer_for(rows) -> tuple[int, ...]:
     return tuple(int(x * lcm) for x in d)
 
 
-# -- canonical forms and classification ---------------------------------------
+# -- canonical forms -----------------------------------------------------------
+# Nothing in the package needs a canonical form any more: the tests use it
+# in their mutation-class oracle, and bench/tracer.py times it.
 
 
 def _vertex_invariants(matrix: ExchangeMatrix) -> list[tuple]:
@@ -419,164 +422,150 @@ def canonical_form(matrix: ExchangeMatrix) -> tuple:
     return best
 
 
-def _is_acyclic(matrix: ExchangeMatrix) -> bool:
-    n = matrix.n
-    succ = [[j for j in range(n) if matrix.entries[i][j] > 0] for i in range(n)]
-    state = [0] * n  # 0 unvisited, 1 active, 2 done
-
-    def dfs(i: int) -> bool:
-        state[i] = 1
-        for j in succ[i]:
-            if state[j] == 1:
-                return False
-            if state[j] == 0 and not dfs(j):
-                return False
-        state[i] = 2
-        return True
-
-    return all(state[i] == 2 or dfs(i) for i in range(n))
+# -- classification ------------------------------------------------------------
 
 
-def _connected(matrix: ExchangeMatrix) -> bool:
-    n = matrix.n
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j not in seen and (matrix.entries[i][j] or matrix.entries[j][i]):
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
-def _classify_acyclic_diagram(matrix: ExchangeMatrix) -> DynkinType | None:
-    """Dynkin type of an acyclic exchange matrix from its weighted diagram."""
-    n = matrix.n
+def _bfs_order(matrix: ExchangeMatrix) -> list[int]:
+    """Vertices reachable from vertex 0, in breadth-first order."""
     b = matrix.entries
-    if n == 1:
-        return DynkinType("A", 1)
-    edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if b[i][j] or b[j][i]:
-                edges[(i, j)] = (abs(b[i][j]), abs(b[j][i]))
-    if len(edges) != n - 1:
-        return None  # finite-type diagrams are trees
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
-    degrees = sorted(len(v) for v in adj.values())
-    heavy = {e: w for e, w in edges.items() if w != (1, 1)}
-
-    def edge_weight(u, v):
-        return edges[(u, v)] if (u, v) in edges else tuple(reversed(edges[(v, u)]))
-
-    if max(degrees) <= 2:
-        # Path: order the vertices.
-        ends = [i for i in adj if len(adj[i]) == 1] if n > 1 else [0]
-        path = [ends[0]]
-        while len(path) < n:
-            nxt = [j for j in adj[path[-1]] if len(path) < 2 or j != path[-2]]
-            path.append(nxt[0])
-        weights = [edge_weight(path[i], path[i + 1]) for i in range(n - 1)]
-        heavies = [(i, w) for i, w in enumerate(weights) if w != (1, 1)]
-        if not heavies:
-            return DynkinType("A", n)
-        if len(heavies) > 1:
-            return None
-        pos, (w_uv, w_vu) = heavies[0]
-        if {w_uv, w_vu} == {1, 3}:
-            return DynkinType("G", 2) if n == 2 else None
-        if {w_uv, w_vu} != {1, 2}:
-            return None
-        if n == 2:
-            return DynkinType("B", 2)
-        if pos == 0 or pos == n - 2:
-            # Heavy edge at an end: B or C depending on which side carries
-            # the 2 (companion a_{n-1,n} = -2 means |b| = 2 pointing at the
-            # short leaf).
-            if pos == 0:
-                leaf, inner = path[0], path[1]
-            else:
-                leaf, inner = path[-1], path[-2]
-            w_inner_leaf = edge_weight(inner, leaf)[0]
-            return DynkinType("B" if w_inner_leaf == 2 else "C", n)
-        if n == 4 and pos == 1:
-            return DynkinType("F", 4)
-        return None
-
-    if heavy or degrees[-1] > 3 or degrees.count(3) > 1:
-        return None
-    # One branch vertex of degree 3, simply laced: D or E by leg lengths.
-    branch = next(i for i in adj if len(adj[i]) == 3)
-    legs = []
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while len(adj[cur]) == 2:
-            nxt = next(j for j in adj[cur] if j != prev)
-            prev, cur = cur, nxt
-            length += 1
-        if len(adj[cur]) == 3:
-            return None  # second branch point reached
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return DynkinType("D", n)
-    if legs[:2] == [1, 2] and legs[2] in (2, 3, 4) and n == legs[2] + 4:
-        return DynkinType("E", n)
-    return None
+    order = [0]
+    seen = {0}
+    for i in order:
+        for j in range(matrix.n):
+            if j not in seen and b[i][j]:
+                seen.add(j)
+                order.append(j)
+    return order
 
 
-def is_finite_type(matrix: ExchangeMatrix, cap: int = 20_000) -> DynkinType | None:
-    """Detect the finite cluster type of an exchange matrix, if any.
+def _chordless_cycles_through(adj: list[set[int]], v: int):
+    """Chordless cycles of the graph on vertices 0..v that pass through v.
 
-    Acyclic matrices are classified directly from their weighted diagram.
-    Otherwise the mutation class is explored breadth-first up to
-    simultaneous permutation: any |b_ij * b_ji| >= 4 certifies infinite
-    type (returns None); a completed 2-finite class is classified through
-    one of its acyclic members.  Raises :class:`CapExceededError` when the
-    class does not resolve within ``cap`` matrices, and
-    :class:`ClusterError` for disconnected input (a product of types has
-    no single Dynkin label).
+    Each cycle is yielded once, as the vertex list (v, a, .., b) with
+    a < b: an induced path from a to b whose inner vertices are not
+    adjacent to v.
+    """
+    ends = {u for u in adj[v] if u < v}
+    for a in sorted(ends):
+        stack = [(a,)]
+        while stack:
+            path = stack.pop()
+            for w in adj[path[-1]]:
+                if w >= v or w in path or any(w in adj[p] for p in path[:-1]):
+                    continue
+                if w in ends:
+                    if w > a:
+                        yield (v,) + path + (w,)
+                else:
+                    stack.append(path + (w,))
+
+
+def _dynkin_type_of_companion(n: int, det: Fraction, d: tuple[int, ...]) -> DynkinType:
+    """Name a positive quasi-Cartan companion by rank, det A and symmetrizer.
+
+    det A is n+1 for A_n, 4 for D_n, 3/2/1 for E6/E7/E8, 2 for B_n and C_n,
+    and 1 for F4 and G2.  B_n has exactly one vertex with the largest
+    symmetrizer entry (the initial_matrix convention), C_n has n-1.
+    """
+    ratio = Fraction(max(d), min(d))
+    family = None
+    if ratio == 1:
+        if det == n + 1:
+            family = "A"
+        elif det == 4:
+            family = "D"
+        elif (n, det) in ((6, 3), (7, 2), (8, 1)):
+            family = "E"
+    elif ratio == 2:
+        if det == 2:
+            family = "B" if d.count(max(d)) == 1 else "C"
+        elif (n, det) == (4, 1):
+            family = "F"
+    elif ratio == 3 and (n, det) == (2, 1):
+        family = "G"
+    if family is None:
+        raise ClusterError(
+            f"positive companion of rank {n}, determinant {det} and symmetrizer "
+            f"{list(d)} matches no Dynkin type"
+        )
+    return DynkinType(family, n)
+
+
+def is_finite_type(matrix: ExchangeMatrix) -> DynkinType | None:
+    """The finite cluster type of an exchange matrix, or None if infinite.
+
+    Barot-Geiss-Zelevinsky: B is of finite type iff every chordless cycle
+    of its diagram is cyclically oriented and B has a positive definite
+    admissible quasi-Cartan companion A (a_ii = 2, |a_ij| = |b_ij|, an odd
+    number of positive entries on every chordless cycle).  The vertices
+    are taken in breadth-first order and vertex v is added to the
+    finite-type prefix 0..v-1: its new chordless cycles all pass through
+    v, their parity conditions fix the signs of its edges up to one
+    global flip, and the new leading minor of D*A comes from one more
+    row of fraction-free (Bareiss) elimination.  The first failure
+    returns None; a prefix of a finite-type matrix is of finite type, so
+    cycles are only ever enumerated in a finite-type graph.  The type is
+    read from the rank, det A = det(D*A) / prod(D) and the symmetrizer.
+
+    Raises :class:`ClusterError` for disconnected input (a product of
+    types has no single Dynkin label).
     """
     if matrix.n == 1:
         return DynkinType("A", 1)
-    if not _connected(matrix):
+    order = _bfs_order(matrix)
+    if len(order) != matrix.n:
         raise ClusterError("disconnected exchange matrix: classify components separately")
-
-    def two_finiteness_violated(m: ExchangeMatrix) -> bool:
-        return any(
-            abs(m.entries[i][j] * m.entries[j][i]) >= 4
-            for i in range(m.n)
-            for j in range(i + 1, m.n)
-        )
-
-    if two_finiteness_violated(matrix):
+    n = matrix.n
+    b = matrix.entries
+    if any(abs(b[i][j] * b[j][i]) >= 4 for i in range(n) for j in range(i + 1, n)):
         return None
-    if _is_acyclic(matrix):
-        return _classify_acyclic_diagram(matrix)
 
-    seen = {canonical_form(matrix)}
-    queue = deque([matrix])
-    acyclic_member: ExchangeMatrix | None = None
-    while queue:
-        current = queue.popleft()
-        for k in range(1, matrix.n + 1):
-            neighbor = mutate(current, k)
-            if two_finiteness_violated(neighbor):
-                return None
-            key = canonical_form(neighbor)
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(cap, "mutation class budget exceeded")
-                seen.add(key)
-                queue.append(neighbor)
-                if acyclic_member is None and _is_acyclic(neighbor):
-                    acyclic_member = neighbor
-    if acyclic_member is None:
-        return None  # 2-finite class with no acyclic member: not finite type
-    return _classify_acyclic_diagram(acyclic_member)
+    perm = [0] * n
+    for position, vertex in enumerate(order):
+        perm[vertex] = position
+    m = matrix.permuted(tuple(perm))
+    b, d = m.entries, m.symmetrizer
+    adj = [{j for j in range(n) if b[i][j]} for i in range(n)]
+    positive = [[0] * n for _ in range(n)]  # 1 where the companion entry a_ij > 0
+    pivots: list[int] = []  # leading minors of D*A
+    upper: list[list[int]] = []  # upper[p][j - p]: entry (p, j) when p was the pivot
+    for v in range(n):
+        links: dict[int, list[tuple[int, int]]] = {}
+        for cycle in _chordless_cycles_through(adj, v):
+            closed = cycle + (v,)
+            if len({b[x][y] > 0 for x, y in zip(closed, closed[1:])}) != 1:
+                return None  # a chordless cycle that is not cyclically oriented
+            inner = sum(positive[x][y] for x, y in zip(cycle[1:], cycle[2:]))
+            parity = (1 + inner) % 2  # of positive[v][a] + positive[v][b]
+            links.setdefault(cycle[1], []).append((cycle[-1], parity))
+            links.setdefault(cycle[-1], []).append((cycle[1], parity))
+        signs: dict[int, int] = {}  # positive[v][u] for the earlier neighbours u
+        for start in sorted(u for u in adj[v] if u < v):
+            if start in signs:
+                continue
+            signs[start] = 0
+            pending = [start]
+            while pending:
+                a = pending.pop()
+                for other, parity in links.get(a, ()):
+                    want = signs[a] ^ parity
+                    if other not in signs:
+                        signs[other] = want
+                        pending.append(other)
+                    elif signs[other] != want:
+                        return None  # no admissible companion
+        row = [0] * (v + 1)
+        for u, sign in signs.items():
+            positive[u][v] = positive[v][u] = sign
+            row[u] = d[v] * abs(b[v][u]) * (1 if sign else -1)
+        row[v] = 2 * d[v]
+        for p in range(v):
+            upper[p].append(row[p])
+            below = pivots[p - 1] if p else 1
+            for j in range(p + 1, v + 1):
+                row[j] = (pivots[p] * row[j] - row[p] * upper[p][j - p]) // below
+        if row[v] <= 0:
+            return None  # D*A is not positive definite
+        pivots.append(row[v])
+        upper.append([row[v]])
+    return _dynkin_type_of_companion(n, Fraction(pivots[-1], math.prod(d)), d)

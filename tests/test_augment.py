@@ -270,6 +270,38 @@ def test_budget_guards():
         count_solutions_bruteforce(augmentation_equations(word), 13)  # 13^8 points
 
 
+def braid_matrix_by_matmul(ring, word):
+    """The plain product P_{k_1}(z_1) ... P_{k_s}(z_s) of full matrices."""
+    n = word.strands
+    product = None
+    for pos, k in enumerate(word.letters, start=1):
+        factor = pk_matrix(ring, n, k, f"z{pos}")
+        product = factor if product is None else product @ factor
+    return product
+
+
+def test_braid_matrix_column_operations_match_matrix_products():
+    rng = random.Random(13)
+    words = [append_full_twist(ade_braid(parse_ade_label(label))) for label in ("A3", "D5", "E6")]
+    words += [
+        BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 12))))
+        for n in (2, 3, 4, 5)
+        for _ in range(5)
+    ]
+    for word in words:
+        ring = augmentation_ring(len(word))
+        assert braid_matrix(ring, word) == braid_matrix_by_matmul(ring, word), word
+
+
+def test_braid_matrix_term_budget():
+    # sigma_1^s on two strands holds F(s+3) terms (Fibonacci numbers):
+    # 17711 at s = 19, and 28657 at s = 20, the first power over the budget.
+    matrix = braid_matrix(augmentation_ring(19), BraidWord(2, (1,) * 19))
+    assert sum(len(matrix[i, j].terms) for i in range(2) for j in range(2)) == 17711
+    with pytest.raises(BudgetExceededError, match="28657 terms after letter 20 of 20"):
+        braid_matrix(augmentation_ring(20), BraidWord(2, (1,) * 20))
+
+
 def test_primality_checks():
     word = BraidWord(2, (1, 1))
     system = augmentation_equations(word)

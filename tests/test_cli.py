@@ -3,24 +3,31 @@
 import io
 import json
 import contextlib
+import math
+import random
+import sys
 import time
 
 from hypothesis import given, settings, strategies as st
 
 from singlink import cli
-from singlink.cluster import exchange_matrix_from_json
+from singlink.cluster import DynkinType, exchange_matrix_from_json, initial_matrix, mutate
 from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
 from singlink.links import braid_from_text
 from singlink.sheafmoduli import theta_ring
 
 
-def run_cli(*argv) -> tuple[int, str, str]:
+def run_cli(*argv, stdin: str = "") -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
     return code, out.getvalue(), err.getvalue()
 
 
@@ -192,6 +199,54 @@ def test_classify_infinite():
         assert json.loads(out) == {"type": None, "seeds": None}
     finally:
         os.unlink(path)
+
+
+def test_classify_cap_flag_is_gone():
+    code, _, err = run_cli("classify", "--type", "E6", "--cap", "10")
+    assert code == 2
+    assert "--cap" in err
+
+
+def test_classify_cyclic_e7_matrices_from_stdin():
+    rng = random.Random(7)
+    for _ in range(3):
+        matrix = initial_matrix(DynkinType("E", 7))
+        for _ in range(12):
+            matrix = mutate(matrix, rng.randint(1, 7))
+        code, out, _ = run_cli("classify", "--matrix", "-", stdin=json.dumps(matrix.to_json_dict()))
+        assert code == 0
+        assert json.loads(out) == {"seeds": 4160, "type": "E7"}
+
+
+def test_torus_pipelines_classify_quickly():
+    for a, b in ((3, 7), (4, 5), (4, 4)):
+        started = time.perf_counter()
+        code, out, _ = run_cli("link", "--torus", str(a), str(b), "--pipeline")
+        assert time.perf_counter() - started < 2.0
+        assert code == 0
+        assert json.loads(out)["classification"] == {"type": None, "finite": False}
+    started = time.perf_counter()
+    code, out, _ = run_cli("link", "--torus", "3", "5", "--pipeline")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert json.loads(out)["classification"] == {"type": "E8", "finite": True, "seeds": 25080}
+
+
+def test_aug_symbolic_product_term_budget():
+    # T(6,7) with the full twist, 12331 terms, is the largest torus word
+    # within the budget; the words below pass it and stop at once.
+    code, _, err = run_cli("aug", "--torus", "6", "7")
+    assert code == 0 and err == ""
+    for argv in (
+        ("aug", "--torus", "7", "9"),
+        ("aug", "--torus", "8", "11"),
+        ("aug", "--braid", " ".join(["1"] * 40), "--strands", "2"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - started < 5.0, argv
+        assert code == 3 and out == ""
+        assert "term budget 20000" in err and "Traceback" not in err
 
 
 def test_seeds_full_dump_parses():
@@ -369,15 +424,45 @@ def _flag(draw, flag: str, values) -> list[str]:
 
 
 @st.composite
-def _cli_args(draw) -> list[str]:
-    command = draw(st.sampled_from(["aug", "theta", "link"]))
+def _matrix_json(draw) -> str:
+    """A small integer matrix: arbitrary, skew-symmetric, or skew-symmetrizable."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    payload = {"entries": rows}
+    kind = draw(st.sampled_from(["any", "skew", "symmetrizable"]))
+    if kind != "any":
+        sym = [draw(st.integers(1, 3)) if kind == "symmetrizable" else 1 for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 0
+            for j in range(i):
+                # b_ij = k d_j / g and b_ji = -k d_i / g give d_i b_ij = -d_j b_ji.
+                k, g = rows[i][j], math.gcd(sym[i], sym[j])
+                rows[i][j], rows[j][i] = k * sym[j] // g, -k * sym[i] // g
+        payload["symmetrizer"] = sym
+    elif draw(st.booleans()):
+        payload["symmetrizer"] = [draw(st.integers(-1, 3)) for _ in range(n)]
+    return json.dumps(payload)
+
+
+@st.composite
+def _cli_args(draw) -> tuple[list[str], str]:
+    """An argument vector and the text on stdin."""
+    command = draw(st.sampled_from(["aug", "theta", "link", "classify"]))
+    if command == "classify":
+        return ["classify", "--matrix", "-"], draw(_matrix_json())
+    return draw(_argv(command)), ""
+
+
+@st.composite
+def _argv(draw, command: str) -> list[str]:
     if command == "theta":
         argv = ["theta", "--n", str(draw(st.integers(-2, 60)))]
         argv += _flag(draw, "--count-fq", st.integers(-3, 13))
         argv += _flag(draw, "--method", st.sampled_from(["recursion", "wedge"]))
         return argv + (["--positroid"] if draw(st.booleans()) else [])
     if command == "link":
-        return ["link", *draw(_braid_inputs(puiseux=True))]
+        argv = ["link", *draw(_braid_inputs(puiseux=True))]
+        return argv + (["--pipeline"] if draw(st.booleans()) else [])
     # The slowest aug inputs here take about 1 s: the F_2 DP on four
     # strands, which holds 2^16 states.
     argv = ["aug", *draw(_braid_inputs(puiseux=False))]
@@ -391,9 +476,10 @@ def _cli_args(draw) -> list[str]:
 
 @given(_cli_args())
 @settings(max_examples=100, deadline=None)
-def test_cli_fuzz_exit_codes(argv):
+def test_cli_fuzz_exit_codes(case):
+    argv, stdin = case
     started = time.perf_counter()
-    code, _, err = run_cli(*argv)
+    code, _, err = run_cli(*argv, stdin=stdin)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err
     assert time.perf_counter() - started < FUZZ_SECONDS, argv

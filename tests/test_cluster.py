@@ -1,6 +1,8 @@
 """Tests for exchange-matrix mutation, seeds, and finite-type detection."""
 
 import random
+import time
+from collections import deque
 from math import comb
 
 import pytest
@@ -27,6 +29,150 @@ from singlink.links import BraidWord, ade_braid
 
 def M(rows, sym=None):
     return ExchangeMatrix.from_rows(rows, sym)
+
+
+# -- the mutation-class oracle -------------------------------------------------
+# The classifier that the Barot-Geiss-Zelevinsky test replaced: a 2-finite
+# class is explored up to simultaneous permutation and classified through
+# one of its acyclic members, read off as a weighted Dynkin diagram.
+
+
+def _is_acyclic(matrix: ExchangeMatrix) -> bool:
+    n = matrix.n
+    succ = [[j for j in range(n) if matrix.entries[i][j] > 0] for i in range(n)]
+    state = [0] * n  # 0 unvisited, 1 active, 2 done
+
+    def dfs(i: int) -> bool:
+        state[i] = 1
+        for j in succ[i]:
+            if state[j] == 1:
+                return False
+            if state[j] == 0 and not dfs(j):
+                return False
+        state[i] = 2
+        return True
+
+    return all(state[i] == 2 or dfs(i) for i in range(n))
+
+
+def _classify_acyclic_diagram(matrix: ExchangeMatrix) -> DynkinType | None:
+    """Dynkin type of an acyclic exchange matrix from its weighted diagram."""
+    n = matrix.n
+    b = matrix.entries
+    if n == 1:
+        return DynkinType("A", 1)
+    edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if b[i][j] or b[j][i]:
+                edges[(i, j)] = (abs(b[i][j]), abs(b[j][i]))
+    if len(edges) != n - 1:
+        return None  # finite-type diagrams are trees
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for (i, j) in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    degrees = sorted(len(v) for v in adj.values())
+    heavy = {e: w for e, w in edges.items() if w != (1, 1)}
+
+    def edge_weight(u, v):
+        return edges[(u, v)] if (u, v) in edges else tuple(reversed(edges[(v, u)]))
+
+    if max(degrees) <= 2:
+        # Path: order the vertices.
+        ends = [i for i in adj if len(adj[i]) == 1] if n > 1 else [0]
+        path = [ends[0]]
+        while len(path) < n:
+            nxt = [j for j in adj[path[-1]] if len(path) < 2 or j != path[-2]]
+            path.append(nxt[0])
+        weights = [edge_weight(path[i], path[i + 1]) for i in range(n - 1)]
+        heavies = [(i, w) for i, w in enumerate(weights) if w != (1, 1)]
+        if not heavies:
+            return DynkinType("A", n)
+        if len(heavies) > 1:
+            return None
+        pos, (w_uv, w_vu) = heavies[0]
+        if {w_uv, w_vu} == {1, 3}:
+            return DynkinType("G", 2) if n == 2 else None
+        if {w_uv, w_vu} != {1, 2}:
+            return None
+        if n == 2:
+            return DynkinType("B", 2)
+        if pos == 0 or pos == n - 2:
+            # Heavy edge at an end: B or C depending on which side carries
+            # the 2 (companion a_{n-1,n} = -2 means |b| = 2 pointing at the
+            # short leaf).
+            if pos == 0:
+                leaf, inner = path[0], path[1]
+            else:
+                leaf, inner = path[-1], path[-2]
+            w_inner_leaf = edge_weight(inner, leaf)[0]
+            return DynkinType("B" if w_inner_leaf == 2 else "C", n)
+        if n == 4 and pos == 1:
+            return DynkinType("F", 4)
+        return None
+
+    if heavy or degrees[-1] > 3 or degrees.count(3) > 1:
+        return None
+    # One branch vertex of degree 3, simply laced: D or E by leg lengths.
+    branch = next(i for i in adj if len(adj[i]) == 3)
+    legs = []
+    for start in adj[branch]:
+        length = 1
+        prev, cur = branch, start
+        while len(adj[cur]) == 2:
+            nxt = next(j for j in adj[cur] if j != prev)
+            prev, cur = cur, nxt
+            length += 1
+        if len(adj[cur]) == 3:
+            return None  # second branch point reached
+        legs.append(length)
+    legs.sort()
+    if legs[0] == 1 and legs[1] == 1:
+        return DynkinType("D", n)
+    if legs[:2] == [1, 2] and legs[2] in (2, 3, 4) and n == legs[2] + 4:
+        return DynkinType("E", n)
+    return None
+
+
+def classify_by_mutation_class(matrix: ExchangeMatrix, cap: int = 20_000) -> DynkinType | None:
+    """Dynkin type of a connected exchange matrix by searching its mutation class."""
+
+    def two_finiteness_violated(m: ExchangeMatrix) -> bool:
+        return any(
+            abs(m.entries[i][j] * m.entries[j][i]) >= 4
+            for i in range(m.n)
+            for j in range(i + 1, m.n)
+        )
+
+    if two_finiteness_violated(matrix):
+        return None
+    if _is_acyclic(matrix):
+        return _classify_acyclic_diagram(matrix)
+    seen = {canonical_form(matrix)}
+    queue = deque([matrix])
+    acyclic_member = None
+    while queue:
+        current = queue.popleft()
+        for k in range(1, matrix.n + 1):
+            neighbor = mutate(current, k)
+            if two_finiteness_violated(neighbor):
+                return None
+            key = canonical_form(neighbor)
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(cap, "mutation class budget exceeded")
+                seen.add(key)
+                queue.append(neighbor)
+                if acyclic_member is None and _is_acyclic(neighbor):
+                    acyclic_member = neighbor
+    if acyclic_member is None:
+        return None  # 2-finite class with no acyclic member: not finite type
+    return _classify_acyclic_diagram(acyclic_member)
+
+
+# -- tests ---------------------------------------------------------------------
 
 
 def test_rank_two_mutation_flips_signs():
@@ -294,3 +440,147 @@ def test_a2_pentagon_cluster_variables():
     for seed in seeds:
         seen |= set(seed.cluster)
     assert seen == expected
+
+
+# -- the Barot-Geiss-Zelevinsky classifier against the oracle ----------------------
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(3, 6)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def random_two_finite(rng, n):
+    """A connected 2-finite matrix with symmetrizer entries from {1}, {1, 2} or {1, 3}."""
+    weights = rng.choice([(1,), (1,), (1, 2), (1, 3)])
+    while True:
+        sym = [rng.choice(weights) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.45:
+                    # d_i b_ij = -d_j b_ji with |b_ij b_ji| = max(d) / min(d).
+                    s = rng.choice((1, -1))
+                    rows[i][j] = s * max(1, sym[j] // sym[i])
+                    rows[j][i] = -s * max(1, sym[i] // sym[j])
+        component = {0}
+        for _ in range(n):
+            component |= {j for k in component for j in range(n) if rows[k][j]}
+        if len(component) == n:
+            return M(rows, sym)
+
+
+def random_walk(rng, matrix, steps):
+    for _ in range(steps):
+        matrix = mutate(matrix, rng.randint(1, matrix.n))
+    perm = list(range(matrix.n))
+    rng.shuffle(perm)
+    return matrix.permuted(tuple(perm))
+
+
+def test_bgz_matches_oracle_on_random_two_finite_matrices():
+    rng = random.Random(31)
+    finite = 0
+    for _ in range(380):
+        matrix = random_two_finite(rng, rng.randint(2, 6))
+        got = is_finite_type(matrix)
+        assert got == classify_by_mutation_class(matrix), (matrix.entries, matrix.symmetrizer)
+        finite += got is not None
+    assert 100 < finite < 280  # both answers are well represented
+
+
+@pytest.mark.parametrize("text", ALL_TYPES)
+def test_bgz_names_every_type_after_random_mutations(text):
+    # Rescaled symmetrizers leave the type alone; they pin the B/C naming
+    # to the shape of the symmetrizer, not to its values.
+    rng = random.Random(text)
+    t = parse_dynkin_type(text)
+    for walk in range(30):
+        start = initial_matrix(t)
+        scale = 1 + walk % 3
+        start = M(start.entries, [scale * d for d in start.symmetrizer])
+        matrix = random_walk(rng, start, rng.randint(0, 15))
+        assert is_finite_type(matrix) == t, (matrix.entries, matrix.symmetrizer)
+        if t.rank <= 6 and walk < 3:
+            assert classify_by_mutation_class(matrix) == t
+
+
+def oriented_cycle(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n], rows[(i + 1) % n][i] = 1, -1
+    return M(rows)
+
+
+def test_oriented_cycles_and_long_path():
+    assert is_finite_type(oriented_cycle(3)) == DynkinType("A", 3)
+    for n in range(4, 41):
+        assert is_finite_type(oriented_cycle(n)) == DynkinType("D", n)
+    rows = [[0] * 40 for _ in range(40)]
+    for i in range(39):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    assert is_finite_type(M(rows)) == DynkinType("A", 40)
+
+
+def grid_of_oriented_squares(k):
+    """(k+1)^2 vertices in a grid whose k^2 unit squares are all cyclically oriented."""
+    side = k + 1
+    rows = [[0] * side**2 for _ in range(side**2)]
+
+    def arrow(a, b):
+        rows[a][b], rows[b][a] = 1, -1
+
+    # Square (r, c) runs clockwise when r + c is even: its top edge points
+    # right and its left edge up; its neighbours run counterclockwise.
+    for r in range(side):
+        for c in range(side):
+            here = r * side + c
+            clockwise = (r + c) % 2 == 0
+            if c + 1 < side:
+                arrow(*((here, here + 1) if clockwise else (here + 1, here)))
+            if r + 1 < side:
+                arrow(*((here + side, here) if clockwise else (here, here + side)))
+    return M(rows)
+
+
+def tournament(n, rng):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = rng.choice((1, -1))
+            rows[i][j], rows[j][i] = s, -s
+    return M(rows)
+
+
+def wheel(n):
+    """A hub joined to every vertex of an oriented (n-1)-cycle, spokes alternating."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        j = i % (n - 1) + 1
+        rows[i][j], rows[j][i] = 1, -1
+        s = 1 if i % 2 else -1
+        rows[0][i], rows[i][0] = s, -s
+    return M(rows)
+
+
+def test_grid_of_oriented_squares_has_only_oriented_squares():
+    grid = grid_of_oriented_squares(10)
+    b = grid.entries
+    side = 11
+    for r in range(10):
+        for c in range(10):
+            square = (r * side + c, r * side + c + 1, (r + 1) * side + c + 1, (r + 1) * side + c)
+            signs = {b[x][y] > 0 for x, y in zip(square, square[1:] + square[:1])}
+            assert len(signs) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [grid_of_oriented_squares(10), tournament(30, random.Random(5)), wheel(25)],
+    ids=["grid-10x10", "tournament-30", "wheel-25"],
+)
+def test_bgz_ends_fast_on_large_infinite_diagrams(matrix):
+    started = time.perf_counter()
+    assert is_finite_type(matrix) is None
+    assert time.perf_counter() - started < 1.0
