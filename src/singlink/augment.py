@@ -19,19 +19,23 @@ are raw variety counts.
 
 Counting oracles: a brute force over the stored equations, which
 enumerates z_1..z_{s-1} and solves for the last crossing variable z_s
-and for t, and an independent dynamic program over the distribution of
-partial matrix products in GL_n(F_q), which advances one coset
-a + F_q b of the affected column pair at a time instead of one z at a
-time.
+and for t, and an independent count that never builds the equations.
+The latter counts a twisted knot (beta * Delta^2 closing to one
+component) by a recursion over the Bruhat cells of S_n, exact for
+every prime q, and every other word by a dynamic program over the
+distribution of partial matrix products in GL_n(F_q), which advances
+one coset a + F_q b of the affected column pair at a time instead of
+one z at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .exactmath import Polynomial, PolyMatrix, RingDescriptor, is_prime
-from .links import BraidWord
+from .exactmath import BudgetExceededError, Polynomial, PolyMatrix, RingDescriptor, is_prime
+from .links import BraidWord, braid_invariants, half_twist
 
 BRUTE_FORCE_BUDGET = 10**8
 DP_STATE_BUDGET = 10**6
@@ -43,10 +47,6 @@ T_CONVENTIONS = ("t", "t-inverse")
 
 
 class AugmentError(ValueError):
-    pass
-
-
-class BudgetExceededError(AugmentError):
     pass
 
 
@@ -297,12 +297,95 @@ def count_solutions_bruteforce(
 
 
 def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:
-    """Independent count via the distribution of partial products in GL_n(F_q).
+    """Independent count of the solutions (z, t), without the equations.
+
+    A twisted knot, a word beta * Delta^2 (the suffix
+    :func:`links.append_full_twist` adds) whose closure has one component,
+    is counted over Bruhat cells of S_n in :func:`_count_twisted_knot`;
+    every other word by the coset dynamic program :func:`_count_by_cosets`
+    over GL_n(F_q).  Both agree exactly with
+    :func:`count_solutions_bruteforce`.
+    """
+    if not is_prime(q):
+        raise AugmentError(f"{q} is not prime")
+    if t_convention not in T_CONVENTIONS:
+        raise AugmentError(f"unknown t convention {t_convention!r}")
+    twist = half_twist(word.strands).letters * 2
+    if (
+        len(word) >= len(twist)
+        and word.letters[len(word) - len(twist) :] == twist
+        and braid_invariants(word).components == 1
+    ):
+        return _count_twisted_knot(word, q)
+    return _count_by_cosets(word, q)
+
+
+def _identity_cell_count(word: BraidWord, q: int) -> int:
+    """D_e = #{z in F_q^s : B(word)(z) is upper triangular}.
+
+    Write P_k(z) = s_k x_k(z) with x_k(z) upper unipotent, and track the
+    Bruhat cell B w B of the partial product as a permutation w of S_n in
+    one-line notation.  Right multiplication by P_k(z) sends B w B into
+    B w s_k B for all q values of z when w s_k > w (w[k-1] < w[k]);
+    otherwise 1 value of z goes to B w s_k B and q - 1 values stay in
+    B w B (Deodhar 1985).  So n! states replace the q^(n^2) of GL_n(F_q).
+    """
+    n = word.strands
+    if math.factorial(n) > DP_STATE_BUDGET:
+        raise BudgetExceededError(f"n! = {n}! exceeds the DP state budget")
+    cells = {tuple(range(n)): 1}
+    for k in word.letters:
+        moved: dict[tuple[int, ...], int] = {}
+        for w, count in cells.items():
+            ws = w[: k - 1] + (w[k], w[k - 1]) + w[k + 1 :]
+            if w[k - 1] < w[k]:
+                moved[ws] = moved.get(ws, 0) + q * count
+            else:
+                moved[ws] = moved.get(ws, 0) + count
+                moved[w] = moved.get(w, 0) + (q - 1) * count
+        cells = moved
+    return cells.get(tuple(range(n)), 0)
+
+
+def _count_twisted_knot(word: BraidWord, q: int) -> int:
+    """aug = D_e / ((q-1)^(n-1) q^(n(n-1)/2)) for a twisted knot beta * Delta^2.
+
+    With N = n(n-1)/2 and D_e from :func:`_identity_cell_count`:
+
+    1. The 2N letters of Delta^2 give B(Delta^2) = v u with v in U^- and
+       u in U, and (v, u) is uniform over U^- x U as their z range over
+       F_q^(2N).  B(beta) v u is upper triangular iff B(beta) v = b is,
+       which pins v for each z of beta with B(beta) in B U^-; B(beta) v u
+       = b u is diagonal for exactly one of the q^N values of u.  So
+       D_e = q^N #{z : B(z) diagonal}.
+    2. For d in the torus, d P_k(z) (s_k d s_k)^-1 = P_k(z d_{k+1}/d_k).
+       Letter by letter, z -> z' is a bijection with d B(z) d_w^-1 = B(z'),
+       where d_w is d with its entries permuted by the permutation w of
+       the word.  So the z with B(z) = D are as many as those with
+       B(z) = D d/d_w.  For a knot w is an n-cycle, so d/d_w runs over
+       every diagonal of determinant 1, and every diagonal of determinant
+       det B = (-1)^s is taken equally often: by #{z : B(z) diagonal}
+       / (q-1)^(n-1) values of z.  -diag(t, 1, .., 1) is one of them for
+       exactly one t, t = (-1)^(n+s), in either t convention.
+
+    The division is checked to be exact (:class:`AugmentError` if not).
+    """
+    n = word.strands
+    cells = _identity_cell_count(word, q)
+    count, rest = divmod(cells, (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2))
+    if rest:
+        raise AugmentError(
+            f"D_e = {cells} is not divisible by (q-1)^(n-1) q^(n(n-1)/2) at q = {q}"
+        )
+    return count
+
+
+def _count_by_cosets(word: BraidWord, q: int) -> int:
+    """Count via the distribution of partial products in GL_n(F_q).
 
     Maintains, letter by letter, how many z-prefixes produce each matrix
     value of P_{k_1}(z_1)...P_{k_r}(z_r); the final answer sums the
-    multiplicity of -diag(t, 1, .., 1) over t in F_q^*.  Agrees exactly
-    with :func:`count_solutions_bruteforce`.
+    multiplicity of -diag(t, 1, .., 1) over t in F_q^*.
 
     States are stored column-major.  Right-multiplying by P_k(z) sends
     the columns (a, b) at positions k, k+1 to (b, a + z b) and keeps the
@@ -314,10 +397,6 @@ def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:
     count to its q successors: O(|states| + |new states|) work per
     letter instead of q |states|.
     """
-    if not is_prime(q):
-        raise AugmentError(f"{q} is not prime")
-    if t_convention not in T_CONVENTIONS:
-        raise AugmentError(f"unknown t convention {t_convention!r}")
     n = word.strands
     if q ** (n * n) > DP_STATE_BUDGET:
         raise BudgetExceededError(f"q^(n^2) = {q}^{n*n} exceeds the DP state budget")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import augment, bricks, cluster, dividecatalog, divides, links, sheafmoduli
 from .checks import run_all_checks
-from .exactmath import ExactMathError
+from .exactmath import BudgetExceededError, ExactMathError
 
 
 class UsageError(ValueError):
@@ -433,11 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BUDGET_ERRORS = (
-    augment.BudgetExceededError,
-    sheafmoduli.BudgetExceededError,
-    cluster.CapExceededError,
-)
+BUDGET_ERRORS = BudgetExceededError
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,21 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Polynomial, RingDescriptor, divide_exact
+from .exactmath import BudgetExceededError, Polynomial, RingDescriptor, divide_exact
 
 _ASCII = "abcdefg"
 
 
 class ClusterError(ValueError):
     pass
-
-
-class CapExceededError(ClusterError):
-    """Seed enumeration exceeded its seed budget."""
-
-    def __init__(self, cap: int, message: str | None = None):
-        super().__init__(message or f"budget of {cap} exceeded")
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -92,8 +84,26 @@ class ExchangeMatrix:
         return {"entries": [list(r) for r in self.entries], "symmetrizer": list(self.symmetrizer)}
 
 
-def exchange_matrix_from_json(data: dict) -> ExchangeMatrix:
-    return ExchangeMatrix.from_rows(data["entries"], data.get("symmetrizer"))
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )
+
+
+def exchange_matrix_from_json(data) -> ExchangeMatrix:
+    """The matrix of a parsed ``{"entries": [[..], ..], "symmetrizer": [..]}``.
+
+    Rows and the optional symmetrizer must be lists of integers; any other
+    shape raises :class:`ClusterError`.
+    """
+    if not isinstance(data, dict) or "entries" not in data:
+        raise ClusterError('matrix JSON must be an object with an "entries" key')
+    rows, symmetrizer = data["entries"], data.get("symmetrizer")
+    if not isinstance(rows, list) or not all(_is_int_list(row) for row in rows):
+        raise ClusterError('"entries" must be a list of rows of integers')
+    if symmetrizer is not None and not _is_int_list(symmetrizer):
+        raise ClusterError('"symmetrizer" must be a list of integers')
+    return ExchangeMatrix.from_rows(rows, symmetrizer)
 
 
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -180,7 +190,7 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
     """All seeds reachable from the initial seed, deduplicated by cluster.
 
     Breadth-first closure under the n mutation directions; raises
-    :class:`CapExceededError` as soon as more than ``cap`` distinct seeds
+    :class:`BudgetExceededError` as soon as more than ``cap`` distinct seeds
     appear (infinite type or cap too small).
 
     Cluster variables are hash-consed into a pool and exchange results
@@ -229,7 +239,7 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
             key = neighbor.key()
             if key not in seen:
                 if len(seen) >= cap:
-                    raise CapExceededError(cap, f"more than {cap} seeds reached")
+                    raise BudgetExceededError(f"more than {cap} seeds reached", cap)
                 seen[key] = neighbor
                 queue.append(neighbor)
     return tuple(seen.values())

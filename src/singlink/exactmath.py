@@ -26,6 +26,17 @@ class ExactMathError(ValueError):
     """Base class for errors raised by this module."""
 
 
+class BudgetExceededError(ValueError):
+    """A count, product or enumeration outgrew its budget (CLI exit code 3).
+
+    ``cap`` is the exceeded budget where the caller states one.
+    """
+
+    def __init__(self, message: str, cap: int | None = None):
+        super().__init__(message)
+        self.cap = cap
+
+
 class RingMismatchError(ExactMathError):
     pass
 

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Polynomial, RingDescriptor, is_prime
+from .exactmath import BudgetExceededError, Polynomial, RingDescriptor, is_prime
 
 BRUTE_FORCE_BUDGET = 10**8
 THETA_MAX_N = 1000
@@ -41,10 +41,6 @@ THETA_METHODS = ("recursion", "wedge")
 
 
 class ThetaError(ValueError):
-    pass
-
-
-class BudgetExceededError(ThetaError):
     pass
 
 

@@ -1,7 +1,9 @@
 """Tests for augmentation equation systems and counting oracles."""
 
+import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +14,8 @@ from singlink.augment import (
     AugmentError,
     BudgetExceededError,
     _compile_terms,
+    _count_by_cosets,
+    _identity_cell_count,
     augmentation_equations,
     augmentation_ring,
     braid_matrix,
@@ -22,7 +26,14 @@ from singlink.augment import (
     system_to_json_dict,
 )
 from singlink.exactmath import is_prime, parse_polynomial
-from singlink.links import BraidWord, ade_braid, append_full_twist, parse_ade_label
+from singlink.links import (
+    BraidWord,
+    ade_braid,
+    append_full_twist,
+    braid_invariants,
+    parse_ade_label,
+)
+from singlink.sheafmoduli import interpolate_integer_polynomial
 
 WORKED_BETA = BraidWord(4, (2, 1, 3, 2, 1, 3, 2, 1, 3, 1, 2, 3, 1, 2, 3, 1, 2, 1, 3))
 
@@ -476,3 +487,124 @@ def test_bruteforce_with_last_variable_left_free():
     for q in (3, 5):
         with pytest.raises(AugmentError, match="violates"):
             count_solutions_bruteforce(system, q)
+
+
+# -- the Bruhat-cell count of twisted knots ---------------------------------------
+
+PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
+
+# Shared by the tests below: the coset DP on two strands at q = 31 takes
+# about a second.
+coset_count = functools.lru_cache(maxsize=None)(_count_by_cosets)
+
+
+def is_knot(word: BraidWord) -> bool:
+    return braid_invariants(word).components == 1
+
+
+KNOT_LABELS = [
+    label
+    for label in ADE_LABELS
+    if is_knot(append_full_twist(ade_braid(parse_ade_label(label))))
+]
+
+
+def test_knot_labels():
+    assert KNOT_LABELS == ["A2", "A4", "A6", "A8", "E6", "E8"]
+
+
+@pytest.mark.parametrize("label", KNOT_LABELS)
+def test_twisted_knot_count_matches_cosets_on_ade_knots(label):
+    word = append_full_twist(ade_braid(parse_ade_label(label)))
+    for q in PRIMES_TO_31:
+        if q ** (word.strands**2) <= DP_STATE_BUDGET:
+            for convention in T_CONVENTIONS:
+                assert count_solutions_dp(word, q, convention) == coset_count(word, q), q
+
+
+@pytest.mark.parametrize("s", range(1, 16, 2))
+def test_twisted_knot_count_matches_cosets_on_two_strand_powers(s):
+    # sigma_1^s ends with Delta^2 = sigma_1^2 from s = 2 on; s = 1 takes
+    # the coset DP.
+    word = BraidWord(2, (1,) * s)
+    for q in PRIMES_TO_31:
+        assert count_solutions_dp(word, q) == coset_count(word, q), q
+
+
+def test_twisted_knot_count_matches_cosets_on_random_knots():
+    rng = random.Random(31)
+    knots = 0
+    while knots < 300:
+        n = rng.randint(1, 3)
+        s = rng.randint(0, 6) if n > 1 else 0
+        beta = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(s)))
+        word = append_full_twist(beta)
+        if not is_knot(word):
+            continue
+        knots += 1
+        for q in (2, 3) if n == 3 else (2, 3, 5):
+            assert count_solutions_dp(word, q) == _count_by_cosets(word, q), (word, q)
+
+
+def test_identity_cell_count_matches_full_matrix_dp():
+    # D_e counts the z with B(z) upper triangular, for every word.
+    rng = random.Random(37)
+    for _ in range(20):
+        n = rng.randint(2, 3)
+        word = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))))
+        for q in (2, 3):
+            upper = 0
+            for zs in itertools.product(range(q), repeat=len(word)):
+                columns = [[int(i == j) for i in range(n)] for j in range(n)]
+                for k, z in zip(word.letters, zs):
+                    a, b = columns[k - 1], columns[k]
+                    columns[k - 1], columns[k] = b, [(x + z * y) % q for x, y in zip(a, b)]
+                upper += all(columns[j][i] == 0 for j in range(n) for i in range(j + 1, n))
+            assert _identity_cell_count(word, q) == upper, (word, q)
+
+
+def test_untwisted_knot_takes_the_coset_dp():
+    # A knot without the Delta^2 suffix: D_e = 20 at q = 2 is not divisible
+    # by (q-1)^2 q^3 = 8, so the twisted-knot formula does not apply.
+    word = BraidWord(3, (2, 1, 1, 1, 1, 1, 2, 2))
+    assert is_knot(word)
+    assert _identity_cell_count(word, 2) == 20
+    assert count_solutions_dp(word, 2) == _count_by_cosets(word, 2)
+    assert count_solutions_dp(word, 2) == count_by_full_matrix_dp(word, 2)
+
+
+def test_twisted_knot_count_at_large_primes():
+    # The count of sigma_1^11 (A8 with its full twist) is a polynomial in q
+    # of degree at most 11 - 2 = 9: interpolate it from the coset DP at the
+    # ten primes up to 29, confirm it at 31 and evaluate it at 10^9 + 7.
+    word = append_full_twist(ade_braid(parse_ade_label("A8")))
+    points = [(q, coset_count(word, q)) for q in PRIMES_TO_31[:10]]
+    coeffs = interpolate_integer_polynomial(points)
+    assert coeffs is not None
+
+    def poly(q):
+        return sum(int(c) * q**i for i, c in enumerate(coeffs))
+
+    assert count_solutions_dp(word, 31) == poly(31) == 853779465605
+    q = 10**9 + 7
+    started = time.perf_counter()
+    assert count_solutions_dp(word, q) == poly(q)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_twisted_knot_count_is_not_bounded_by_the_coset_budget():
+    # E8 at q = 101: the coset DP would need 101^9 states.  The count is
+    # recorded from the Bruhat-cell recursion, as a regression value.
+    word = append_full_twist(ade_braid(parse_ade_label("E8")))
+    with pytest.raises(BudgetExceededError):
+        _count_by_cosets(word, 101)
+    assert count_solutions_dp(word, 101) == 10829639191632807
+
+
+def test_twisted_knot_state_budget():
+    # sigma_1 .. sigma_9 closes to a knot on 10 strands; 10! = 3628800
+    # Bruhat cells exceed the state budget.
+    word = append_full_twist(BraidWord(10, tuple(range(1, 10))))
+    assert is_knot(word)
+    with pytest.raises(BudgetExceededError, match="10!"):
+        count_solutions_dp(word, 2)

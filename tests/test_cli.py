@@ -201,6 +201,21 @@ def test_classify_infinite():
         os.unlink(path)
 
 
+def test_malformed_matrix_json_is_a_usage_error():
+    for text in (
+        '{"entrie": [[0]]}',
+        '{"entries": 5}',
+        "[1, 2]",
+        '{"entries": [[0,1],[-1,0]], "symmetrizer": 3}',
+        '{"entries": [[0, null], [0, 0]]}',
+        '{"entries": [[0, 1.5], [-1.5, 0]]}',
+    ):
+        for command in (["classify"], ["seeds", "--summary"], ["mutate", "--at", "1"]):
+            code, out, err = run_cli(*command, "--matrix", "-", stdin=text)
+            assert (code, out) == (2, ""), (command, text)
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_classify_cap_flag_is_gone():
     code, _, err = run_cli("classify", "--type", "E6", "--cap", "10")
     assert code == 2
@@ -286,6 +301,16 @@ def test_aug_counts_agree_between_methods():
     brute = json.loads(run_cli("aug", "--ade", "A2", "--count-fq", "3")[1])
     dp = json.loads(run_cli("aug", "--ade", "A2", "--count-fq", "3", "--method", "dp")[1])
     assert brute["count"]["solutions"] == dp["count"]["solutions"]
+
+
+def test_aug_dp_counts_twisted_knots_past_the_coset_budget():
+    code, out, _ = run_cli("aug", "--ade", "E8", "--count-fq", "101", "--method", "dp")
+    assert code == 0
+    assert json.loads(out)["count"] == {"q": 101, "method": "dp", "solutions": 10829639191632807}
+    # D4 closes to a link, so it keeps the coset DP and its q^(n^2) budget.
+    code, out, err = run_cli("aug", "--ade", "D4", "--count-fq", "101", "--method", "dp")
+    assert code == 3 and out == ""
+    assert "DP state budget" in err
 
 
 def test_aug_budget_exit_code():
@@ -466,8 +491,13 @@ def _argv(draw, command: str) -> list[str]:
     # The slowest aug inputs here take about 1 s: the F_2 DP on four
     # strands, which holds 2^16 states.
     argv = ["aug", *draw(_braid_inputs(puiseux=False))]
-    argv += _flag(draw, "--count-fq", st.integers(-3, 13))
-    argv += _flag(draw, "--method", st.sampled_from(["brute", "dp"]))
+    method = _flag(draw, "--method", st.sampled_from(["brute", "dp"]))
+    q = st.integers(-3, 13)
+    if method == ["--method", "dp"]:
+        # Large primes reach the Bruhat-cell count of twisted knots and the
+        # coset DP's state budget for every other word.
+        q = st.one_of(q, st.sampled_from([101, 10007, 1000000007]))
+    argv += _flag(draw, "--count-fq", q) + method
     argv += _flag(draw, "--t-convention", st.sampled_from(["t", "t-inverse"]))
     argv += ["--no-full-twist"] if draw(st.booleans()) else []
     # Always bounded: the default budget admits about 10 s of brute force.

@@ -9,7 +9,6 @@ import pytest
 
 from singlink.bricks import brick_quiver, to_exchange_matrix
 from singlink.cluster import (
-    CapExceededError,
     ClusterError,
     DynkinType,
     ExchangeMatrix,
@@ -23,7 +22,7 @@ from singlink.cluster import (
     mutate_seed,
     parse_dynkin_type,
 )
-from singlink.exactmath import divide_exact
+from singlink.exactmath import BudgetExceededError, divide_exact
 from singlink.links import BraidWord, ade_braid
 
 
@@ -162,7 +161,7 @@ def classify_by_mutation_class(matrix: ExchangeMatrix, cap: int = 20_000) -> Dyn
             key = canonical_form(neighbor)
             if key not in seen:
                 if len(seen) >= cap:
-                    raise CapExceededError(cap, "mutation class budget exceeded")
+                    raise BudgetExceededError("mutation class budget exceeded", cap)
                 seen.add(key)
                 queue.append(neighbor)
                 if acyclic_member is None and _is_acyclic(neighbor):
@@ -273,7 +272,7 @@ def test_enumerate_small_types(type_text, count):
 
 def test_enumerate_cap_overflow():
     markov = M([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
-    with pytest.raises(CapExceededError):
+    with pytest.raises(BudgetExceededError):
         enumerate_seeds(markov, cap=40)
 
 
