@@ -8,9 +8,6 @@ with finite-field counting oracles validating each stage.
 """
 
 from .exactmath import (
-    GF,
-    QQ,
-    ZZ,
     PolyMatrix,
     Polynomial,
     RingDescriptor,
@@ -67,7 +64,6 @@ from .augment import (
 from .sheafmoduli import (
     ThetaSystem,
     count_positroid_points,
-    count_theta_points,
     theta_equations_recursion,
     theta_equations_wedge,
     theta_system,

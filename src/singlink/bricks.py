@@ -10,7 +10,6 @@ span).  Nested or disjoint spans get no arrow.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .links import BraidWord
@@ -123,7 +122,11 @@ def brick_count(braid: BraidWord) -> int:
 
 
 def to_exchange_matrix(quiver: BrickQuiver):
-    """Skew-symmetric exchange matrix b_ij = #arrows(i->j) - #arrows(j->i)."""
+    """Skew-symmetric exchange matrix b_ij = #arrows(i->j) - #arrows(j->i).
+
+    Reads only ``rank`` and ``arrows``, so it serves A'Campo quivers of
+    divides as well.
+    """
     from .cluster import ExchangeMatrix
 
     n = quiver.rank
@@ -132,7 +135,3 @@ def to_exchange_matrix(quiver: BrickQuiver):
         entries[s][t] += 1
         entries[t][s] -= 1
     return ExchangeMatrix.from_rows(entries)
-
-
-def quiver_to_json(quiver: BrickQuiver) -> str:
-    return json.dumps(quiver.to_json_dict(), sort_keys=True, separators=(",", ":"))

@@ -16,7 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import BudgetExceededError, Polynomial, RingDescriptor, divide_exact
+from .exactmath import (
+    BudgetExceededError,
+    DivisionError,
+    Polynomial,
+    RingDescriptor,
+    divide_exact,
+)
 
 _ASCII = "abcdefg"
 
@@ -60,13 +66,6 @@ class ExchangeMatrix:
         if symmetrizer is None:
             symmetrizer = (1,) * n
         return cls(n, entries, tuple(int(d) for d in symmetrizer))
-
-    def is_skew_symmetric(self) -> bool:
-        return all(d == self.symmetrizer[0] for d in self.symmetrizer) or all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
 
     def permuted(self, perm: tuple[int, ...]) -> "ExchangeMatrix":
         """Simultaneous row/column permutation: entry (i, j) -> (perm[i], perm[j])."""
@@ -155,33 +154,38 @@ def initial_seed(matrix: ExchangeMatrix) -> Seed:
     return Seed(matrix, tuple(ring.var(v) for v in ring.variables))
 
 
-def _is_laurent_monomial_denominator(p: Polynomial) -> bool:
-    # Laurent-ring polynomials have monomial denominators by construction;
-    # integrality of coefficients is what remains to check over Z rings.
-    return all(isinstance(c, int) for c in p.terms.values())
+def _exchange(seed: Seed, kk: int) -> Polynomial:
+    """The exchange relation at direction kk (0-based):
+
+    x'_k = (prod_{b_ik > 0} x_i^{b_ik} + prod_{b_ik < 0} x_i^{-b_ik}) / x_k.
+
+    The Laurent phenomenon makes the division exact for every seed reached
+    by mutation; a remainder raises :class:`ClusterError`.
+    """
+    ring = seed.cluster[0].ring
+    pos = ring.one()
+    neg = ring.one()
+    for x, row in zip(seed.cluster, seed.matrix.entries):
+        b = row[kk]
+        if b > 0:
+            pos = pos * x ** b
+        elif b < 0:
+            neg = neg * x ** (-b)
+    try:
+        return divide_exact(pos + neg, seed.cluster[kk])
+    except DivisionError as exc:
+        raise ClusterError(
+            f"Laurent phenomenon violated at direction {kk + 1}: {exc}"
+        ) from None
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation at direction k (1-based): exchange relation plus matrix mutation.
-
-    x'_k = (prod_{b_ik > 0} x_i^{b_ik} + prod_{b_ik < 0} x_i^{-b_ik}) / x_k.
-    """
+    """Seed mutation at direction k (1-based): exchange relation plus matrix mutation."""
     n = seed.matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation index {k} out of range 1..{n}")
     kk = k - 1
-    ring = seed.cluster[0].ring
-    pos = ring.one()
-    neg = ring.one()
-    for i in range(n):
-        bik = seed.matrix.entries[i][kk]
-        if bik > 0:
-            pos = pos * seed.cluster[i] ** bik
-        elif bik < 0:
-            neg = neg * seed.cluster[i] ** (-bik)
-    new_var = divide_exact(pos + neg, seed.cluster[kk])
-    if not _is_laurent_monomial_denominator(new_var):
-        raise ClusterError("Laurent phenomenon violated: non-integer coefficients")
+    new_var = _exchange(seed, kk)
     cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]
     return Seed(mutate(seed.matrix, k), cluster)
 
@@ -214,17 +218,7 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
         memo_key = (id(seed.cluster[kk]), local)
         new_var = exchange_memo.get(memo_key)
         if new_var is None:
-            ring = seed.cluster[0].ring
-            pos = ring.one()
-            neg = ring.one()
-            for i, b in enumerate(column):
-                if b > 0:
-                    pos = pos * seed.cluster[i] ** b
-                elif b < 0:
-                    neg = neg * seed.cluster[i] ** (-b)
-            new_var = divide_exact(pos + neg, seed.cluster[kk])
-            if not _is_laurent_monomial_denominator(new_var):
-                raise ClusterError("Laurent phenomenon violated: non-integer coefficients")
+            new_var = _exchange(seed, kk)
             new_var = pool.setdefault(new_var, new_var)
             exchange_memo[memo_key] = new_var
         cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]

@@ -137,10 +137,6 @@ class DivideFaces:
         return tuple(f for f in self.faces if f.bounded)
 
     @property
-    def bounded_flags(self) -> tuple[bool, ...]:
-        return tuple(f.bounded for f in self.faces)
-
-    @property
     def unbounded_face(self) -> Face:
         return next(f for f in self.faces if not f.bounded)
 
@@ -390,14 +386,3 @@ def acampo_quiver(divide: Divide) -> AcampoQuiver:
         regions=len(faces.bounded_faces),
         arrows=tuple(sorted(arrows)),
     )
-
-
-def acampo_exchange_matrix(quiver: AcampoQuiver):
-    from .cluster import ExchangeMatrix
-
-    n = quiver.rank
-    entries = [[0] * n for _ in range(n)]
-    for s, t in quiver.arrows:
-        entries[s][t] += 1
-        entries[t][s] -= 1
-    return ExchangeMatrix.from_rows(entries)

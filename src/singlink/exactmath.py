@@ -1,24 +1,25 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
 A polynomial is a map from exponent vectors to nonzero coefficients,
-attached to a ring descriptor that fixes the variable names, their order,
-the coefficient domain (integers, rationals, or a prime field) and which
-variables are allowed negative exponents (Laurent variables).
+attached to a ring descriptor that fixes the variable names, their order
+and which variables are allowed negative exponents (Laurent variables).
+Coefficients are Python integers: every polynomial the pipeline builds
+(cluster variables, braid matrix entries, chain-system equations) lies
+over Z, and counts over F_q reduce integer coefficients mod q.
 
-Canonical form: zero coefficients are never stored, prime-field
-coefficients are reduced to [0, p), and the printed form orders terms by
-graded lex (total degree descending, ties broken lexicographically by the
-declared variable order).  Two polynomials are equal iff their rings and
-term maps are equal, so canonical forms are directly comparable and
-hashable.
+Canonical form: zero coefficients are never stored, and the printed form
+orders terms by graded lex (total degree descending, ties broken
+lexicographically by the declared variable order).  Two polynomials are
+equal iff their rings and term maps are equal, so canonical forms are
+directly comparable and hashable.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -99,64 +100,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Coefficient domain: ``Z`` (integers), ``Q`` (rationals) or ``GF`` (prime field)."""
-
-    kind: str
-    p: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Q", "GF"):
-            raise ExactMathError(f"unknown coefficient domain {self.kind!r}")
-        if self.kind == "GF":
-            if self.p is None or not is_prime(self.p):
-                raise ExactMathError(f"prime field modulus must be prime, got {self.p}")
-        elif self.p is not None:
-            raise ExactMathError("modulus only allowed for prime fields")
-
-    def coerce(self, value):
-        if self.kind == "Z":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ExactMathError(f"{value} is not an integer coefficient")
-                return int(value)
-            return int(value)
-        if self.kind == "Q":
-            return Fraction(value)
-        return int(value) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
-
-    def __str__(self) -> str:
-        return {"Z": "ZZ", "Q": "QQ"}.get(self.kind) or f"GF({self.p})"
-
-
-ZZ = Domain("Z")
-QQ = Domain("Q")
-
-
-def GF(p: int) -> Domain:
-    return Domain("GF", p)
+def _coeff(value) -> int:
+    # Integers only: a float or a fraction is rejected, never truncated.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ExactMathError(f"{value!r} is not an integer coefficient") from None
 
 
 @dataclass(frozen=True)
 class RingDescriptor:
-    """Ambient ring: ordered variable names, coefficient domain, Laurent flags.
+    """Ambient ring over Z: ordered variable names and Laurent flags.
 
     The declared variable order is part of the data: it fixes exponent
     vector layout and the graded-lex term order used for printing.
     """
 
     variables: tuple[str, ...]
-    domain: Domain = ZZ
     laurent: frozenset[str] = frozenset()
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
@@ -183,9 +143,6 @@ class RingDescriptor:
         except KeyError:
             raise ExactMathError(f"unknown variable {name!r}") from None
 
-    def is_laurent(self, name: str) -> bool:
-        return name in self.laurent
-
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
@@ -193,7 +150,7 @@ class RingDescriptor:
         return self.const(1)
 
     def const(self, value) -> "Polynomial":
-        c = self.domain.coerce(value)
+        c = _coeff(value)
         if c == 0:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -206,7 +163,7 @@ class RingDescriptor:
             return self.one()
         exp = [0] * self.nvars
         exp[i] = power
-        return Polynomial(self, {tuple(exp): self.domain.coerce(1)})
+        return Polynomial(self, {tuple(exp): 1})
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -229,7 +186,7 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: RingDescriptor, terms: Mapping[tuple[int, ...], object]):
+    def __init__(self, ring: RingDescriptor, terms: Mapping[tuple[int, ...], int]):
         self.ring = ring
         clean = {}
         nv = ring.nvars
@@ -237,7 +194,7 @@ class Polynomial:
         for exp, coeff in terms.items():
             if len(exp) != nv:
                 raise ExactMathError("exponent vector length does not match ring")
-            c = ring.domain.coerce(coeff)
+            c = coeff if type(coeff) is int else _coeff(coeff)
             if c == 0:
                 continue
             if not all_laurent:
@@ -261,20 +218,11 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int | None:
-        """Largest term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def constant_value(self):
         """Coefficient of the constant monomial (0 if absent)."""
         return self.terms.get((0,) * self.ring.nvars, 0)
 
-    def coefficient(self, exp: tuple[int, ...]):
-        return self.terms.get(tuple(exp), 0)
-
-    def leading_term(self) -> tuple[tuple[int, ...], object]:
+    def leading_term(self) -> tuple[tuple[int, ...], int]:
         if not self.terms:
             raise ExactMathError("zero polynomial has no leading term")
         exp = min(self.terms, key=_grlex_key)
@@ -310,15 +258,14 @@ class Polynomial:
             raise RingMismatchError("polynomials live in different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        dom = self.ring.domain
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = dom.add(out.get(exp, 0), c)
+            s = out.get(exp, 0) + c
             if s == 0:
                 out.pop(exp, None)
             else:
@@ -328,11 +275,10 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        dom = self.ring.domain
-        return _fast_poly(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
+        return _fast_poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -342,19 +288,18 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        dom = self.ring.domain
         if len(self.terms) * len(other.terms) > 4096 and self.ring.nvars > 1:
             return _mul_packed(self, other)
-        out: dict[tuple[int, ...], object] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = dom.add(out.get(exp, 0), dom.mul(c1, c2))
+                s = out.get(exp, 0) + c1 * c2
                 if s == 0:
                     out.pop(exp, None)
                 else:
@@ -371,10 +316,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     # -- substitution, evaluation ------------------------------------------
@@ -421,13 +365,7 @@ class Polynomial:
             values.append(v)
         total = 0
         for exp, coeff in self.terms.items():
-            c = coeff
-            if isinstance(c, Fraction):
-                den = c.denominator % q
-                if den == 0:
-                    raise EvaluationError("coefficient denominator vanishes mod q")
-                c = c.numerator * pow(den, q - 2, q)
-            term = int(c) % q
+            term = coeff % q
             for v, e in zip(values, exp):
                 if e == 0:
                     continue
@@ -496,7 +434,6 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
     is exactly the schoolbook product.
     """
     ring = a.ring
-    dom = ring.domain
     alo, ahi = _exp_box(a.terms)
     blo, bhi = _exp_box(b.terms)
     nv = ring.nvars
@@ -517,28 +454,17 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
         return key
 
     packed_b = [(pack(e, blo), c) for e, c in b.terms.items()]
-    out: dict[int, object] = {}
+    out: dict[int, int] = {}
     get = out.get
-    if dom.kind == "Z":
-        for e1, c1 in a.terms.items():
-            k1 = pack(e1, alo)
-            for k2, c2 in packed_b:
-                key = k1 + k2
-                s = get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    else:
-        for e1, c1 in a.terms.items():
-            k1 = pack(e1, alo)
-            for k2, c2 in packed_b:
-                key = k1 + k2
-                s = dom.add(get(key, 0), dom.mul(c1, c2))
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+    for e1, c1 in a.terms.items():
+        k1 = pack(e1, alo)
+        for k2, c2 in packed_b:
+            key = k1 + k2
+            s = get(key, 0) + c1 * c2
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
 
     base = [alo[i] + blo[i] for i in range(nv)]
     result = {
@@ -585,10 +511,9 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     work = {tuple(e - s for e, s in zip(exp, num_shift)): c for exp, c in num.terms.items()}
     dterms = {tuple(e - s for e, s in zip(exp, den_shift)): c for exp, c in den.terms.items()}
 
-    dom = ring.domain
     dlead = min(dterms, key=_grlex_key)
     dlead_coeff = dterms[dlead]
-    quotient: dict[tuple[int, ...], object] = {}
+    quotient: dict[tuple[int, ...], int] = {}
     # Leading terms are extracted through a lazy-deletion heap: exponents
     # whose coefficients have cancelled are skipped on pop.
     heap = [(_grlex_key(exp), exp) for exp in work]
@@ -603,15 +528,12 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         qexp = tuple(a - b for a, b in zip(wlead, dlead))
         if any(e < 0 for e in qexp):
             raise DivisionError("inexact polynomial division (monomial mismatch)")
-        if dom.kind == "GF":
-            qc = wc * pow(dlead_coeff, dom.p - 2, dom.p) % dom.p
-        else:
-            qc = Fraction(wc, dlead_coeff) if dom.kind == "Q" else _int_div(wc, dlead_coeff)
+        qc = _int_div(wc, dlead_coeff)
         quotient[qexp] = qc
         for dexp, dc in dterms.items():
             exp = tuple(a + b for a, b in zip(qexp, dexp))
             old = work.get(exp)
-            s = dom.add(old, dom.neg(dom.mul(qc, dc))) if old is not None else dom.neg(dom.mul(qc, dc))
+            s = (0 if old is None else old) - qc * dc
             if s == 0:
                 work.pop(exp, None)
             else:
@@ -634,7 +556,7 @@ def _int_div(a: int, b: int) -> int:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|\^|\*|\+|-|/)")
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|\^|\*|\+|-)")
 
 
 def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
@@ -686,9 +608,6 @@ def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
                 break
             if tok.isdigit():
                 value = int(take())
-                if peek() == "/":
-                    take()
-                    value = Fraction(value, parse_int())
                 coeff = value if coeff is None else coeff * value
             elif _VAR_TOKEN.match(tok):
                 name = take()
@@ -707,7 +626,7 @@ def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
             raise PolynomialParseError("empty term")
         result = ring.const(sign if coeff is None else sign * coeff)
         for name, power in factors:
-            if power < 0 and not ring.is_laurent(name):
+            if power < 0 and name not in ring.laurent:
                 raise PolynomialParseError(
                     f"negative exponent on non-Laurent variable {name!r}"
                 )

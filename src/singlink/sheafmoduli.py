@@ -191,15 +191,6 @@ def count_theta_points_chain(n: int, q: int) -> int:
     return x1 + xm + xr + q * m
 
 
-def count_theta_points(n: int, q: int, method: str = "chain") -> int:
-    """Solution count of the chain system over F_q by the chosen method."""
-    if method == "chain":
-        return count_theta_points_chain(n, q)
-    if method == "brute":
-        return count_theta_points_brute(theta_equations_recursion(n), q)
-    raise ThetaError(f"unknown counting method {method!r}")
-
-
 def eliminate_x2(system: ThetaSystem) -> Polynomial:
     """For n = 2: substitute x_2 = -1 - x_1 a_1 into the second equation.
 

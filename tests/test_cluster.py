@@ -12,6 +12,7 @@ from singlink.cluster import (
     ClusterError,
     DynkinType,
     ExchangeMatrix,
+    Seed,
     canonical_form,
     enumerate_seeds,
     expected_seed_count,
@@ -249,6 +250,15 @@ def test_seed_mutation_a2_example():
     assert out.cluster[0] == divide_exact(ring.one() + u2, u1)
 
 
+def test_seed_mutation_rejects_a_non_laurent_exchange():
+    # (u1, u1 + u2) is not a cluster of the A2 algebra: the exchange at 2
+    # divides 1 + u1 by u1 + u2, which leaves a remainder.
+    seed = initial_seed(M([[0, 1], [-1, 0]]))
+    u1, u2 = seed.cluster
+    with pytest.raises(ClusterError, match="Laurent phenomenon violated"):
+        mutate_seed(Seed(seed.matrix, (u1, u1 + u2)), 2)
+
+
 def test_seed_mutation_involution():
     seed = initial_seed(initial_matrix(DynkinType("D", 4)))
     for k in (1, 2, 3, 4):
@@ -369,12 +379,12 @@ def test_initial_matrix_reference_entries():
 
 def test_classify_catalog_divide_quivers():
     from singlink.dividecatalog import CATALOG_LABELS, divide_catalog
-    from singlink.divides import acampo_exchange_matrix, acampo_quiver
+    from singlink.divides import acampo_quiver
     from singlink.links import parse_ade_label
 
     for text in CATALOG_LABELS:
         label = parse_ade_label(text)
-        matrix = acampo_exchange_matrix(acampo_quiver(divide_catalog(text)))
+        matrix = to_exchange_matrix(acampo_quiver(divide_catalog(text)))
         expected = "A3" if text == "D3" else text
         assert str(is_finite_type(matrix)) == expected
 
@@ -395,13 +405,13 @@ def test_seed_counts_agree_across_quiver_sources():
     # with each other and with the exponent formula.
     from singlink.bricks import brick_quiver, to_exchange_matrix
     from singlink.dividecatalog import divide_catalog
-    from singlink.divides import acampo_exchange_matrix, acampo_quiver
+    from singlink.divides import acampo_quiver
     from singlink.links import ade_braid
 
     for text in ("A2", "A4", "D4", "D5", "E6"):
         expected = expected_seed_count(parse_dynkin_type(text))
         brick_matrix = to_exchange_matrix(brick_quiver(ade_braid(text)))
-        divide_matrix = acampo_exchange_matrix(acampo_quiver(divide_catalog(text)))
+        divide_matrix = to_exchange_matrix(acampo_quiver(divide_catalog(text)))
         assert len(enumerate_seeds(brick_matrix, cap=1000)) == expected
         assert len(enumerate_seeds(divide_matrix, cap=1000)) == expected
 

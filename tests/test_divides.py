@@ -2,6 +2,7 @@
 
 import pytest
 
+from singlink.bricks import to_exchange_matrix
 from singlink.dividecatalog import (
     CATALOG_LABELS,
     divide_catalog,
@@ -12,7 +13,6 @@ from singlink.divides import (
     Divide,
     DivideError,
     Strand,
-    acampo_exchange_matrix,
     acampo_quiver,
     divide_from_json,
     milnor_number,
@@ -191,7 +191,7 @@ def test_json_roundtrip():
 
 
 def test_acampo_exchange_matrix_skew():
-    m = acampo_exchange_matrix(acampo_quiver(divide_catalog("E6")))
+    m = to_exchange_matrix(acampo_quiver(divide_catalog("E6")))
     assert m.n == 6
     for i in range(6):
         for j in range(6):

@@ -11,7 +11,6 @@ from singlink.sheafmoduli import (
     ThetaError,
     check_point_count_polynomiality,
     count_positroid_points,
-    count_theta_points,
     count_theta_points_brute,
     count_theta_points_chain,
     eliminate_x2,
@@ -165,19 +164,19 @@ def test_chain_matches_brute(n, q):
 
 def test_n2_counts_are_q_squared_plus_one():
     for q in (2, 3, 5, 7, 11, 13):
-        assert count_theta_points(2, q) == q * q + 1
+        assert count_theta_points_chain(2, q) == q * q + 1
 
 
 def test_n4_counts_follow_even_chain_pattern():
     for q in (2, 3, 5, 7):
-        assert count_theta_points(4, q) == q**4 + q**2 + 1
+        assert count_theta_points_chain(4, q) == q**4 + q**2 + 1
 
 
 def test_n3_odd_prime_counts_but_f2_deviates():
     # The odd-characteristic counts sit on q^3 - 1; characteristic 2 does not.
     for q in (3, 5, 7, 11):
-        assert count_theta_points(3, q) == q**3 - 1
-    assert count_theta_points(3, 2) == 11  # != 2^3 - 1
+        assert count_theta_points_chain(3, q) == q**3 - 1
+    assert count_theta_points_chain(3, 2) == 11  # != 2^3 - 1
 
 
 def test_polynomiality_checker_even_chains():
@@ -197,7 +196,7 @@ def test_count_budget_and_primality():
     with pytest.raises(ThetaError):
         count_theta_points_chain(2, 4)
     with pytest.raises(ThetaError):
-        count_theta_points(1, 3)
+        count_theta_points_chain(1, 3)
 
 
 def test_positroid_counter_smoke():
@@ -280,8 +279,8 @@ def test_n5_n6_closed_forms():
     # affordable (n, q); notably n = 5 is polynomial across q = 2 as well,
     # leaving n = 3 as the lone non-polynomial chain among n <= 6.
     for q in (2, 3, 5, 7, 11, 13):
-        assert count_theta_points(5, q) == q**5 + 2 * q**3 - q**2 - 1
-        assert count_theta_points(6, q) == q**6 + q**4 + q**2 + 1
+        assert count_theta_points_chain(5, q) == q**5 + 2 * q**3 - q**2 - 1
+        assert count_theta_points_chain(6, q) == q**6 + q**4 + q**2 + 1
 
 
 @pytest.mark.parametrize("q", PRIMES_TO_23)
