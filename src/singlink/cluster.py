@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,27 +110,35 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at direction k (1-based).
 
     b'_ij = -b_ij when i = k or j = k, else b_ij + sgn(b_ik) max(0, b_ik b_kj).
+    A row with b_ik = 0 is unchanged; any other row adds |b_ik| times the
+    positive (b_ik > 0) or negative (b_ik < 0) part of row k.  Mutation
+    keeps D*B skew-symmetric with the same D, so the result is not
+    validated again.
     """
     n = matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation index {k} out of range 1..{n}")
     kk = k - 1
-    b = matrix.entries
+    row_k = matrix.entries[kk]
+    positive = [max(x, 0) for x in row_k]
+    negative = [min(x, 0) for x in row_k]
     new_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == kk or j == kk:
-                row.append(-b[i][j])
-            else:
-                bik, bkj = b[i][kk], b[kk][j]
-                prod = bik * bkj
-                if prod > 0:
-                    row.append(b[i][j] + (prod if bik > 0 else -prod))
-                else:
-                    row.append(b[i][j])
-        new_rows.append(tuple(row))
-    return ExchangeMatrix(n, tuple(new_rows), matrix.symmetrizer)
+    for i, row in enumerate(matrix.entries):
+        bik = row[kk]
+        if i == kk:
+            row = tuple(map(operator.neg, row))
+        elif bik:
+            part = positive if bik > 0 else negative
+            scaled = map(operator.mul, itertools.repeat(abs(bik)), part)
+            new = list(map(operator.add, row, scaled))
+            new[kk] = -bik
+            row = tuple(new)
+        new_rows.append(row)
+    mutated = object.__new__(ExchangeMatrix)
+    object.__setattr__(mutated, "n", n)
+    object.__setattr__(mutated, "entries", tuple(new_rows))
+    object.__setattr__(mutated, "symmetrizer", matrix.symmetrizer)
+    return mutated
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -193,9 +202,12 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
 def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, ...]:
     """All seeds reachable from the initial seed, deduplicated by cluster.
 
-    Breadth-first closure under the n mutation directions; raises
-    :class:`BudgetExceededError` as soon as more than ``cap`` distinct seeds
-    appear (infinite type or cap too small).
+    Breadth-first closure under the n mutation directions.  Before the
+    search, each connected component of the diagram is classified
+    (:func:`is_finite_type`): the seeds of B are the products of the seeds
+    of its components, so an infinite component, or a product of
+    component seed counts above ``cap``, raises
+    :class:`BudgetExceededError` at once instead of after ``cap`` seeds.
 
     Cluster variables are hash-consed into a pool and exchange results
     are memoized on the local configuration (the outgoing variable and
@@ -204,6 +216,13 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
     """
     if cap < 1:
         raise ClusterError("cap must be at least 1")
+    count = 1
+    for part in _components(matrix):
+        dynkin = is_finite_type(part)
+        if dynkin is not None:
+            count *= expected_seed_count(dynkin)
+        if dynkin is None or count > cap:
+            raise BudgetExceededError(f"more than {cap} seeds reached", cap)
     n = matrix.n
     start = initial_seed(matrix)
     pool: dict = {var: var for var in start.cluster}
@@ -429,17 +448,30 @@ def canonical_form(matrix: ExchangeMatrix) -> tuple:
 # -- classification ------------------------------------------------------------
 
 
-def _bfs_order(matrix: ExchangeMatrix) -> list[int]:
-    """Vertices reachable from vertex 0, in breadth-first order."""
+def _bfs_order(matrix: ExchangeMatrix, start: int = 0) -> list[int]:
+    """Vertices reachable from ``start``, in breadth-first order."""
     b = matrix.entries
-    order = [0]
-    seen = {0}
+    order = [start]
+    seen = {start}
     for i in order:
         for j in range(matrix.n):
             if j not in seen and b[i][j]:
                 seen.add(j)
                 order.append(j)
     return order
+
+
+def _components(matrix: ExchangeMatrix) -> list[ExchangeMatrix]:
+    """The full submatrices on the connected components of the diagram."""
+    b, d = matrix.entries, matrix.symmetrizer
+    left = set(range(matrix.n))
+    parts = []
+    while left:
+        vs = _bfs_order(matrix, min(left))
+        left.difference_update(vs)
+        entries = tuple(tuple(b[i][j] for j in vs) for i in vs)
+        parts.append(ExchangeMatrix(len(vs), entries, tuple(d[i] for i in vs)))
+    return parts
 
 
 def _chordless_cycles_through(adj: list[set[int]], v: int):

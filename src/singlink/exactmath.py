@@ -20,6 +20,7 @@ import heapq
 import operator
 import re
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Iterable, Mapping
 
 
@@ -169,7 +170,7 @@ class RingDescriptor:
 def _grlex_key(exp: tuple[int, ...]):
     # Sort key for descending graded lex: larger total degree first, then
     # lexicographically larger exponent vector (first variable most significant).
-    return (-sum(exp), tuple(-e for e in exp))
+    return (-sum(exp), tuple(map(operator.neg, exp)))
 
 
 def _fast_poly(ring: RingDescriptor, terms: dict) -> "Polynomial":
@@ -197,7 +198,7 @@ class Polynomial:
             c = coeff if type(coeff) is int else _coeff(coeff)
             if c == 0:
                 continue
-            if not all_laurent:
+            if not all_laurent and min(exp, default=0) < 0:
                 for name, e in zip(ring.variables, exp):
                     if e < 0 and name not in ring.laurent:
                         raise ExactMathError(
@@ -295,11 +296,13 @@ class Polynomial:
         self._check_ring(other)
         if len(self.terms) * len(other.terms) > 4096 and self.ring.nvars > 1:
             return _mul_packed(self, other)
+        add = operator.add
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, 0) + c1 * c2
+                exp = tuple(map(add, e1, e2))
+                s = get(exp, 0) + c1 * c2
                 if s == 0:
                     out.pop(exp, None)
                 else:
@@ -381,12 +384,10 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def _monomial_text(self, exp: tuple[int, ...]) -> str:
-        parts = []
-        for name, e in zip(self.ring.variables, exp):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in compress(zip(self.ring.variables, exp), exp)
+        )
 
     def to_text(self) -> str:
         """Deterministic serialization; round-trips through :func:`parse_polynomial`."""
@@ -414,16 +415,19 @@ class Polynomial:
 
 
 def _exp_box(terms) -> tuple[list[int], list[int]]:
-    it = iter(terms)
-    first = next(it)
-    lows, highs = list(first), list(first)
-    for exp in it:
-        for i, e in enumerate(exp):
-            if e < lows[i]:
-                lows[i] = e
-            elif e > highs[i]:
-                highs[i] = e
-    return lows, highs
+    columns = list(zip(*terms))
+    return list(map(min, columns)), list(map(max, columns))
+
+
+def _pack(terms, low, weights) -> list[int]:
+    """Each exponent vector e of ``terms`` as the integer sum_i (e_i - low_i) * weights[i]."""
+    mul = operator.mul
+    offset = sum(map(mul, low, weights))
+    return [sum(map(mul, exp, weights)) - offset for exp in terms]
+
+
+def _unpack(key: int, shifts, masks):
+    return map(operator.and_, map(operator.rshift, repeat(key), shifts), masks)
 
 
 def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -433,31 +437,22 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
     boxes, so packed addition can never carry between fields; the result
     is exactly the schoolbook product.
     """
-    ring = a.ring
+    sub = operator.sub
     alo, ahi = _exp_box(a.terms)
     blo, bhi = _exp_box(b.terms)
-    nv = ring.nvars
-    shifts = [0] * nv
+    shifts, masks = [], []
     shift = 0
-    masks = [0] * nv
-    for i in range(nv):
-        span = (ahi[i] - alo[i]) + (bhi[i] - blo[i])
+    for span in map(operator.add, map(sub, ahi, alo), map(sub, bhi, blo)):
         width = max(span.bit_length(), 1)
-        shifts[i] = shift
-        masks[i] = (1 << width) - 1
+        shifts.append(shift)
+        masks.append((1 << width) - 1)
         shift += width
 
-    def pack(exp, lo):
-        key = 0
-        for i in range(nv):
-            key |= (exp[i] - lo[i]) << shifts[i]
-        return key
-
-    packed_b = [(pack(e, blo), c) for e, c in b.terms.items()]
+    weights = [1 << s for s in shifts]
+    packed_b = list(zip(_pack(b.terms, blo, weights), b.terms.values()))
     out: dict[int, int] = {}
     get = out.get
-    for e1, c1 in a.terms.items():
-        k1 = pack(e1, alo)
+    for k1, c1 in zip(_pack(a.terms, alo, weights), a.terms.values()):
         for k2, c2 in packed_b:
             key = k1 + k2
             s = get(key, 0) + c1 * c2
@@ -466,12 +461,12 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 out[key] = s
 
-    base = [alo[i] + blo[i] for i in range(nv)]
+    base = list(map(operator.add, alo, blo))
     result = {
-        tuple(((key >> shifts[i]) & masks[i]) + base[i] for i in range(nv)): coeff
+        tuple(map(operator.add, _unpack(key, shifts, masks), base)): coeff
         for key, coeff in out.items()
     }
-    return _fast_poly(ring, result)
+    return _fast_poly(a.ring, result)
 
 
 # -- exact division -------------------------------------------------------
@@ -480,10 +475,23 @@ def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
 def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact division ``num / den`` in the Laurent polynomial ring.
 
-    Both arguments are shifted by monomials into the ordinary polynomial
-    ring, divided by leading-term cancellation (graded lex), and the
-    monomial shift is restored.  Raises :class:`DivisionError` when the
-    quotient does not exist in the ring.
+    Both arguments are shifted by their per-variable minimum exponents
+    into the ordinary polynomial ring, divided by leading-term
+    cancellation (graded lex), and the monomial shift is restored.
+    Raises :class:`DivisionError` when the quotient does not exist in the
+    ring: a leading monomial that the divisor's does not divide, a
+    coefficient that its leading coefficient does not divide, or a
+    quotient with a negative exponent on a non-Laurent variable.
+
+    The division runs on packed monomials.  After the shift every
+    exponent is >= 0, and no term of the running remainder has a larger
+    total degree than the shifted dividend, so every exponent is at most
+    ``top`` = the largest total degree of either operand.  A monomial is
+    one integer: its total degree in the top field, then one field of
+    ``width`` = top.bit_length() + 1 bits per variable, variable 0 most
+    significant.  Integer order is then graded lex.  The top bit of each
+    variable field is a guard: ``(w | guard) - d`` cannot borrow across
+    fields, and clears the guard of exactly the fields where w < d.
     """
     if num.ring != den.ring:
         raise RingMismatchError("polynomials live in different rings")
@@ -491,59 +499,57 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         raise DivisionError("division by zero polynomial")
     if num.is_zero():
         return num
-    ring = num.ring
-    nv = ring.nvars
-
-    def min_exps(p: Polynomial) -> tuple[int, ...]:
-        # True per-variable minimum: shifting by it lands the polynomial in
-        # the ordinary ring with zero low-degree in every variable, where a
-        # Laurent quotient (when it exists) is an ordinary polynomial.
-        it = iter(p.terms)
-        mins = list(next(it))
-        for exp in it:
-            for i, e in enumerate(exp):
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
-
-    num_shift = min_exps(num)
-    den_shift = min_exps(den)
-    work = {tuple(e - s for e, s in zip(exp, num_shift)): c for exp, c in num.terms.items()}
-    dterms = {tuple(e - s for e, s in zip(exp, den_shift)): c for exp, c in den.terms.items()}
-
-    dlead = min(dterms, key=_grlex_key)
-    dlead_coeff = dterms[dlead]
-    quotient: dict[tuple[int, ...], int] = {}
-    # Leading terms are extracted through a lazy-deletion heap: exponents
-    # whose coefficients have cancelled are skipped on pop.
-    heap = [(_grlex_key(exp), exp) for exp in work]
+    # The true per-variable minimum: a Laurent quotient, when it exists,
+    # is then an ordinary polynomial.
+    num_shift = tuple(map(min, zip(*num.terms)))
+    den_shift = tuple(map(min, zip(*den.terms)))
+    top = max(
+        max(map(sum, num.terms)) - sum(num_shift),
+        max(map(sum, den.terms)) - sum(den_shift),
+    )
+    nv = num.ring.nvars
+    width = top.bit_length() + 1
+    shifts = range((nv - 1) * width, -1, -width)
+    # Weight 2^(nv*width) + 2^shift per variable also sums the total degree.
+    weights = [(1 << (nv * width)) + (1 << s) for s in shifts]
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    work = dict(zip(_pack(num.terms, num_shift, weights), num.terms.values()))
+    dterms = list(zip(_pack(den.terms, den_shift, weights), den.terms.values()))
+    dlead, dlead_coeff = max(dterms)
+    quotient: dict[int, int] = {}
+    # Leading terms are extracted through a lazy-deletion max-heap of
+    # negated keys: keys whose coefficients have cancelled are skipped.
+    heap = [-key for key in work]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     while work:
-        while True:
-            _, wlead = heap[0]
-            if wlead in work:
-                break
-            heapq.heappop(heap)
-        wc = work[wlead]
-        qexp = tuple(a - b for a, b in zip(wlead, dlead))
-        if any(e < 0 for e in qexp):
+        while -heap[0] not in work:
+            heappop(heap)
+        wlead = -heap[0]
+        diff = (wlead | guard) - dlead
+        if diff & guard != guard:
             raise DivisionError("inexact polynomial division (monomial mismatch)")
-        qc = _int_div(wc, dlead_coeff)
+        qexp = diff ^ guard
+        qc = _int_div(work[wlead], dlead_coeff)
         quotient[qexp] = qc
-        for dexp, dc in dterms.items():
-            exp = tuple(a + b for a, b in zip(qexp, dexp))
+        for dexp, dc in dterms:
+            exp = qexp + dexp
             old = work.get(exp)
             s = (0 if old is None else old) - qc * dc
             if s == 0:
                 work.pop(exp, None)
             else:
                 if old is None:
-                    heapq.heappush(heap, (_grlex_key(exp), exp))
+                    heappush(heap, -exp)
                 work[exp] = s
-    shift = tuple(a - b for a, b in zip(num_shift, den_shift))
-    result = {tuple(a + b for a, b in zip(exp, shift)): c for exp, c in quotient.items()}
+    shift = tuple(map(operator.sub, num_shift, den_shift))
+    masks = repeat((1 << (width - 1)) - 1)
+    result = {
+        tuple(map(operator.add, _unpack(key, shifts, masks), shift)): c
+        for key, c in quotient.items()
+    }
     try:
-        return Polynomial(ring, result)
+        return Polynomial(num.ring, result)
     except ExactMathError as exc:
         raise DivisionError(f"quotient leaves the ring: {exc}") from None
 

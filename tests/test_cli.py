@@ -283,6 +283,26 @@ def test_seeds_cap_budget_exit():
     assert "budget" in err
 
 
+def test_seeds_of_infinite_type_exit_at_once():
+    # Kronecker, Markov, a 3-weighted edge and affine-type rank 3: a search
+    # up to the default cap would take far past 30 s, so classification
+    # has to stop them first.
+    for rows in (
+        [[0, 2], [-2, 0]],
+        [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+        [[0, 3], [-3, 0]],
+        [[0, 1, 0], [-1, 0, 3], [0, -3, 0]],
+    ):
+        for summary in (["--summary"], []):
+            started = time.perf_counter()
+            code, out, err = run_cli(
+                "seeds", "--matrix", "-", *summary, stdin=json.dumps({"entries": rows})
+            )
+            assert time.perf_counter() - started < 2.0, rows
+            assert (code, out) == (3, "")
+            assert err == "budget exceeded: more than 2000 seeds reached\n"
+
+
 def test_aug_json_schema_and_roundtrip():
     code, out, _ = run_cli("aug", "--ade", "A2", "--t-convention", "t-inverse")
     data = json.loads(out)
@@ -472,9 +492,12 @@ def _matrix_json(draw) -> str:
 @st.composite
 def _cli_args(draw) -> tuple[list[str], str]:
     """An argument vector and the text on stdin."""
-    command = draw(st.sampled_from(["aug", "theta", "link", "classify"]))
+    command = draw(st.sampled_from(["aug", "theta", "link", "classify", "seeds"]))
     if command == "classify":
         return ["classify", "--matrix", "-"], draw(_matrix_json())
+    if command == "seeds":
+        argv = ["seeds", "--matrix", "-"] + (["--summary"] if draw(st.booleans()) else [])
+        return argv + _flag(draw, "--cap", st.integers(1, 2000)), draw(_matrix_json())
     return draw(_argv(command)), ""
 
 

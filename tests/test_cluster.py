@@ -3,7 +3,7 @@
 import random
 import time
 from collections import deque
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -221,13 +221,42 @@ def random_skew(rng, n):
     return M(rows)
 
 
+def random_skew_symmetrizable(rng, n):
+    """A random B with D*B skew-symmetric, d_i in {1, 2, 3}."""
+    sym = [rng.choice((1, 2, 3)) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # b_ij = k d_j / g and b_ji = -k d_i / g give d_i b_ij = -d_j b_ji.
+            k, g = rng.randint(-2, 2), gcd(sym[i], sym[j])
+            rows[i][j], rows[j][i] = k * sym[j] // g, -k * sym[i] // g
+    return M(rows, sym)
+
+
+def mutation_by_entry_formula(m, k):
+    b, kk = m.entries, k - 1
+
+    def entry(i, j):
+        if kk in (i, j):
+            return -b[i][j]
+        sign = (b[i][kk] > 0) - (b[i][kk] < 0)
+        return b[i][j] + sign * max(0, b[i][kk] * b[kk][j])
+
+    return tuple(tuple(entry(i, j) for j in range(m.n)) for i in range(m.n))
+
+
 def test_involution_and_equivariance_random():
     rng = random.Random(7)
     for _ in range(400):
-        n = rng.randint(2, 6)
-        m = random_skew(rng, n)
+        n = rng.randint(1, 8)
+        m = random_skew_symmetrizable(rng, n)
+        for k in range(1, n + 1):
+            mutated = mutate(m, k)
+            # mutate does not re-validate its result: check it here.
+            assert mutated.entries == mutation_by_entry_formula(m, k)
+            assert mutated == ExchangeMatrix(n, mutated.entries, m.symmetrizer)
+            assert mutate(mutated, k) == m
         k = rng.randint(1, n)
-        assert mutate(mutate(m, k), k) == m
         perm = list(range(n))
         rng.shuffle(perm)
         perm = tuple(perm)
@@ -284,6 +313,16 @@ def test_enumerate_cap_overflow():
     markov = M([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     with pytest.raises(BudgetExceededError):
         enumerate_seeds(markov, cap=40)
+
+
+def test_enumerate_disconnected_counts_the_product_and_checks_the_cap_first():
+    a1_a2 = M([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    assert len(enumerate_seeds(a1_a2, cap=10)) == 2 * 5
+    with pytest.raises(BudgetExceededError, match="more than 9 seeds reached"):
+        enumerate_seeds(a1_a2, cap=9)
+    # An infinite component (Kronecker) next to a finite one.
+    with pytest.raises(BudgetExceededError):
+        enumerate_seeds(M([[0, 2, 0], [-2, 0, 0], [0, 0, 0]]), cap=2000)
 
 
 def test_expected_seed_count_closed_forms():

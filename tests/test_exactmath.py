@@ -1,5 +1,7 @@
 """Tests for the exact polynomial substrate."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from singlink.exactmath import (
     RingDescriptor,
     RingMismatchError,
     SubstitutionError,
+    _mul_packed,
     divide_exact,
     is_prime,
     parse_polynomial,
@@ -213,6 +216,175 @@ def test_divide_exact_inexact_raises():
         divide_exact(x * x + 1, x + 1)
     with pytest.raises(DivisionError):
         divide_exact(x + x + 1, 2 * x)  # 2x+1 not divisible by 2x over Z
+
+
+# -- oracles: the tuple-based kernels the packed ones replaced -----------------
+
+
+def _grlex_key_oracle(exp):
+    return (-sum(exp), tuple(-e for e in exp))
+
+
+def product_oracle(a, b):
+    """Schoolbook product over exponent tuples."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(exp, 0) + c1 * c2
+            if s == 0:
+                out.pop(exp, None)
+            else:
+                out[exp] = s
+    return Polynomial(a.ring, out)
+
+
+def divide_oracle(num, den):
+    """Leading-term division over exponent tuples, after the monomial shift."""
+    if den.is_zero():
+        raise DivisionError("division by zero polynomial")
+    if num.is_zero():
+        return num
+
+    def min_exps(p):
+        it = iter(p.terms)
+        mins = list(next(it))
+        for exp in it:
+            for i, e in enumerate(exp):
+                if e < mins[i]:
+                    mins[i] = e
+        return tuple(mins)
+
+    num_shift = min_exps(num)
+    den_shift = min_exps(den)
+    work = {tuple(e - s for e, s in zip(exp, num_shift)): c for exp, c in num.terms.items()}
+    dterms = {tuple(e - s for e, s in zip(exp, den_shift)): c for exp, c in den.terms.items()}
+    dlead = min(dterms, key=_grlex_key_oracle)
+    dlead_coeff = dterms[dlead]
+    quotient = {}
+    heap = [(_grlex_key_oracle(exp), exp) for exp in work]
+    heapq.heapify(heap)
+    while work:
+        while True:
+            _, wlead = heap[0]
+            if wlead in work:
+                break
+            heapq.heappop(heap)
+        wc = work[wlead]
+        qexp = tuple(a - b for a, b in zip(wlead, dlead))
+        if any(e < 0 for e in qexp):
+            raise DivisionError("inexact polynomial division (monomial mismatch)")
+        if wc % dlead_coeff != 0:
+            raise DivisionError("inexact polynomial division (coefficient mismatch)")
+        qc = wc // dlead_coeff
+        quotient[qexp] = qc
+        for dexp, dc in dterms.items():
+            exp = tuple(a + b for a, b in zip(qexp, dexp))
+            old = work.get(exp)
+            s = (0 if old is None else old) - qc * dc
+            if s == 0:
+                work.pop(exp, None)
+            else:
+                if old is None:
+                    heapq.heappush(heap, (_grlex_key_oracle(exp), exp))
+                work[exp] = s
+    shift = tuple(a - b for a, b in zip(num_shift, den_shift))
+    result = {tuple(a + b for a, b in zip(exp, shift)): c for exp, c in quotient.items()}
+    try:
+        return Polynomial(num.ring, result)
+    except ExactMathError as exc:
+        raise DivisionError(f"quotient leaves the ring: {exc}") from None
+
+
+def _outcome(divide, num, den):
+    try:
+        return divide(num, den)
+    except DivisionError:
+        return DivisionError
+
+
+# Rings of 1 to 8 variables; in the second of each pair only even-indexed
+# variables are Laurent, so a quotient can leave the ring.
+LAURENT_RINGS = [
+    RingDescriptor(tuple(f"u{i}" for i in range(n)), laurent=frozenset(laurent))
+    for n in range(1, 9)
+    for laurent in ({f"u{i}" for i in range(n)}, {f"u{i}" for i in range(0, n, 2)})
+]
+
+
+def laurent_polys(ring, min_terms=0, max_terms=5, max_exp=3, coeff_range=6):
+    exps = st.tuples(*(
+        st.integers(-max_exp if name in ring.laurent else 0, max_exp)
+        for name in ring.variables
+    ))
+    coeffs = st.integers(-coeff_range, coeff_range).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms).map(
+        lambda d: Polynomial(ring, d)
+    )
+
+
+@st.composite
+def laurent_pairs(draw, rings=LAURENT_RINGS, **kwargs):
+    ring = draw(st.sampled_from(rings))
+    return draw(laurent_polys(ring, **kwargs)), draw(laurent_polys(ring, **kwargs))
+
+
+@given(laurent_pairs())
+@settings(max_examples=200)
+def test_products_match_the_schoolbook_oracle(pair):
+    a, b = pair
+    want = product_oracle(a, b)
+    assert a * b == want
+    if a and b:
+        assert _mul_packed(a, b) == want
+
+
+@given(laurent_pairs(rings=LAURENT_RINGS[4:], min_terms=65, max_terms=80, max_exp=4))
+@settings(max_examples=15, deadline=None)
+def test_large_products_take_the_packed_branch_and_match_the_oracle(pair):
+    a, b = pair
+    assert len(a) * len(b) > 4096 and a.ring.nvars > 1
+    assert a * b == product_oracle(a, b)
+
+
+@given(laurent_pairs())
+@settings(max_examples=200)
+def test_division_of_a_product_returns_the_factor(pair):
+    a, b = pair
+    if b.is_zero():
+        return
+    assert divide_exact(a * b, b) == a == divide_oracle(a * b, b)
+
+
+@given(laurent_pairs())
+@settings(max_examples=300)
+def test_division_matches_the_oracle_on_any_input(pair):
+    # Most random pairs are inexact: both raise DivisionError, or both
+    # return the same quotient.
+    a, b = pair
+    assert _outcome(divide_exact, a, b) == _outcome(divide_oracle, a, b)
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [
+        # y falls short of the divisor's leading x*y while the degree fits.
+        ("x^2 + y^2", "x*y + 1"),
+        # x, the most significant field, falls short: a borrow from it
+        # would reach the total-degree field.
+        ("y^2 + x", "x*y + 1"),
+        ("z^3 + x*y", "x*z^2 + y"),
+        # Coefficient mismatch, and a quotient that leaves the ring.
+        ("3*x + 1", "2*x + 1"),
+        ("1", "y"),
+    ],
+)
+def test_inexact_division_raises_in_both_implementations(num, den):
+    ring = RingDescriptor(("x", "y", "z"), laurent=frozenset({"x"}))
+    num, den = parse_polynomial(num, ring), parse_polynomial(den, ring)
+    for divide in (divide_exact, divide_oracle):
+        with pytest.raises(DivisionError):
+            divide(num, den)
 
 
 # -- matrices ----------------------------------------------------------------
