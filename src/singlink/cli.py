@@ -11,11 +11,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from . import augment, bricks, cluster, dividecatalog, divides, links, sheafmoduli
-from .checks import run_all_checks
-from .exactmath import BudgetExceededError, ExactMathError
+# Each handler imports the layers it calls, so that start-up (importing
+# this module and building its parser) loads no other singlink module.
 
 
 class UsageError(ValueError):
@@ -33,6 +31,8 @@ def _braid_from_args(args) -> tuple[str, links.BraidWord | None, dict]:
     Iterated cables beyond a single torus pair have no catalog braid, so
     the braid slot is None and the extras carry the cable data.
     """
+    from . import links
+
     chosen = [
         name
         for name in ("ade", "torus", "puiseux", "braid")
@@ -76,39 +76,21 @@ def _braid_from_args(args) -> tuple[str, links.BraidWord | None, dict]:
     return f"puiseux:{args.puiseux}", None, extras
 
 
-@dataclass
-class PipelineReport:
-    """Full report for one link input: braid data through seed counts."""
+def _link_payload(descriptor: str, braid: links.BraidWord) -> dict:
+    """Input descriptor, braid word and link invariants."""
+    from . import links
 
-    input: str
-    braid: dict
-    invariants: dict
-    brick_quiver: dict | None = None
-    divide: dict | None = None
-    classification: dict | None = None
-    seed_count: dict | None = None
-    equation_files: list | None = None
-
-    def to_json_dict(self) -> dict:
-        payload = {"input": self.input, "braid": self.braid, "invariants": self.invariants}
-        for key in ("brick_quiver", "divide", "classification", "seed_count", "equation_files"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        return payload
-
-
-def braid_json(braid: links.BraidWord) -> dict:
-    return {"strands": braid.strands, "letters": list(braid.letters)}
-
-
-def invariants_json(inv: links.LinkInvariants) -> dict:
+    inv = links.braid_invariants(braid)
     return {
-        "components": inv.components,
-        "euler_characteristic": inv.euler_characteristic,
-        "first_betti": inv.first_betti,
-        "tb": inv.tb,
-        "milnor_number": inv.milnor_number,
+        "input": descriptor,
+        "braid": {"strands": braid.strands, "letters": list(braid.letters)},
+        "invariants": {
+            "components": inv.components,
+            "euler_characteristic": inv.euler_characteristic,
+            "first_betti": inv.first_betti,
+            "tb": inv.tb,
+            "milnor_number": inv.milnor_number,
+        },
     }
 
 
@@ -118,20 +100,25 @@ def build_pipeline_report(
     ade_label: links.ADELabel | None = None,
     enumerate_cap: int = 2000,
     equations_dir: str | None = None,
-) -> PipelineReport:
-    report = PipelineReport(
-        input=descriptor,
-        braid=braid_json(braid),
-        invariants=invariants_json(links.braid_invariants(braid)),
-    )
-    quiver = bricks.brick_quiver(braid) if braid.letters else None
-    if quiver is None:
+) -> dict:
+    """Full report for one link input: braid data through seed counts.
+
+    A braid with no letters, or whose brick quiver has no vertices, has
+    no exchange matrix, so its report stops before the classification.
+    """
+    from . import bricks, cluster, dividecatalog, divides
+
+    report = _link_payload(descriptor, braid)
+    if not braid.letters:
         return report
-    report.brick_quiver = quiver.to_json_dict()
+    quiver = bricks.brick_quiver(braid)
+    report["brick_quiver"] = quiver.to_json_dict()
+    if not quiver.rank:
+        return report
     if ade_label is not None and f"{ade_label}" in dividecatalog.CATALOG_LABELS:
         divide = dividecatalog.divide_catalog(ade_label)
         faces = divides.trace_faces(divide)
-        report.divide = {
+        report["divide"] = {
             "crossings": divide.crossings,
             "bounded_regions": len(faces.bounded_faces),
             "milnor_number": divides.milnor_number(divide),
@@ -140,22 +127,22 @@ def build_pipeline_report(
     try:
         dynkin = cluster.is_finite_type(matrix)
     except cluster.ClusterError as exc:
-        report.classification = {"type": None, "note": str(exc)}
+        report["classification"] = {"type": None, "note": str(exc)}
         return report
     if dynkin is None:
-        report.classification = {"type": None, "finite": False}
+        report["classification"] = {"type": None, "finite": False}
         return report
     expected = cluster.expected_seed_count(dynkin)
-    report.classification = {"type": str(dynkin), "finite": True, "seeds": expected}
+    report["classification"] = {"type": str(dynkin), "finite": True, "seeds": expected}
     if expected <= enumerate_cap:
         enumerated = len(cluster.enumerate_seeds(matrix, cap=enumerate_cap))
-        report.seed_count = {"enumerated": enumerated, "expected": expected}
+        report["seed_count"] = {"enumerated": enumerated, "expected": expected}
         if enumerated != expected:
             raise cluster.ClusterError(
                 f"enumerated seed count {enumerated} != expected {expected}"
             )
     if equations_dir is not None:
-        report.equation_files = _write_equation_files(
+        report["equation_files"] = _write_equation_files(
             equations_dir, descriptor, braid, ade_label
         )
     return report
@@ -168,6 +155,8 @@ def _write_equation_files(
     ade_label: links.ADELabel | None,
 ) -> list:
     """Dump the augmentation system (and the chain system for A_n inputs)."""
+    from . import augment, links, sheafmoduli
+
     os.makedirs(directory, exist_ok=True)
     stem = descriptor.replace(":", "_").replace(",", "-").replace(" ", "_")
     paths = []
@@ -200,18 +189,15 @@ def cmd_link(args) -> int:
         payload["note"] = "iterated cables beyond one pair need an explicit braid word"
         _emit(payload)
         return 0
-    label = links.parse_ade_label(args.ade) if args.ade else None
     if args.pipeline:
-        report = build_pipeline_report(
+        from .links import parse_ade_label
+
+        label = parse_ade_label(args.ade) if args.ade else None
+        payload = build_pipeline_report(
             descriptor, braid, ade_label=label, equations_dir=args.equations_dir
         )
-        payload = report.to_json_dict()
     else:
-        payload = {
-            "input": descriptor,
-            "braid": braid_json(braid),
-            "invariants": invariants_json(links.braid_invariants(braid)),
-        }
+        payload = _link_payload(descriptor, braid)
     payload.update(extras)
     _emit(payload)
     return 0
@@ -219,6 +205,8 @@ def cmd_link(args) -> int:
 
 def cmd_quiver(args) -> int:
     if args.divide or args.divide_label:
+        from . import dividecatalog, divides
+
         if args.divide_label:
             divide = dividecatalog.divide_catalog(args.divide_label)
         else:
@@ -237,7 +225,9 @@ def cmd_quiver(args) -> int:
     _, braid, _ = _braid_from_args(args)
     if braid is None:
         raise UsageError("this input has no catalog braid; supply --braid")
-    quiver = bricks.brick_quiver(braid)
+    from .bricks import brick_quiver
+
+    quiver = brick_quiver(braid)
     if args.format == "dot":
         print(quiver.to_dot())
     elif args.format == "text":
@@ -253,6 +243,8 @@ def _matrix_from_args(args) -> cluster.ExchangeMatrix:
     sources = [bool(args.matrix), bool(getattr(args, "type", None)), bool(getattr(args, "ade", None))]
     if sum(sources) != 1:
         raise UsageError("choose exactly one matrix source (--matrix / --type / --ade)")
+    from . import bricks, cluster, links
+
     if args.matrix:
         text = sys.stdin.read() if args.matrix == "-" else open(args.matrix).read()
         return cluster.exchange_matrix_from_json(json.loads(text))
@@ -262,6 +254,8 @@ def _matrix_from_args(args) -> cluster.ExchangeMatrix:
 
 
 def cmd_mutate(args) -> int:
+    from . import cluster
+
     matrix = _matrix_from_args(args)
     for k in args.at:
         matrix = cluster.mutate(matrix, k)
@@ -270,6 +264,8 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import cluster
+
     matrix = _matrix_from_args(args)
     dynkin = cluster.is_finite_type(matrix)
     if dynkin is None:
@@ -280,6 +276,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_seeds(args) -> int:
+    from . import cluster
+
     matrix = _matrix_from_args(args)
     seeds = cluster.enumerate_seeds(matrix, cap=args.cap)
     payload = {
@@ -299,6 +297,8 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_aug(args) -> int:
+    from . import augment, links
+
     _, braid, _ = _braid_from_args(args)
     word = links.append_full_twist(braid) if args.full_twist else braid
     system = augment.augmentation_equations(word, t_convention=args.t_convention)
@@ -308,13 +308,16 @@ def cmd_aug(args) -> int:
         if args.method == "dp":
             count = augment.count_solutions_dp(word, q, t_convention=args.t_convention)
         else:
-            count = augment.count_solutions_bruteforce(system, q, budget=args.budget)
+            budget = augment.BRUTE_FORCE_BUDGET if args.budget is None else args.budget
+            count = augment.count_solutions_bruteforce(system, q, budget=budget)
         payload["count"] = {"q": q, "method": args.method, "solutions": count}
     _emit(payload)
     return 0
 
 
 def cmd_theta(args) -> int:
+    from . import sheafmoduli
+
     system = sheafmoduli.theta_system(args.n, args.method)
     payload = sheafmoduli.system_to_json_dict(system)
     payload["method"] = args.method
@@ -332,6 +335,13 @@ def cmd_theta(args) -> int:
             )
     _emit(payload)
     return 0
+
+
+def run_all_checks(deep: bool = False, fast: bool = False) -> list:
+    """:func:`singlink.checks.run_all_checks`, imported on first use."""
+    from .checks import run_all_checks
+
+    return run_all_checks(deep=deep, fast=fast)
 
 
 def cmd_check(args) -> int:
@@ -411,15 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_aug.add_argument("--full-twist", dest="full_twist", action="store_true", default=True,
                        help="append Delta^2 to the input word (default)")
     p_aug.add_argument("--no-full-twist", dest="full_twist", action="store_false")
-    p_aug.add_argument("--t-convention", choices=augment.T_CONVENTIONS, default="t")
+    # The library checks --t-convention, theta's --method and the --budget
+    # default, so that building the parser imports no layer.
+    p_aug.add_argument("--t-convention", default="t")
     p_aug.add_argument("--count-fq", type=int, metavar="Q")
     p_aug.add_argument("--method", choices=("brute", "dp"), default="brute")
-    p_aug.add_argument("--budget", type=int, default=augment.BRUTE_FORCE_BUDGET)
+    p_aug.add_argument("--budget", type=int,
+                       help="brute-force work budget (default augment.BRUTE_FORCE_BUDGET)")
     p_aug.set_defaults(func=cmd_aug)
 
     p_theta = sub.add_parser("theta", help="sheaf-moduli chain system")
     p_theta.add_argument("--n", type=int, required=True)
-    p_theta.add_argument("--method", choices=sheafmoduli.THETA_METHODS, default="recursion")
+    p_theta.add_argument("--method", default="recursion")
     p_theta.add_argument("--count-fq", type=int, metavar="Q")
     p_theta.add_argument("--positroid", action="store_true",
                          help="also count the cyclic positroid stratum")
@@ -433,18 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BUDGET_ERRORS = BudgetExceededError
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BUDGET_ERRORS as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (UsageError, ValueError, ExactMathError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every singlink error is a ValueError
+        from .exactmath import BudgetExceededError
+
+        if isinstance(exc, BudgetExceededError):
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

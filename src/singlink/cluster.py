@@ -10,6 +10,7 @@ enumeration counts clusters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -163,6 +164,11 @@ def initial_seed(matrix: ExchangeMatrix) -> Seed:
     return Seed(matrix, tuple(ring.var(v) for v in ring.variables))
 
 
+def _product(factors: list[Polynomial], one: Polynomial) -> Polynomial:
+    """Product of the factors, starting from the first (``one`` if none)."""
+    return functools.reduce(operator.mul, factors) if factors else one
+
+
 def _exchange(seed: Seed, kk: int) -> Polynomial:
     """The exchange relation at direction kk (0-based):
 
@@ -171,17 +177,17 @@ def _exchange(seed: Seed, kk: int) -> Polynomial:
     The Laurent phenomenon makes the division exact for every seed reached
     by mutation; a remainder raises :class:`ClusterError`.
     """
-    ring = seed.cluster[0].ring
-    pos = ring.one()
-    neg = ring.one()
+    pos, neg = [], []
     for x, row in zip(seed.cluster, seed.matrix.entries):
         b = row[kk]
         if b > 0:
-            pos = pos * x ** b
+            pos.append(x ** b)
         elif b < 0:
-            neg = neg * x ** (-b)
+            neg.append(x ** -b)
+    one = seed.cluster[0].ring.one()
+    numerator = _product(pos, one) + _product(neg, one)
     try:
-        return divide_exact(pos + neg, seed.cluster[kk])
+        return divide_exact(numerator, seed.cluster[kk])
     except DivisionError as exc:
         raise ClusterError(
             f"Laurent phenomenon violated at direction {kk + 1}: {exc}"

@@ -314,15 +314,15 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ExactMathError("polynomial powers must be non-negative integers")
-        result = self.ring.one()
+        result = None  # the ring's one until a factor is taken
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return self.ring.one() if result is None else result
 
     # -- substitution, evaluation ------------------------------------------
 

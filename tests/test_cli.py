@@ -11,10 +11,11 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from singlink import cli
+from singlink.augment import T_CONVENTIONS
 from singlink.cluster import DynkinType, exchange_matrix_from_json, initial_matrix, mutate
 from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
 from singlink.links import braid_from_text
-from singlink.sheafmoduli import theta_ring
+from singlink.sheafmoduli import THETA_METHODS, theta_ring
 
 
 def run_cli(*argv, stdin: str = "") -> tuple[int, str, str]:
@@ -121,6 +122,19 @@ def test_link_pipeline_report():
     assert data["classification"] == {"type": "A3", "finite": True, "seeds": 14}
     assert data["seed_count"] == {"enumerated": 14, "expected": 14}
     assert data["divide"]["milnor_number"] == 3
+
+
+def test_link_pipeline_with_an_empty_brick_quiver():
+    # One letter per generator: a valid positive braid whose brick quiver
+    # has no vertices, so there is no exchange matrix to classify.
+    for text, strands in (("1", "2"), ("1 2", "3")):
+        code, plain, _ = run_cli("link", "--braid", text, "--strands", strands)
+        code_p, out, err = run_cli("link", "--braid", text, "--strands", strands, "--pipeline")
+        assert (code, code_p, err) == (0, 0, "")
+        data = json.loads(out)
+        assert data["brick_quiver"] == {"bricks": [], "arrows": []}
+        assert "classification" not in data
+        assert {k: data[k] for k in ("input", "braid", "invariants")} == json.loads(plain)
 
 
 def test_cli_output_is_deterministic():
@@ -501,12 +515,32 @@ def _cli_args(draw) -> tuple[list[str], str]:
     return draw(_argv(command)), ""
 
 
+# Invalid values of the choice options, drawn now and then.
+_BAD_CHOICES = ["", "T", "t_inverse", "wedges", "Brute", "none"]
+_CHOICES = {
+    "aug": {"--method": ("brute", "dp"), "--t-convention": T_CONVENTIONS},
+    "theta": {"--method": THETA_METHODS},
+}
+
+
+def _choice(valid) -> st.SearchStrategy:
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_BAD_CHOICES))
+
+
+def _bad_choice(argv: list[str]) -> bool:
+    """True if argv gives a choice option a value outside its choices."""
+    choices = _CHOICES.get(argv[0], {})
+    return any(
+        flag in choices and value not in choices[flag] for flag, value in zip(argv, argv[1:])
+    )
+
+
 @st.composite
 def _argv(draw, command: str) -> list[str]:
     if command == "theta":
         argv = ["theta", "--n", str(draw(st.integers(-2, 60)))]
         argv += _flag(draw, "--count-fq", st.integers(-3, 13))
-        argv += _flag(draw, "--method", st.sampled_from(["recursion", "wedge"]))
+        argv += _flag(draw, "--method", _choice(THETA_METHODS))
         return argv + (["--positroid"] if draw(st.booleans()) else [])
     if command == "link":
         argv = ["link", *draw(_braid_inputs(puiseux=True))]
@@ -514,14 +548,14 @@ def _argv(draw, command: str) -> list[str]:
     # The slowest aug inputs here take about 1 s: the F_2 DP on four
     # strands, which holds 2^16 states.
     argv = ["aug", *draw(_braid_inputs(puiseux=False))]
-    method = _flag(draw, "--method", st.sampled_from(["brute", "dp"]))
+    method = _flag(draw, "--method", _choice(_CHOICES["aug"]["--method"]))
     q = st.integers(-3, 13)
     if method == ["--method", "dp"]:
         # Large primes reach the Bruhat-cell count of twisted knots and the
         # coset DP's state budget for every other word.
         q = st.one_of(q, st.sampled_from([101, 10007, 1000000007]))
     argv += _flag(draw, "--count-fq", q) + method
-    argv += _flag(draw, "--t-convention", st.sampled_from(["t", "t-inverse"]))
+    argv += _flag(draw, "--t-convention", _choice(T_CONVENTIONS))
     argv += ["--no-full-twist"] if draw(st.booleans()) else []
     # Always bounded: the default budget admits about 10 s of brute force.
     return argv + ["--budget", str(draw(st.integers(-1, 10**6)))]
@@ -536,3 +570,14 @@ def test_cli_fuzz_exit_codes(case):
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err
     assert time.perf_counter() - started < FUZZ_SECONDS, argv
+    if _bad_choice(argv):
+        assert code == 2, (argv, code)
+
+
+@given(st.one_of(_braid_inputs(puiseux=True), _braid_text.map(lambda text: ["--braid", text])))
+@settings(max_examples=100, deadline=None)
+def test_link_pipeline_succeeds_wherever_link_does(braid_input):
+    code, _, _ = run_cli("link", *braid_input)
+    if code == 0:
+        code, _, err = run_cli("link", *braid_input, "--pipeline")
+        assert code in (0, 3), (braid_input, code, err)
