@@ -246,7 +246,11 @@ def _matrix_from_args(args) -> cluster.ExchangeMatrix:
     from . import bricks, cluster, links
 
     if args.matrix:
-        text = sys.stdin.read() if args.matrix == "-" else open(args.matrix).read()
+        if args.matrix == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.matrix) as handle:
+                text = handle.read()
         return cluster.exchange_matrix_from_json(json.loads(text))
     if getattr(args, "type", None):
         return cluster.initial_matrix(cluster.parse_dynkin_type(args.type))

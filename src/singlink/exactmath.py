@@ -20,7 +20,7 @@ import heapq
 import operator
 import re
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from typing import Iterable, Mapping
 
 
@@ -558,6 +558,50 @@ def _int_div(a: int, b: int) -> int:
     if a % b != 0:
         raise DivisionError("inexact polynomial division (coefficient mismatch)")
     return a // b
+
+
+# -- generated counting kernels -----------------------------------------------
+
+# Terms per parenthesized group of an emitted sum.  Groups of groups keep the
+# expression tree about log_64(terms) deep, so a sum of 20000 terms stays far
+# inside the compiler's recursion limit.
+SUM_CHUNK = 64
+
+
+def sum_source(terms: Iterable[tuple[int, Iterable[int]]], name: str) -> str:
+    """Python source of the sum of coeff * name<i> * name<j> * .. over terms.
+
+    Each term is (coeff, variable indices), an index repeated once per power.
+    The source holds only integer literals, the names ``name<i>``, ``*``,
+    ``+``, ``-`` and parentheses; the empty sum is ``0``.
+    """
+    parts = []
+    for coeff, indices in terms:
+        factors = "*".join([f"{name}{i}" for i in indices])
+        if not factors:
+            parts.append(f"{coeff:d}")
+        elif coeff == 1:
+            parts.append(factors)
+        elif coeff == -1:
+            parts.append(f"-{factors}")
+        else:
+            parts.append(f"{coeff:d}*{factors}")
+    while len(parts) > SUM_CHUNK:
+        parts = [
+            f"({' + '.join(parts[i : i + SUM_CHUNK])})" for i in range(0, len(parts), SUM_CHUNK)
+        ]
+    return " + ".join(parts) or "0"
+
+
+def compile_kernel(lines: list[str]):
+    """The function ``kernel`` that the generated source lines define.
+
+    Its only global is ``product`` (``itertools.product``); callers build
+    the lines from :func:`sum_source` and fixed text, never from input text.
+    """
+    namespace = {"product": product}
+    exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 # -- parsing ----------------------------------------------------------------

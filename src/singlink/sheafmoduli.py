@@ -28,11 +28,17 @@ counted in closed form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import BudgetExceededError, Polynomial, RingDescriptor, is_prime
+from .exactmath import (
+    BudgetExceededError,
+    Polynomial,
+    RingDescriptor,
+    compile_kernel,
+    is_prime,
+    sum_source,
+)
 
 BRUTE_FORCE_BUDGET = 10**8
 THETA_MAX_N = 1000
@@ -116,36 +122,28 @@ def theta_system(n: int, method: str = "recursion") -> ThetaSystem:
     return theta_equations_recursion(n) if method == "recursion" else theta_equations_wedge(n)
 
 
-def _compile_terms(p: Polynomial) -> tuple:
-    """Precompile for F_q evaluation: (coeff, ((variable index, exponent), ..))."""
-    return tuple(
-        (int(coeff), tuple((idx, e) for idx, e in enumerate(exp) if e))
-        for exp, coeff in p.terms.items()
-    )
-
-
 def count_theta_points_brute(system: ThetaSystem, q: int, budget: int = BRUTE_FORCE_BUDGET) -> int:
-    """Oracle: enumerate F_q^(2n) and test every equation."""
+    """Oracle: enumerate F_q^(2n) and test every equation.
+
+    The loop runs as Python source generated for the system, one plain sum
+    of products (:func:`exactmath.sum_source`) per equation, in the
+    variables v0, .., v{2n-1}.
+    """
     if not is_prime(q):
         raise ThetaError(f"{q} is not prime")
     nvars = 2 * system.n
     if q**nvars > budget:
         raise BudgetExceededError(f"q^(2n) = {q}^{nvars} exceeds the enumeration budget")
-    compiled = [_compile_terms(eq) for eq in system.equations]
-
-    def vanishes(terms, values) -> bool:
-        total = 0
-        for coeff, factors in terms:
-            for idx, e in factors:
-                coeff *= values[idx] ** e
-            total += coeff
-        return total % q == 0
-
-    count = 0
-    for values in itertools.product(range(q), repeat=nvars):
-        if all(vanishes(terms, values) for terms in compiled):
-            count += 1
-    return count
+    values = "".join(f"v{i}, " for i in range(nvars))
+    lines = ["def kernel(q):", "    count = 0", f"    for {values} in product(range(q), repeat={nvars}):"]
+    for eq in system.equations:
+        terms = (
+            (coeff, [idx for idx, e in enumerate(exp) for _ in range(e)])
+            for exp, coeff in eq.terms.items()
+        )
+        lines += [f"        if ({sum_source(terms, 'v')}) % q:", "            continue"]
+    lines += ["        count += 1", "    return count"]
+    return compile_kernel(lines)(q)
 
 
 def count_theta_points_chain(n: int, q: int) -> int:

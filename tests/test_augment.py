@@ -13,6 +13,9 @@ from singlink.augment import (
     AugmentationSystem,
     AugmentError,
     BudgetExceededError,
+    BRUTE_FORCE_BUDGET,
+    _bruteforce_kernel,
+    _compile_system,
     _compile_terms,
     _count_by_cosets,
     _identity_cell_count,
@@ -110,6 +113,78 @@ def count_by_points_and_t(system: AugmentationSystem, q: int) -> int:
     return found
 
 
+def count_by_prefixes(system: AugmentationSystem, q: int) -> int:
+    """Oracle: the interpreted loop that the generated kernel of
+    count_solutions_bruteforce unrolls.  For each prefix z', every
+    constraint's alpha and beta are summed term tuple by term tuple."""
+    s = len(system.word)
+    t_coeff, t_exp, (entry_alpha, entry_beta), constraints = _compile_system(system)
+    expected_t = (-1) ** (system.strands + s) % q
+
+    def evaluate(terms, zs) -> int:
+        total = 0
+        for coeff, idx in terms:
+            for i in idx:
+                coeff *= zs[i]
+            total += coeff
+        return total
+
+    def check_sign_law(u: int) -> None:
+        t_val = u if t_exp == 1 else pow(u, -1, q)
+        if t_val != expected_t:
+            raise AugmentError(
+                f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
+            )
+
+    found = 0
+    for prefix in itertools.product(range(q), repeat=max(s - 1, 0)):
+        pinned = None if s else 0
+        for alpha_terms, beta_terms in constraints:
+            alpha = evaluate(alpha_terms, prefix)
+            beta = evaluate(beta_terms, prefix) % q
+            if pinned is not None:
+                if (alpha + beta * pinned) % q:
+                    break
+            elif beta:
+                pinned = -alpha * pow(beta, -1, q) % q
+            elif alpha % q:
+                break
+        else:
+            alpha = evaluate(entry_alpha, prefix)
+            beta = evaluate(entry_beta, prefix) % q
+            if pinned is not None:
+                u = -t_coeff * (alpha + beta * pinned) % q
+                if u:
+                    check_sign_law(u)
+                    found += 1
+            elif beta:
+                check_sign_law(1)
+                check_sign_law(q - 1)
+                found += q - 1
+            else:
+                u = -t_coeff * alpha % q
+                if u:
+                    check_sign_law(u)
+                    found += q
+    return found
+
+
+def brute_count(system: AugmentationSystem, q: int, points: bool = True) -> int:
+    """count_solutions_bruteforce, asserted equal to the prefix loop and,
+    with ``points``, to the point oracle."""
+    count = count_solutions_bruteforce(system, q)
+    assert count == count_by_prefixes(system, q), q
+    if points:
+        assert count == count_by_points_and_t(system, q), q
+    return count
+
+
+def raised(count, system: AugmentationSystem, q: int) -> str:
+    with pytest.raises(AugmentError) as info:
+        count(system, q)
+    return str(info.value)
+
+
 def test_pk_matrix_two_strands():
     ring = augmentation_ring(1)
     m = pk_matrix(ring, 2, 1, "z1")
@@ -199,7 +274,7 @@ def test_t_convention_changes_only_t_entry():
 def test_unknot_counts():
     system = augmentation_equations(BraidWord(1, ()))
     for q in (2, 3, 5, 7, 11, 13):
-        assert count_solutions_bruteforce(system, q) == 1
+        assert brute_count(system, q) == 1
         assert count_solutions_dp(BraidWord(1, ()), q) == 1
 
 
@@ -406,22 +481,42 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("label,q", ORACLE_CASES)
 def test_bruteforce_matches_point_oracle_on_ade_links(label, q):
     system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label(label))))
-    assert count_solutions_bruteforce(system, q) == count_by_points_and_t(system, q)
+    brute_count(system, q)
+
+
+def _within_brute_budget(label: str, q: int) -> bool:
+    system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label(label))))
+    terms = sum(len(p.terms) for p in system.equations)
+    return q ** (len(system.word) - 1) * terms <= BRUTE_FORCE_BUDGET
+
+
+# The cases within the brute-force budget that the point oracle leaves out:
+# D4 and D5 at q = 3.
+@pytest.mark.parametrize(
+    "label,q",
+    [
+        (label, 3)
+        for label in ADE_LABELS
+        if 3 ** len(append_full_twist(ade_braid(parse_ade_label(label)))) > 2 * 10**5
+        and _within_brute_budget(label, 3)
+    ],
+)
+def test_bruteforce_matches_prefix_loop_on_ade_links(label, q):
+    system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label(label))))
+    brute_count(system, q, points=False)
 
 
 def test_bruteforce_matches_oracles_on_two_strand_powers_at_every_prime_to_13():
     # The point oracle runs where it visits at most 10^5 points (13^6 * 12
-    # would take minutes); the coset DP, an independent count, checks every
-    # case, in both t conventions up to q^s = 10^5.
+    # would take minutes); the prefix loop and the coset DP, an independent
+    # count, check every case, in both t conventions up to q^s = 10^5.
     for q in (p for p in range(2, 14) if is_prime(p)):
         for s in range(7):
             word = BraidWord(2, (1,) * s)
             for convention in T_CONVENTIONS if q**s <= 10**5 else ("t",):
                 system = augmentation_equations(word, convention)
-                count = count_solutions_bruteforce(system, q)
+                count = brute_count(system, q, points=q**s * (q - 1) <= 10**5)
                 assert count == count_solutions_dp(word, q, convention), (s, q)
-                if q**s * (q - 1) <= 10**5:
-                    assert count == count_by_points_and_t(system, q), (s, q)
 
 
 def test_bruteforce_matches_point_oracle_on_random_words():
@@ -434,8 +529,7 @@ def test_bruteforce_matches_point_oracle_on_random_words():
             system = augmentation_equations(word, convention)
             for q in (2, 3, 5):
                 if q**s <= 2 * 10**4:
-                    expected = count_by_points_and_t(system, q)
-                    assert count_solutions_bruteforce(system, q) == expected, (word, q)
+                    brute_count(system, q)
 
 
 def _hand_built(word: BraidWord, texts: list[str]) -> AugmentationSystem:
@@ -454,17 +548,16 @@ def test_bruteforce_rejects_t_outside_the_lone_first_term():
         ["z1", "t", "0", "0"],
         ["z1", "0", "0", "0"],  # no t at all
     ):
-        with pytest.raises(AugmentError):
-            count_solutions_bruteforce(_hand_built(word, texts), 5)
+        system = _hand_built(word, texts)
+        assert raised(count_solutions_bruteforce, system, 5) == raised(count_by_prefixes, system, 5)
 
 
 def test_bruteforce_enforces_the_sign_law():
     # n = 1, s = 0: t = 1, but the sign law asks for t = (-1)^1 = 4 at q = 5.
     system = _hand_built(BraidWord(1, ()), ["t - 1"])
-    with pytest.raises(AugmentError, match="violates"):
-        count_solutions_bruteforce(system, 5)
-    with pytest.raises(AugmentError, match="violates"):
-        count_by_points_and_t(system, 5)
+    message = raised(count_solutions_bruteforce, system, 5)
+    assert "violates" in message
+    assert message == raised(count_by_prefixes, system, 5) == raised(count_by_points_and_t, system, 5)
 
 
 def test_bruteforce_with_last_variable_left_free():
@@ -479,14 +572,47 @@ def test_bruteforce_with_last_variable_left_free():
         (["-t - 1", "0", "0", "0"], 7, 7),
         (["t + 1 + z1", "z1", "0", "0"], 3, 1),
     ):
-        system = _hand_built(word, texts)
-        assert count_solutions_bruteforce(system, q) == expected == count_by_points_and_t(
-            system, q
-        ), (texts, q)
-    system = _hand_built(word, ["t + z1", "0", "0", "0"])
-    for q in (3, 5):
-        with pytest.raises(AugmentError, match="violates"):
-            count_solutions_bruteforce(system, q)
+        assert brute_count(_hand_built(word, texts), q) == expected, (texts, q)
+    # t = 1 breaks the sign law for s = 1, and t = -1 for s = 2.
+    for system in (
+        _hand_built(word, ["t + z1", "0", "0", "0"]),
+        _hand_built(BraidWord(2, (1, 1)), ["t + z2", "0", "0", "0"]),
+    ):
+        for q in (3, 5):
+            message = raised(count_solutions_bruteforce, system, q)
+            assert "violates" in message
+            assert message == raised(count_by_prefixes, system, q)
+
+
+def test_bruteforce_with_negative_and_large_coefficients():
+    # n = 2, s = 2: the sign law asks for t = 1.  The (1,1) equation is
+    # t - 1 plus a multiple of another equation, so every solution obeys it.
+    big = 2**64 + 13
+    word = BraidWord(2, (1, 1))
+    systems = [
+        _hand_built(
+            word,
+            [f"t - 1 - {3 * big}*z1*z2 + {2 * big}*z2 - {5 * big}", "-3*z1*z2 + 2*z2 - 5", "0", "0"],
+        ),
+        _hand_built(word, [f"t - 1 + {big}*z1 - {big}*z1*z2", "-z1 + z1*z2", "-7*z2 + 7", "0"]),
+    ]
+    counts = {}
+    for index, system in enumerate(systems):
+        for q in (2, 3, 5, 7, 11, 13):
+            counts[index, q] = brute_count(system, q)
+    # At q = 5 the first system leaves z2 free at z1 = 4; at q = 7 the
+    # second one does at z1 = 0.
+    assert counts[0, 5] == 4 + 5 and counts[1, 7] == 6 + 7
+
+
+def test_bruteforce_kernel_compiles_at_the_term_budget():
+    # sigma_1^19 on two strands holds 17711 terms, the most TERM_BUDGET
+    # admits there.  Its sums are emitted in nested groups: one flat sum of
+    # this many terms exceeds the compiler's recursion limit.
+    system = augmentation_equations(BraidWord(2, (1,) * 19))
+    assert sum(len(p.terms) for p in system.equations) == 17711 + 2
+    t_coeff, _, entry, constraints = _compile_system(system)
+    assert callable(_bruteforce_kernel(t_coeff, entry, constraints, 19))
 
 
 # -- the Bruhat-cell count of twisted knots ---------------------------------------

@@ -4,7 +4,10 @@ import io
 import json
 import contextlib
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import time
 
@@ -16,6 +19,8 @@ from singlink.cluster import DynkinType, exchange_matrix_from_json, initial_matr
 from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
 from singlink.links import braid_from_text
 from singlink.sheafmoduli import THETA_METHODS, theta_ring
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv, stdin: str = "") -> tuple[int, str, str]:
@@ -179,6 +184,22 @@ def test_quiver_from_divide_file(tmp_path):
     code, out, _ = run_cli("quiver", "--divide", str(path))
     data = json.loads(out)
     assert data == {"crossings": 1, "regions": 1, "arrows": [[0, 1]]}
+
+
+def test_matrix_file_is_closed(tmp_path):
+    # -X dev reports a file left for the garbage collector to close.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(initial_matrix(DynkinType("A", 2)).to_json_dict()))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "singlink.cli", "classify", "--matrix", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"type": "A2", "seeds": 5}
+    assert "ResourceWarning" not in done.stderr
 
 
 def test_mutate_roundtrip_and_involution():
@@ -420,12 +441,12 @@ def test_pipeline_equation_files(tmp_path):
     assert len(paths) == 2  # augmentation system and chain system
     from singlink.augment import augmentation_ring
 
-    aug_data = json.loads(open(paths[0]).read())
+    aug_data = json.loads(pathlib.Path(paths[0]).read_text())
     assert len(aug_data["equations"]) == 4
     ring = augmentation_ring(5)
     for text in aug_data["equations"]:
         parse_polynomial(text, ring)
-    theta_data = json.loads(open(paths[1]).read())
+    theta_data = json.loads(pathlib.Path(paths[1]).read_text())
     assert theta_data["n"] == 2
 
 
@@ -452,6 +473,11 @@ _puiseux_text = st.lists(
     st.sampled_from(["3,2", "5,2", "7,2", "10,3", "2,3", "1,1", "0,2", "3", "2,3,1", "a,b"]),
     max_size=3,
 ).map(" ".join)
+
+
+_long_torus = st.tuples(st.integers(2, 9), st.integers(2, 12)).map(
+    lambda ab: ["--torus", str(ab[0]), str(ab[1])]
+)
 
 
 def _braid_forms(puiseux: bool) -> list:
@@ -546,19 +572,30 @@ def _argv(draw, command: str) -> list[str]:
         argv = ["link", *draw(_braid_inputs(puiseux=True))]
         return argv + (["--pipeline"] if draw(st.booleans()) else [])
     # The slowest aug inputs here take about 1 s: the F_2 DP on four
-    # strands, which holds 2^16 states.
-    argv = ["aug", *draw(_braid_inputs(puiseux=False))]
+    # strands, which holds 2^16 states.  Torus words up to T(9, 12) end at
+    # the term budget (exit 3) in well under a second.
+    braid = st.one_of(_braid_inputs(puiseux=False), _long_torus)
     method = _flag(draw, "--method", _choice(_CHOICES["aug"]["--method"]))
     q = st.integers(-3, 13)
+    # Always bounded: at most 10^6 work units of brute force.
+    budget = st.integers(-1, 10**6)
     if method == ["--method", "dp"]:
         # Large primes reach the Bruhat-cell count of twisted knots and the
         # coset DP's state budget for every other word.
         q = st.one_of(q, st.sampled_from([101, 10007, 1000000007]))
-    argv += _flag(draw, "--count-fq", q) + method
+    if method in ([], ["--method", "brute"]):
+        # The brute force, the default, often on small ADE links at a prime
+        # and the largest budget, so that its generated kernel runs.
+        small = st.sampled_from(["A1", "A2", "A3", "A4", "D4", "E6"])
+        braid = st.one_of(small.map(lambda label: ["--ade", label]), braid)
+        count = ["--count-fq", str(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))]
+        budget = st.one_of(st.just(10**6), budget)
+    else:
+        count = _flag(draw, "--count-fq", q)
+    argv = ["aug", *draw(braid), *count, *method]
     argv += _flag(draw, "--t-convention", _choice(T_CONVENTIONS))
     argv += ["--no-full-twist"] if draw(st.booleans()) else []
-    # Always bounded: the default budget admits about 10 s of brute force.
-    return argv + ["--budget", str(draw(st.integers(-1, 10**6)))]
+    return argv + ["--budget", str(draw(budget))]
 
 
 @given(_cli_args())
