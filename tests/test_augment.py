@@ -13,7 +13,6 @@ from singlink.augment import (
     AugmentationSystem,
     AugmentError,
     BudgetExceededError,
-    BRUTE_FORCE_BUDGET,
     _bruteforce_kernel,
     _compile_system,
     _compile_terms,
@@ -484,23 +483,8 @@ def test_bruteforce_matches_point_oracle_on_ade_links(label, q):
     brute_count(system, q)
 
 
-def _within_brute_budget(label: str, q: int) -> bool:
-    system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label(label))))
-    terms = sum(len(p.terms) for p in system.equations)
-    return q ** (len(system.word) - 1) * terms <= BRUTE_FORCE_BUDGET
-
-
-# The cases within the brute-force budget that the point oracle leaves out:
-# D4 and D5 at q = 3.
-@pytest.mark.parametrize(
-    "label,q",
-    [
-        (label, 3)
-        for label in ADE_LABELS
-        if 3 ** len(append_full_twist(ade_braid(parse_ade_label(label)))) > 2 * 10**5
-        and _within_brute_budget(label, 3)
-    ],
-)
+# The cases within the brute-force budget that the point oracle leaves out.
+@pytest.mark.parametrize("label,q", [("D4", 3), ("D5", 3)])
 def test_bruteforce_matches_prefix_loop_on_ade_links(label, q):
     system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label(label))))
     brute_count(system, q, points=False)

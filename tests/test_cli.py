@@ -583,14 +583,17 @@ def _argv(draw, command: str) -> list[str]:
         # Large primes reach the Bruhat-cell count of twisted knots and the
         # coset DP's state budget for every other word.
         q = st.one_of(q, st.sampled_from([101, 10007, 1000000007]))
+    count = None
     if method in ([], ["--method", "brute"]):
         # The brute force, the default, often on small ADE links at a prime
-        # and the largest budget, so that its generated kernel runs.
+        # and the largest budget, so that its generated kernel runs; the
+        # other half of its counts are absent, invalid or prime as below.
         small = st.sampled_from(["A1", "A2", "A3", "A4", "D4", "E6"])
         braid = st.one_of(small.map(lambda label: ["--ade", label]), braid)
-        count = ["--count-fq", str(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))]
+        if draw(st.booleans()):
+            count = ["--count-fq", str(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))]
         budget = st.one_of(st.just(10**6), budget)
-    else:
+    if count is None:
         count = _flag(draw, "--count-fq", q)
     argv = ["aug", *draw(braid), *count, *method]
     argv += _flag(draw, "--t-convention", _choice(T_CONVENTIONS))
