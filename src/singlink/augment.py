@@ -118,15 +118,36 @@ class AugmentationSystem:
         return self.equations[(i - 1) * self.strands + (j - 1)]
 
 
+def check_strand_budget(strands: int) -> None:
+    """Reject n^2 equations over ``TERM_BUDGET``, before the full twist adds n(n-1) letters."""
+    if strands * strands > TERM_BUDGET:
+        raise BudgetExceededError(
+            f"{strands} strands give n^2 = {strands * strands} equations, "
+            f"over the term budget {TERM_BUDGET}"
+        )
+
+
 def braid_matrix(ring: RingDescriptor, word: BraidWord) -> PolyMatrix:
     """B(word) = P_{k_1}(z_1) ... P_{k_s}(z_s), left-to-right.
 
     Right multiplication by P_k(z) sends the column pair (c_k, c_{k+1})
-    to (c_{k+1}, c_k + z c_{k+1}), so a letter at most doubles the number
-    of terms.  The count is checked after every letter; above
-    ``TERM_BUDGET`` the product raises :class:`BudgetExceededError`.
+    to (c_{k+1}, c_k + z c_{k+1}).  z is a fresh variable, so the new
+    column holds exactly terms(c_k) + terms(c_{k+1}) terms, and the term
+    count after every letter follows from integers alone.  It is checked
+    before any polynomial is built: above ``TERM_BUDGET`` the product
+    raises :class:`BudgetExceededError`.
     """
     n = word.strands
+    check_strand_budget(n)
+    sizes, terms = [1] * n, n  # terms per column and in all
+    for pos, k in enumerate(word.letters, start=1):
+        sizes[k - 1], sizes[k] = sizes[k], sizes[k - 1] + sizes[k]
+        terms += sizes[k - 1]
+        if terms > TERM_BUDGET:
+            raise BudgetExceededError(
+                f"the braid matrix holds {terms} terms after letter {pos} of "
+                f"{len(word)}, over the term budget {TERM_BUDGET}"
+            )
     one, zero = ring.one(), ring.zero()
     columns = [[one if i == j else zero for i in range(n)] for j in range(n)]
     for pos, k in enumerate(word.letters, start=1):
@@ -134,12 +155,6 @@ def braid_matrix(ring: RingDescriptor, word: BraidWord) -> PolyMatrix:
         left, right = columns[k - 1], columns[k]
         columns[k - 1] = right
         columns[k] = [a + z * b for a, b in zip(left, right)]
-        terms = sum(len(entry.terms) for column in columns for entry in column)
-        if terms > TERM_BUDGET:
-            raise BudgetExceededError(
-                f"the braid matrix holds {terms} terms after letter {pos} of "
-                f"{len(word)}, over the term budget {TERM_BUDGET}"
-            )
     return PolyMatrix(ring, zip(*columns))
 
 
@@ -323,7 +338,7 @@ def count_solutions_bruteforce(
     return _bruteforce_kernel(t_coeff, entry, constraints, s)(q, check_sign_law)
 
 
-def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:
+def count_solutions_dp(word: BraidWord, q: int) -> int:
     """Independent count of the solutions (z, t), without the equations.
 
     A twisted knot, a word beta * Delta^2 (the suffix
@@ -335,8 +350,6 @@ def count_solutions_dp(word: BraidWord, q: int, t_convention: str = "t") -> int:
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
-    if t_convention not in T_CONVENTIONS:
-        raise AugmentError(f"unknown t convention {t_convention!r}")
     twist = half_twist(word.strands).letters * 2
     if (
         len(word) >= len(twist)

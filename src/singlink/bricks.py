@@ -44,9 +44,6 @@ class BrickQuiver:
     def rank(self) -> int:
         return len(self.bricks)
 
-    def undirected_edges(self) -> list[tuple[int, int]]:
-        return [(s, t) for s, t in self.arrows]
-
     def to_dot(self) -> str:
         lines = ["digraph brick_quiver {"]
         for brick in self.bricks:
@@ -61,15 +58,6 @@ class BrickQuiver:
             "bricks": [{"row": b.row, "span": list(b.span)} for b in self.bricks],
             "arrows": [list(a) for a in self.arrows],
         }
-
-
-def brick_quiver_from_json(data: dict) -> BrickQuiver:
-    bricks = tuple(Brick(b["row"], tuple(b["span"])) for b in data["bricks"])
-    arrows = tuple((int(s), int(t)) for s, t in data["arrows"])
-    for s, t in arrows:
-        if not (0 <= s < len(bricks) and 0 <= t < len(bricks)):
-            raise BrickError("arrow endpoint out of range")
-    return BrickQuiver(bricks, arrows)
 
 
 def brick_quiver(braid: BraidWord) -> BrickQuiver:
@@ -116,20 +104,16 @@ def brick_quiver(braid: BraidWord) -> BrickQuiver:
     return BrickQuiver(tuple(bricks), tuple(arrows))
 
 
-def brick_count(braid: BraidWord) -> int:
-    """|beta| minus the number of distinct generators appearing in beta."""
-    return len(braid.letters) - len(set(braid.letters))
-
-
 def to_exchange_matrix(quiver: BrickQuiver):
     """Skew-symmetric exchange matrix b_ij = #arrows(i->j) - #arrows(j->i).
 
     Reads only ``rank`` and ``arrows``, so it serves A'Campo quivers of
     divides as well.
     """
-    from .cluster import ExchangeMatrix
+    from .cluster import ExchangeMatrix, check_rank
 
     n = quiver.rank
+    check_rank(n)
     entries = [[0] * n for _ in range(n)]
     for s, t in quiver.arrows:
         entries[s][t] += 1

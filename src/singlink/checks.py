@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from . import augment, bricks, cluster, dividecatalog, divides, links, sheafmoduli
 from .graphs import dynkin_tree_edges, graphs_isomorphic
 
-ADE_LABELS = tuple(
-    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8"]
-)
+RANDOM_SEED = 20_240_817  # of the randomized instances of every check
 
 SEED_COUNT_TARGETS = {
     "A1": 2, "A2": 5, "A3": 14, "A4": 42, "A5": 132,
@@ -30,6 +28,9 @@ SEED_COUNT_TARGETS = {
     "E6": 833,
 }
 DEEP_SEED_COUNT_TARGETS = {"E7": 4160, "E8": 25080}
+SEED_COUNT_CAP = 30_000
+THETA_POLYNOMIALITY_NS = (2, 3, 4)
+UNKNOT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 WORKED_EXAMPLE_BRAID = links.BraidWord(
     4, (2, 1, 3, 2, 1, 3, 2, 1, 3, 1, 2, 3, 1, 2, 3, 1, 2, 1, 3)
@@ -72,11 +73,6 @@ def _timed(func):
     return wrapper
 
 
-def _dynkin_tree_for(label: links.ADELabel):
-    family = "A" if (label.family, label.rank) == ("D", 3) else label.family
-    return dynkin_tree_edges(family, label.rank)
-
-
 @_timed
 def check_cable_pair_regressions() -> CheckResult:
     cases = [
@@ -94,21 +90,21 @@ def check_cable_pair_regressions() -> CheckResult:
 @_timed
 def check_ade_quiver_shapes() -> CheckResult:
     failures = []
-    for text in ADE_LABELS:
+    for text in dividecatalog.CATALOG_LABELS:
         label = links.parse_ade_label(text)
         quiver = bricks.brick_quiver(links.ade_braid(label))
         ok = quiver.rank == label.rank and graphs_isomorphic(
             quiver.rank,
-            quiver.undirected_edges(),
+            quiver.arrows,
             label.rank,
-            _dynkin_tree_for(label),
+            dynkin_tree_edges(label.family, label.rank),
         )
         if not ok:
             failures.append(text)
     return CheckResult(
         "ade_quiver_shapes",
         not failures,
-        {"labels": list(ADE_LABELS), "failures": failures},
+        {"labels": list(dividecatalog.CATALOG_LABELS), "failures": failures},
     )
 
 
@@ -129,9 +125,9 @@ def check_divide_cross_check(overrides: dict | None = None) -> CheckResult:
         brick = bricks.brick_quiver(links.ade_braid(label))
         iso = quiver.rank == brick.rank and graphs_isomorphic(
             quiver.rank,
-            quiver.undirected_edges(),
+            quiver.arrows,
             brick.rank,
-            brick.undirected_edges(),
+            brick.arrows,
         )
         rows.append(
             {
@@ -150,7 +146,7 @@ def check_divide_cross_check(overrides: dict | None = None) -> CheckResult:
 
 
 @_timed
-def check_seed_counts(deep: bool = False, cap: int = 30_000) -> CheckResult:
+def check_seed_counts(deep: bool = False) -> CheckResult:
     targets = dict(SEED_COUNT_TARGETS)
     if deep:
         targets.update(DEEP_SEED_COUNT_TARGETS)
@@ -158,7 +154,7 @@ def check_seed_counts(deep: bool = False, cap: int = 30_000) -> CheckResult:
     for text in sorted(targets):
         dynkin = cluster.parse_dynkin_type(text)
         expected = cluster.expected_seed_count(dynkin)
-        enumerated = len(cluster.enumerate_seeds(cluster.initial_matrix(dynkin), cap=cap))
+        enumerated = len(cluster.enumerate_seeds(cluster.initial_matrix(dynkin), cap=SEED_COUNT_CAP))
         rows.append(
             {
                 "type": text,
@@ -172,10 +168,8 @@ def check_seed_counts(deep: bool = False, cap: int = 30_000) -> CheckResult:
 
 
 @_timed
-def check_mutation_properties(
-    instances: int = 10_000, walks: int = 1_000, seed: int = 20_240_817
-) -> CheckResult:
-    rng = random.Random(seed)
+def check_mutation_properties(instances: int = 10_000, walks: int = 1_000) -> CheckResult:
+    rng = random.Random(RANDOM_SEED)
     involution_ok = equivariance_ok = True
     for _ in range(instances):
         n = rng.randint(2, 6)
@@ -246,8 +240,8 @@ def check_worked_example() -> CheckResult:
 
 
 @_timed
-def check_augmentation_oracles(words: int = 50, seed: int = 20_240_817) -> CheckResult:
-    rng = random.Random(seed)
+def check_augmentation_oracles(words: int = 50) -> CheckResult:
+    rng = random.Random(RANDOM_SEED)
     mismatches = []
     det_failures = []
     for index in range(words):
@@ -298,9 +292,9 @@ def check_theta_equivalence() -> CheckResult:
 
 
 @_timed
-def check_theta_polynomiality(ns: tuple[int, ...] = (2, 3, 4)) -> CheckResult:
+def check_theta_polynomiality() -> CheckResult:
     rows = []
-    for n in ns:
+    for n in THETA_POLYNOMIALITY_NS:
         report = sheafmoduli.check_point_count_polynomiality(n)
         rows.append(
             {
@@ -319,12 +313,12 @@ def check_theta_polynomiality(ns: tuple[int, ...] = (2, 3, 4)) -> CheckResult:
 
 
 @_timed
-def check_unknot_augmentation(primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)) -> CheckResult:
+def check_unknot_augmentation() -> CheckResult:
     word = links.BraidWord(1, ())
     system = augment.augmentation_equations(word)
-    counts = {q: augment.count_solutions_bruteforce(system, q) for q in primes}
-    dp_counts = {q: augment.count_solutions_dp(word, q) for q in primes}
-    passed = all(counts[q] == 1 == dp_counts[q] for q in primes)
+    counts = {q: augment.count_solutions_bruteforce(system, q) for q in UNKNOT_PRIMES}
+    dp_counts = {q: augment.count_solutions_dp(word, q) for q in UNKNOT_PRIMES}
+    passed = all(counts[q] == 1 == dp_counts[q] for q in UNKNOT_PRIMES)
     return CheckResult(
         "unknot_augmentation", passed, {"brute": counts, "dp": dp_counts}
     )

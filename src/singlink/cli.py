@@ -16,6 +16,9 @@ import sys
 # this module and building its parser) loads no other singlink module.
 
 
+PIPELINE_ENUMERATE_CAP = 2000  # seeds the pipeline enumerates at most
+
+
 class UsageError(ValueError):
     pass
 
@@ -98,7 +101,6 @@ def build_pipeline_report(
     descriptor: str,
     braid: links.BraidWord,
     ade_label: links.ADELabel | None = None,
-    enumerate_cap: int = 2000,
     equations_dir: str | None = None,
 ) -> dict:
     """Full report for one link input: braid data through seed counts.
@@ -134,8 +136,8 @@ def build_pipeline_report(
         return report
     expected = cluster.expected_seed_count(dynkin)
     report["classification"] = {"type": str(dynkin), "finite": True, "seeds": expected}
-    if expected <= enumerate_cap:
-        enumerated = len(cluster.enumerate_seeds(matrix, cap=enumerate_cap))
+    if expected <= PIPELINE_ENUMERATE_CAP:
+        enumerated = len(cluster.enumerate_seeds(matrix, cap=PIPELINE_ENUMERATE_CAP))
         report["seed_count"] = {"enumerated": enumerated, "expected": expected}
         if enumerated != expected:
             raise cluster.ClusterError(
@@ -160,6 +162,7 @@ def _write_equation_files(
     os.makedirs(directory, exist_ok=True)
     stem = descriptor.replace(":", "_").replace(",", "-").replace(" ", "_")
     paths = []
+    augment.check_strand_budget(braid.strands)
     word = links.append_full_twist(braid)
     system = augment.augmentation_equations(word)
     aug_path = os.path.join(directory, f"{stem}.aug.json")
@@ -304,13 +307,14 @@ def cmd_aug(args) -> int:
     from . import augment, links
 
     _, braid, _ = _braid_from_args(args)
+    augment.check_strand_budget(braid.strands)
     word = links.append_full_twist(braid) if args.full_twist else braid
     system = augment.augmentation_equations(word, t_convention=args.t_convention)
     payload = augment.system_to_json_dict(system)
     if args.count_fq is not None:
         q = args.count_fq
         if args.method == "dp":
-            count = augment.count_solutions_dp(word, q, t_convention=args.t_convention)
+            count = augment.count_solutions_dp(word, q)
         else:
             budget = augment.BRUTE_FORCE_BUDGET if args.budget is None else args.budget
             count = augment.count_solutions_bruteforce(system, q, budget=budget)

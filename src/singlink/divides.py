@@ -100,19 +100,34 @@ class Divide:
             "boundary_order": [list(p) for p in self.boundary_order],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+def _is_pairs(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in value
+    )
 
 
 def divide_from_json(data: dict | str) -> Divide:
+    """The divide of JSON text, or of its parsed value, in the shape of
+    :meth:`Divide.to_json_dict`; any other shape raises :class:`DivideError`."""
     if isinstance(data, str):
         data = json.loads(data)
-    strands = tuple(
-        Strand(bool(s["closed"]), tuple(tuple(p) for p in s["passages"]))
-        for s in data["strands"]
-    )
-    boundary = tuple(tuple(p) for p in data["boundary_order"])
-    return Divide(int(data["crossings"]), strands, boundary)
+    strands = data.get("strands") if isinstance(data, dict) else None
+    if not (
+        isinstance(strands, list)
+        and type(data.get("crossings")) is int
+        and _is_pairs(data.get("boundary_order"))
+        and all(
+            isinstance(s, dict) and type(s.get("closed")) is bool and _is_pairs(s.get("passages"))
+            for s in strands
+        )
+    ):
+        raise DivideError(
+            'divide JSON must be {"crossings": int, "boundary_order": [[strand, end], ..],'
+            ' "strands": [{"closed": bool, "passages": [[crossing, slot], ..]}, ..]}'
+        )
+    strands = tuple(Strand(s["closed"], s["passages"]) for s in strands)
+    return Divide(data["crossings"], strands, data["boundary_order"])
 
 
 @dataclass(frozen=True)
@@ -135,10 +150,6 @@ class DivideFaces:
     @property
     def bounded_faces(self) -> tuple[Face, ...]:
         return tuple(f for f in self.faces if f.bounded)
-
-    @property
-    def unbounded_face(self) -> Face:
-        return next(f for f in self.faces if not f.bounded)
 
 
 def _build_map(divide: Divide):
@@ -338,9 +349,6 @@ class AcampoQuiver:
             return f"p{v}"
         return f"q{v - self.crossings}"
 
-    def undirected_edges(self) -> list[tuple[int, int]]:
-        return [(s, t) for s, t in self.arrows]
-
     def to_dot(self) -> str:
         lines = ["digraph acampo_quiver {"]
         for v in range(self.rank):
@@ -356,18 +364,6 @@ class AcampoQuiver:
             "regions": self.regions,
             "arrows": [list(a) for a in self.arrows],
         }
-
-
-def acampo_quiver_from_json(data: dict) -> AcampoQuiver:
-    quiver = AcampoQuiver(
-        crossings=int(data["crossings"]),
-        regions=int(data["regions"]),
-        arrows=tuple((int(s), int(t)) for s, t in data["arrows"]),
-    )
-    for s, t in quiver.arrows:
-        if not (0 <= s < quiver.crossings and quiver.crossings <= t < quiver.rank):
-            raise DivideError("arrow endpoints must run crossing -> region")
-    return quiver
 
 
 def acampo_quiver(divide: Divide) -> AcampoQuiver:

@@ -219,23 +219,11 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def constant_value(self):
-        """Coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * self.ring.nvars, 0)
-
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         if not self.terms:
             raise ExactMathError("zero polynomial has no leading term")
         exp = min(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
-
-    def variables_used(self) -> set[str]:
-        used = set()
-        for exp in self.terms:
-            for name, e in zip(self.ring.variables, exp):
-                if e != 0:
-                    used.add(name)
-        return used
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -294,8 +282,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        if len(self.terms) * len(other.terms) > 4096 and self.ring.nvars > 1:
-            return _mul_packed(self, other)
         add = operator.add
         out: dict[tuple[int, ...], int] = {}
         get = out.get
@@ -414,11 +400,6 @@ class Polynomial:
         return self.to_text()
 
 
-def _exp_box(terms) -> tuple[list[int], list[int]]:
-    columns = list(zip(*terms))
-    return list(map(min, columns)), list(map(max, columns))
-
-
 def _pack(terms, low, weights) -> list[int]:
     """Each exponent vector e of ``terms`` as the integer sum_i (e_i - low_i) * weights[i]."""
     mul = operator.mul
@@ -428,45 +409,6 @@ def _pack(terms, low, weights) -> list[int]:
 
 def _unpack(key: int, shifts, masks):
     return map(operator.and_, map(operator.rshift, repeat(key), shifts), masks)
-
-
-def _mul_packed(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Large-product fast path: exponent vectors packed into single integers.
-
-    Field widths are sized per multiplication from the operands' exponent
-    boxes, so packed addition can never carry between fields; the result
-    is exactly the schoolbook product.
-    """
-    sub = operator.sub
-    alo, ahi = _exp_box(a.terms)
-    blo, bhi = _exp_box(b.terms)
-    shifts, masks = [], []
-    shift = 0
-    for span in map(operator.add, map(sub, ahi, alo), map(sub, bhi, blo)):
-        width = max(span.bit_length(), 1)
-        shifts.append(shift)
-        masks.append((1 << width) - 1)
-        shift += width
-
-    weights = [1 << s for s in shifts]
-    packed_b = list(zip(_pack(b.terms, blo, weights), b.terms.values()))
-    out: dict[int, int] = {}
-    get = out.get
-    for k1, c1 in zip(_pack(a.terms, alo, weights), a.terms.values()):
-        for k2, c2 in packed_b:
-            key = k1 + k2
-            s = get(key, 0) + c1 * c2
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-    base = list(map(operator.add, alo, blo))
-    result = {
-        tuple(map(operator.add, _unpack(key, shifts, masks), base)): coeff
-        for key, coeff in out.items()
-    }
-    return _fast_poly(a.ring, result)
 
 
 # -- exact division -------------------------------------------------------
@@ -727,11 +669,6 @@ class PolyMatrix:
         self.rows = len(grid)
         self.cols = ncols
         self.entries = grid
-
-    @classmethod
-    def identity(cls, ring: RingDescriptor, n: int) -> "PolyMatrix":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> Polynomial:
         i, j = key

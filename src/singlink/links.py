@@ -8,7 +8,6 @@ closure, all strands coherently oriented).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -260,7 +259,3 @@ def braid_invariants(braid: BraidWord) -> LinkInvariants:
         tb=len(braid.letters) - braid.strands,
         milnor_number=b1,
     )
-
-
-def torus_components(a: int, b: int) -> int:
-    return math.gcd(a, b)

@@ -240,15 +240,16 @@ def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[Fracti
     return coeffs
 
 
-def check_point_count_polynomiality(
-    n: int, primes: tuple[int, ...] = (2, 3, 5, 7, 11)
-) -> dict:
-    """Fit counts over the first deg+1 primes and verify on the rest.
+POLYNOMIALITY_PRIMES = (2, 3, 5, 7, 11)
+
+
+def check_point_count_polynomiality(n: int) -> dict:
+    """Fit counts over the first deg+1 of ``POLYNOMIALITY_PRIMES``; verify on the rest.
 
     The interpolation degree is n (the dimension of the chain system);
     returns the counts, integer coefficients, and verification outcome.
     """
-    counts = [(q, count_theta_points_chain(n, q)) for q in primes]
+    counts = [(q, count_theta_points_chain(n, q)) for q in POLYNOMIALITY_PRIMES]
     need = n + 1
     if len(counts) < need:
         raise ThetaError(f"need at least {need} primes to interpolate degree {n}")

@@ -12,9 +12,7 @@ import time
 
 import pytest
 
-from singlink import augment, bricks, checks, cluster, dividecatalog, divides, links
-from singlink.exactmath import parse_polynomial
-from singlink.graphs import dynkin_tree_edges, graphs_isomorphic
+from singlink import checks, cluster, divides
 
 
 def report(number: int, passed: bool, started: float, detail: str = "") -> None:
@@ -25,69 +23,30 @@ def report(number: int, passed: bool, started: float, detail: str = "") -> None:
 
 def test_criterion_1_cable_pair_regressions():
     started = time.perf_counter()
-    first = links.cable_pairs_from_puiseux(links.PuiseuxPairs(((3, 2), (7, 2)))).pairs
-    second = links.cable_pairs_from_puiseux(links.PuiseuxPairs(((3, 2), (10, 3)))).pairs
-    ok = first == ((2, 3), (2, 13)) and second == ((2, 3), (3, 19))
-    report(1, ok, started, f"{first} {second}")
-    assert ok
+    result = checks.check_cable_pair_regressions()
+    report(1, result.passed, started, str(result.details["cases"]))
+    assert result.passed
 
 
 def test_criterion_2_ade_brick_quiver_shapes():
     started = time.perf_counter()
-    failures = []
-    for text in checks.ADE_LABELS:
-        label = links.parse_ade_label(text)
-        quiver = bricks.brick_quiver(links.ade_braid(label))
-        family = "A" if (label.family, label.rank) == ("D", 3) else label.family
-        if not graphs_isomorphic(
-            quiver.rank,
-            quiver.undirected_edges(),
-            label.rank,
-            dynkin_tree_edges(family, label.rank),
-        ):
-            failures.append(text)
-    report(2, not failures, started, f"{len(checks.ADE_LABELS)} labels")
-    assert not failures
+    result = checks.check_ade_quiver_shapes()
+    report(2, result.passed, started, f"{len(result.details['labels'])} labels")
+    assert result.passed
 
 
 def test_criterion_3_divide_cross_check():
     started = time.perf_counter()
-    expected_mu = {"A2": 2, "A3": 3, "D4": 4, "E7": 7}
-    ok = True
-    for text, mu in expected_mu.items():
-        divide = dividecatalog.divide_catalog(text)
-        if divides.milnor_number(divide) != mu:
-            ok = False
-        quiver = divides.acampo_quiver(divide)
-        brick = bricks.brick_quiver(links.ade_braid(text))
-        if not graphs_isomorphic(
-            quiver.rank, quiver.undirected_edges(), brick.rank, brick.undirected_edges()
-        ):
-            ok = False
-    report(3, ok, started, "A2 A3 D4 E7")
-    assert ok
-
-
-SEED_TARGETS = [
-    ("A1", 2), ("A2", 5), ("A3", 14), ("A4", 42), ("A5", 132),
-    ("D4", 50), ("D5", 182),
-    ("B2", 6), ("B3", 20), ("C3", 20), ("G2", 8), ("F4", 105),
-    ("E6", 833),
-]
+    result = checks.check_divide_cross_check()
+    report(3, result.passed, started, f"{len(result.details['labels'])} catalog labels")
+    assert result.passed
 
 
 def test_criterion_4_seed_counts():
     started = time.perf_counter()
-    ok = True
-    for text, target in SEED_TARGETS:
-        dynkin = cluster.parse_dynkin_type(text)
-        matrix = cluster.initial_matrix(dynkin)
-        enumerated = len(cluster.enumerate_seeds(matrix, cap=2000))
-        formula = cluster.expected_seed_count(dynkin)
-        if not enumerated == formula == target:
-            ok = False
-    report(4, ok, started, f"{len(SEED_TARGETS)} types through E6")
-    assert ok
+    result = checks.check_seed_counts()
+    report(4, result.passed, started, f"{len(result.details['types'])} types through E6")
+    assert result.passed
 
 
 @pytest.mark.deep
@@ -95,7 +54,8 @@ def test_criterion_4_seed_counts():
 def test_criterion_4_deep_seed_counts(text, target):
     started = time.perf_counter()
     dynkin = cluster.parse_dynkin_type(text)
-    enumerated = len(cluster.enumerate_seeds(cluster.initial_matrix(dynkin), cap=30000))
+    matrix = cluster.initial_matrix(dynkin)
+    enumerated = len(cluster.enumerate_seeds(matrix, cap=checks.SEED_COUNT_CAP))
     ok = enumerated == target == cluster.expected_seed_count(dynkin)
     report(4, ok, started, f"deep {text}: {enumerated}")
     assert ok
@@ -110,16 +70,9 @@ def test_criterion_5_mutation_properties():
 
 def test_criterion_6_worked_example_structure():
     started = time.perf_counter()
-    word = links.append_full_twist(checks.WORKED_EXAMPLE_BRAID)
-    system = augment.augmentation_equations(word, t_convention="t-inverse")
-    expected = parse_polynomial(checks.WORKED_EXAMPLE_EQ11, system.ring)
-    ok = (
-        len(word) == 31
-        and len(system.equations) == 16
-        and system.equation(1, 1) == expected
-    )
-    report(6, ok, started, "31 z-variables, 16 equations, display equation")
-    assert ok
+    result = checks.check_worked_example()
+    report(6, result.passed, started, str(result.details))
+    assert result.passed
 
 
 def test_criterion_7_augmentation_oracles():

@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlink.augment import (
     DP_STATE_BUDGET,
@@ -296,6 +297,30 @@ def test_dp_matches_brute_on_random_words():
             assert count_solutions_bruteforce(system, q) == count_solutions_dp(word, q)
 
 
+@st.composite
+def counted_words(draw):
+    """(word, q) with the coset DP inside its state budget and at most
+    5000 brute-force prefixes, the full twist appended half the time."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([2, 3] if n == 3 else [2, 3, 5, 7, 11, 13]))
+    twist = n * (n - 1) if draw(st.booleans()) else 0
+    s_max = 1
+    while q**s_max <= 5000:
+        s_max += 1
+    letters = st.integers(1, max(n - 1, 1))
+    size = max(s_max - twist, 0) if n > 1 else 0
+    word = BraidWord(n, tuple(draw(st.lists(letters, max_size=size))))
+    return (append_full_twist(word) if twist else word), q
+
+
+@given(counted_words(), st.sampled_from(T_CONVENTIONS))
+@settings(max_examples=100, deadline=None)
+def test_bruteforce_kernel_matches_dp(case, convention):
+    word, q = case
+    system = augmentation_equations(word, convention)
+    assert count_solutions_bruteforce(system, q) == count_solutions_dp(word, q), (word, q)
+
+
 def test_determinant_identity():
     rng = random.Random(9)
     for _ in range(10):
@@ -418,7 +443,7 @@ def test_worked_example_diagonal_entry_fingerprints():
         eq = system.equation(i, j)
         assert len(eq.terms) == n_terms
         assert all(c == 1 for c in eq.terms.values())
-        assert eq.constant_value() == 1
+        assert eq.terms[(0,) * system.ring.nvars] == 1
 
 
 def test_every_crossing_variable_appears():
@@ -432,11 +457,8 @@ def test_every_crossing_variable_appears():
         words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(s))))
     for word in words:
         system = augmentation_equations(word)
-        used = set()
-        for eq in system.equations:
-            used |= eq.variables_used()
-        expected = {f"z{i}" for i in range(1, len(word) + 1)}
-        assert expected <= used
+        used = {i for eq in system.equations for exp in eq.terms for i, e in enumerate(exp) if e}
+        assert set(range(len(word))) <= used
 
 
 @pytest.mark.parametrize("label", ADE_LABELS)
@@ -451,9 +473,7 @@ def test_coset_dp_matches_full_matrix_dp_on_two_strands_at_every_prime_to_31():
     for q in (p for p in range(2, 32) if is_prime(p)):
         for s in range(5):
             word = BraidWord(2, (1,) * s)
-            expected = count_by_full_matrix_dp(word, q)
-            for convention in T_CONVENTIONS:
-                assert count_solutions_dp(word, q, convention) == expected, (s, q)
+            assert count_solutions_dp(word, q) == count_by_full_matrix_dp(word, q), (s, q)
 
 
 def test_coset_dp_matches_full_matrix_dp_on_random_words():
@@ -463,9 +483,7 @@ def test_coset_dp_matches_full_matrix_dp_on_random_words():
         s = rng.randint(0, 9) if n > 1 else 0
         word = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(s)))
         for q in (2, 3, 5, 7) if n < 3 else (2, 3):
-            expected = count_by_full_matrix_dp(word, q)
-            for convention in T_CONVENTIONS:
-                assert count_solutions_dp(word, q, convention) == expected, (word, q)
+            assert count_solutions_dp(word, q) == count_by_full_matrix_dp(word, q), (word, q)
 
 
 # The (z, t) oracle visits q^s (q - 1) points; A8 at q = 3 takes about 10 s.
@@ -500,7 +518,7 @@ def test_bruteforce_matches_oracles_on_two_strand_powers_at_every_prime_to_13():
             for convention in T_CONVENTIONS if q**s <= 10**5 else ("t",):
                 system = augmentation_equations(word, convention)
                 count = brute_count(system, q, points=q**s * (q - 1) <= 10**5)
-                assert count == count_solutions_dp(word, q, convention), (s, q)
+                assert count == count_solutions_dp(word, q), (s, q)
 
 
 def test_bruteforce_matches_point_oracle_on_random_words():
@@ -628,8 +646,7 @@ def test_twisted_knot_count_matches_cosets_on_ade_knots(label):
     word = append_full_twist(ade_braid(parse_ade_label(label)))
     for q in PRIMES_TO_31:
         if q ** (word.strands**2) <= DP_STATE_BUDGET:
-            for convention in T_CONVENTIONS:
-                assert count_solutions_dp(word, q, convention) == coset_count(word, q), q
+            assert count_solutions_dp(word, q) == coset_count(word, q), q
 
 
 @pytest.mark.parametrize("s", range(1, 16, 2))

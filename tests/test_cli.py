@@ -9,13 +9,21 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 from hypothesis import given, settings, strategies as st
 
 from singlink import cli
 from singlink.augment import T_CONVENTIONS
-from singlink.cluster import DynkinType, exchange_matrix_from_json, initial_matrix, mutate
+from singlink.cluster import (
+    MAX_RANK,
+    DynkinType,
+    exchange_matrix_from_json,
+    initial_matrix,
+    mutate,
+)
+from singlink.dividecatalog import CATALOG_LABELS, divide_catalog
 from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
 from singlink.links import braid_from_text
 from singlink.sheafmoduli import THETA_METHODS, theta_ring
@@ -177,10 +185,8 @@ def test_quiver_from_divide_label():
 
 
 def test_quiver_from_divide_file(tmp_path):
-    from singlink.dividecatalog import divide_catalog
-
     path = tmp_path / "divide.json"
-    path.write_text(divide_catalog("A2").to_json())
+    path.write_text(json.dumps(divide_catalog("A2").to_json_dict()))
     code, out, _ = run_cli("quiver", "--divide", str(path))
     data = json.loads(out)
     assert data == {"crossings": 1, "regions": 1, "arrows": [[0, 1]]}
@@ -251,6 +257,49 @@ def test_malformed_matrix_json_is_a_usage_error():
             assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_malformed_divide_json_is_a_usage_error(tmp_path):
+    path = tmp_path / "divide.json"
+    for text in (
+        "{}",
+        "[1]",
+        '{"crossings": 0, "strands": [{"closed": false}], "boundary_order": [[0, 0], [0, 1]]}',
+        '{"crossings": 0, "strands": [{"passages": []}], "boundary_order": [[0, 0], [0, 1]]}',
+        '{"crossings": "0", "strands": [], "boundary_order": []}',
+        '{"crossings": 0, "strands": 5, "boundary_order": []}',
+        '{"crossings": 0, "strands": [[]], "boundary_order": []}',
+        '{"crossings": 1, "strands": [{"closed": true, "passages": [[0, 1, 2]]}],'
+        ' "boundary_order": []}',
+        '{"crossings": 0, "strands": [{"closed": false, "passages": []}], "boundary_order": [0]}',
+    ):
+        path.write_text(text)
+        code, out, err = run_cli("quiver", "--divide", str(path))
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exchange_matrix_rank_is_bounded():
+    # A rank just above the bound exits 3 before any n x n matrix is built,
+    # from a type, an ADE brick quiver, a pipeline or matrix JSON.
+    over = f"A{MAX_RANK + 1}"
+    path = [[0] * (MAX_RANK + 1) for _ in range(MAX_RANK + 1)]
+    for i in range(MAX_RANK):
+        path[i][i + 1], path[i + 1][i] = 1, -1
+    message = f"budget exceeded: rank {MAX_RANK + 1} exceeds the exchange matrix rank bound"
+    for argv, stdin in (
+        (["classify", "--type", over], ""),
+        (["classify", "--ade", over], ""),
+        (["seeds", "--type", over, "--summary"], ""),
+        (["mutate", "--type", over, "--at", "1"], ""),
+        (["link", "--ade", over, "--pipeline"], ""),
+        (["classify", "--matrix", "-"], json.dumps({"entries": path})),
+    ):
+        code, out, err = run_cli(*argv, stdin=stdin)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(message), argv
+    code, out, _ = run_cli("classify", "--type", f"A{MAX_RANK}")
+    assert code == 0 and json.loads(out)["type"] == f"A{MAX_RANK}"
+
+
 def test_classify_cap_flag_is_gone():
     code, _, err = run_cli("classify", "--type", "E6", "--cap", "10")
     assert code == 2
@@ -297,6 +346,28 @@ def test_aug_symbolic_product_term_budget():
         assert time.perf_counter() - started < 5.0, argv
         assert code == 3 and out == ""
         assert "term budget 20000" in err and "Traceback" not in err
+
+
+def test_aug_term_budget_is_counted_before_the_product():
+    # n strands give n^2 equations and, with the full twist, at least n^2
+    # terms: 142 strands are over the budget before the twist is built.
+    for argv in (
+        ("aug", "--braid", "", "--strands", "142", "--no-full-twist"),
+        ("aug", "--braid", "", "--strands", "142"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "budget exceeded: 142 strands give n^2 = 20164 equations, "
+            "over the term budget 20000\n"
+        )
+    # The term count follows from integers, so a long word stops at once.
+    for argv in (("aug", "--torus", "2", "4000"), ("aug", "--braid", "", "--strands", "141")):
+        started = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - started < 2.0, argv
+        assert (code, out) == (3, ""), argv
+        assert "terms after letter" in err and "term budget 20000" in err
 
 
 def test_seeds_full_dump_parses():
@@ -529,12 +600,47 @@ def _matrix_json(draw) -> str:
     return json.dumps(payload)
 
 
+# Parsed on each draw, so that no two places in a document share a list.
+_JSON_VALUES = st.sampled_from(
+    ["null", "true", "-1", "0", "1", "2", "4", "2.5", '"x"', "[]", "[0]", "[0, 0, 0]", "{}"]
+).map(json.loads)
+
+
+@st.composite
+def _divide_json(draw) -> str:
+    """A catalog divide, often with entries somewhere in it dropped or replaced."""
+    if not draw(st.integers(0, 9)):
+        return json.dumps(draw(_JSON_VALUES))
+    data = divide_catalog(draw(st.sampled_from(CATALOG_LABELS))).to_json_dict()
+    node = data
+    while draw(st.booleans()) and node:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+        elif isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JSON_VALUES)
+    return json.dumps(data)
+
+
+# Stands for the file that test_cli_fuzz_exit_codes writes the text on stdin to.
+DIVIDE_FILE = "<divide file>"
+
+
 @st.composite
 def _cli_args(draw) -> tuple[list[str], str]:
     """An argument vector and the text on stdin."""
-    command = draw(st.sampled_from(["aug", "theta", "link", "classify", "seeds"]))
+    command = draw(
+        st.sampled_from(["aug", "theta", "link", "classify", "seeds", "mutate", "quiver"])
+    )
     if command == "classify":
         return ["classify", "--matrix", "-"], draw(_matrix_json())
+    if command == "mutate":
+        at = [str(k) for k in draw(st.lists(st.integers(-1, 6), min_size=1, max_size=4))]
+        return ["mutate", "--matrix", "-", "--at", *at], draw(_matrix_json())
+    if command == "quiver":
+        return ["quiver", "--divide", DIVIDE_FILE], draw(_divide_json())
     if command == "seeds":
         argv = ["seeds", "--matrix", "-"] + (["--summary"] if draw(st.booleans()) else [])
         return argv + _flag(draw, "--cap", st.integers(1, 2000)), draw(_matrix_json())
@@ -605,8 +711,12 @@ def _argv(draw, command: str) -> list[str]:
 @settings(max_examples=100, deadline=None)
 def test_cli_fuzz_exit_codes(case):
     argv, stdin = case
-    started = time.perf_counter()
-    code, _, err = run_cli(*argv, stdin=stdin)
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "divide.json")
+        path.write_text(stdin)
+        argv = [str(path) if arg == DIVIDE_FILE else arg for arg in argv]
+        started = time.perf_counter()
+        code, _, err = run_cli(*argv, stdin=stdin)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err
     assert time.perf_counter() - started < FUZZ_SECONDS, argv

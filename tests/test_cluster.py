@@ -309,7 +309,7 @@ def test_enumerate_small_types(type_text, count):
     assert len(seeds) == count == expected_seed_count(t)
 
 
-def test_enumerate_cap_overflow():
+def test_enumerate_seeds_cap_overflow():
     markov = M([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     with pytest.raises(BudgetExceededError):
         enumerate_seeds(markov, cap=40)

@@ -155,7 +155,7 @@ def test_tb_equals_b1_minus_one(strands, raw):
 
 
 @given(st.integers(2, 7), st.integers(2, 7))
-def test_torus_components_gcd(a, b):
+def test_torus_link_components_are_the_gcd(a, b):
     assert braid_invariants(torus_braid(a, b)).components == math.gcd(a, b)
 
 
