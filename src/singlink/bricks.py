@@ -31,9 +31,6 @@ class Brick:
         if not a < b:
             raise BrickError(f"brick span {self.span} must be increasing")
 
-    def label(self) -> str:
-        return f"{self.row}:[{self.span[0]},{self.span[1]}]"
-
 
 @dataclass(frozen=True)
 class BrickQuiver:
@@ -44,14 +41,12 @@ class BrickQuiver:
     def rank(self) -> int:
         return len(self.bricks)
 
+    def vertex_label(self, v: int) -> str:
+        brick = self.bricks[v]
+        return f"{brick.row}:[{brick.span[0]},{brick.span[1]}]"
+
     def to_dot(self) -> str:
-        lines = ["digraph brick_quiver {"]
-        for brick in self.bricks:
-            lines.append(f'  "{brick.label()}";')
-        for s, t in self.arrows:
-            lines.append(f'  "{self.bricks[s].label()}" -> "{self.bricks[t].label()}";')
-        lines.append("}")
-        return "\n".join(lines)
+        return quiver_to_dot(self, "brick_quiver")
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,6 +97,14 @@ def brick_quiver(braid: BraidWord) -> BrickQuiver:
                 elif c < a < d < b:
                     arrows.append((index[other], index[brick]))
     return BrickQuiver(tuple(bricks), tuple(arrows))
+
+
+def quiver_to_dot(quiver, name: str) -> str:
+    """Graphviz digraph ``name`` of a brick or A'Campo quiver, by ``vertex_label``."""
+    labels = [quiver.vertex_label(v) for v in range(quiver.rank)]
+    lines = [f"digraph {name} {{", *(f'  "{label}";' for label in labels)]
+    lines += (f'  "{labels[s]}" -> "{labels[t]}";' for s, t in quiver.arrows)
+    return "\n".join([*lines, "}"])
 
 
 def to_exchange_matrix(quiver: BrickQuiver):

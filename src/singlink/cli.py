@@ -207,36 +207,36 @@ def cmd_link(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    if args.divide or args.divide_label:
+    sources = ("ade", "torus", "puiseux", "braid", "divide", "divide_label")
+    if sum(getattr(args, name) is not None for name in sources) != 1:
+        raise UsageError(
+            "choose exactly one of --ade / --torus / --puiseux / --braid"
+            " / --divide / --divide-label"
+        )
+    if args.divide is None and args.divide_label is None:
+        _, braid, _ = _braid_from_args(args)
+        if braid is None:
+            raise UsageError("this input has no catalog braid; supply --braid")
+        from .bricks import brick_quiver
+
+        quiver = brick_quiver(braid)
+        title = f"brick quiver: {quiver.rank} bricks"
+    else:
         from . import dividecatalog, divides
 
-        if args.divide_label:
+        if args.divide_label is not None:
             divide = dividecatalog.divide_catalog(args.divide_label)
         else:
             with open(args.divide) as handle:
                 divide = divides.divide_from_json(handle.read())
         quiver = divides.acampo_quiver(divide)
-        if args.format == "dot":
-            print(quiver.to_dot())
-        elif args.format == "text":
-            print(f"acampo quiver: {quiver.crossings} crossings, {quiver.regions} regions")
-            for s, t in quiver.arrows:
-                print(f"  {quiver.vertex_label(s)} -> {quiver.vertex_label(t)}")
-        else:
-            _emit(quiver.to_json_dict())
-        return 0
-    _, braid, _ = _braid_from_args(args)
-    if braid is None:
-        raise UsageError("this input has no catalog braid; supply --braid")
-    from .bricks import brick_quiver
-
-    quiver = brick_quiver(braid)
+        title = f"acampo quiver: {quiver.crossings} crossings, {quiver.regions} regions"
     if args.format == "dot":
         print(quiver.to_dot())
     elif args.format == "text":
-        print(f"brick quiver: {quiver.rank} bricks")
+        print(title)
         for s, t in quiver.arrows:
-            print(f"  {quiver.bricks[s].label()} -> {quiver.bricks[t].label()}")
+            print(f"  {quiver.vertex_label(s)} -> {quiver.vertex_label(t)}")
     else:
         _emit(quiver.to_json_dict())
     return 0

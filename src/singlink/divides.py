@@ -7,11 +7,15 @@ slot (the exit is the opposite slot), and the counterclockwise order of
 the arc endpoints on the disk boundary.  Opposite slot pairs (0,2) and
 (1,3) belong to the two transversal branches.
 
-Face tracing adds the boundary circle to the map and extracts the orbit
-faces of the rotation system.  Faces meeting the circle are merged into
+Face tracing adds the boundary circle to the map and works on its darts
+(half-edges): alpha pairs the two darts of each edge, sigma sends a dart
+to the next one counterclockwise at its vertex, and the faces are the
+orbits of sigma o alpha.  Faces meeting an arc endpoint are merged into
 the single unbounded region of the plane complement; the remaining faces
-are the bounded regions.  The planarity of the declared rotation system
-is certified by Euler's formula V - E + F = 2.
+are the bounded regions.  Two checks reject data that no plane drawing
+realizes: a map whose darts are not all reachable through sigma and
+alpha is disconnected, so the nesting of its pieces is undetermined, and
+a connected rotation system with V - E + F != 2 has positive genus.
 """
 
 from __future__ import annotations
@@ -152,174 +156,64 @@ class DivideFaces:
         return tuple(f for f in self.faces if f.bounded)
 
 
-def _build_map(divide: Divide):
-    """Vertices, edges and rotations of the divide plus boundary circle.
+def trace_faces(divide: Divide) -> DivideFaces:
+    """All complement regions of the divide: the bounded ones, then the unbounded one.
 
-    Returns (vertex list, edge list, attachment dict) where attachments
-    map (vertex, position) -> dart and positions are listed in
-    counterclockwise rotation order per vertex.
+    Darts are (crossing, slot) at a crossing and (strand, end, k) at an
+    arc endpoint, where k = "a", "t", "b" names the circle-forward,
+    strand and circle-backward darts in counterclockwise order.  Raises
+    :class:`DivideError` when the divide has no arc endpoint, or when its
+    map is disconnected or fails the Euler check (see the module notes).
     """
-    if not divide.boundary_order:
+    bo = divide.boundary_order
+    if not bo:
         raise DivideError(
             "divide has no boundary endpoints; the unbounded region is undetermined"
         )
-    edges: list[tuple[tuple, tuple]] = []  # (attachment, attachment)
+    sigma = {(c, s): (c, (s + 1) % 4) for c in range(divide.crossings) for s in range(4)}
+    for i, e in bo:
+        a, t, b = (i, e, "a"), (i, e, "t"), (i, e, "b")
+        sigma.update({a: t, t: b, b: a})
+    # Consecutive darts (0, 1), (2, 3), ... of ``ends`` are the two ends of one edge.
+    ends = []
+    for i, strand in enumerate(divide.strands):
+        walk = [d for c, s in strand.passages for d in ((c, s), (c, (s + 2) % 4))]
+        ends += walk[1:] + walk[:1] if strand.closed else [(i, 0, "t"), *walk, (i, 1, "t")]
+    for (i, e), (j, f) in zip(bo, bo[1:] + bo[:1]):
+        ends += [(i, e, "a"), (j, f, "b")]
+    alpha = dict(zip(ends[::2], ends[1::2]))
+    alpha.update(zip(ends[1::2], ends[::2]))
 
-    def passage_entry(c, slot):
-        return ("c", c, slot)
-
-    def passage_exit(c, slot):
-        return ("c", c, (slot + 2) % 4)
-
-    for idx, strand in enumerate(divide.strands):
-        ps = strand.passages
-        if strand.closed:
-            for j, (c, slot) in enumerate(ps):
-                nc, nslot = ps[(j + 1) % len(ps)]
-                edges.append((passage_exit(c, slot), passage_entry(nc, nslot)))
-        else:
-            if not ps:
-                edges.append((("e", idx, 0, "t"), ("e", idx, 1, "t")))
-                continue
-            edges.append((("e", idx, 0, "t"), passage_entry(*ps[0])))
-            for (c, slot), (nc, nslot) in zip(ps, ps[1:]):
-                edges.append((passage_exit(c, slot), passage_entry(nc, nslot)))
-            edges.append((passage_exit(*ps[-1]), ("e", idx, 1, "t")))
-
-    bo = divide.boundary_order
-    m = len(bo)
-    for i, (s, e) in enumerate(bo):
-        ns, ne = bo[(i + 1) % m]
-        edges.append((("e", s, e, "a"), ("e", ns, ne, "b")))
-    circle_edges = set(range(len(edges) - m, len(edges)))
-
-    attachments: dict[tuple, tuple[int, int]] = {}
-    for eid, (a, b) in enumerate(edges):
-        for end, att in ((0, a), (1, b)):
-            if att in attachments:
-                raise DivideError(f"attachment {att} used twice")
-            attachments[att] = (eid, end)
-
-    # Rotation orders per vertex, counterclockwise.
-    rotations: dict[tuple, list[tuple]] = {}
-    for c in range(divide.crossings):
-        rotations[("c", c)] = [("c", c, s) for s in range(4)]
-    for s, e in bo:
-        # Circle-forward dart, inward strand dart, circle-backward dart.
-        rotations[("e", s, e)] = [("e", s, e, "a"), ("e", s, e, "t"), ("e", s, e, "b")]
-
-    for vertex, slots in rotations.items():
-        for att in slots:
-            if att not in attachments:
-                raise DivideError(f"half-edge {att} is not attached")
-    return edges, circle_edges, rotations, attachments
-
-
-def trace_faces(divide: Divide) -> DivideFaces:
-    """All complement regions of the divide, bounded ones individually.
-
-    Faces of the rotation system touching the boundary circle belong to
-    the unbounded region of the plane complement and are merged into one
-    face.  Raises when the rotation system is not realizable in the
-    plane (connectivity or the Euler check V - E + F = 2 fails).
-    """
-    edges, circle_edges, rotations, attachments = _build_map(divide)
-
-    # Connectivity over vertices.
-    vertex_ids = {v: i for i, v in enumerate(rotations)}
-    parent = list(range(len(vertex_ids)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(vertex_ids[a[:-1] if a[0] == "e" else a[:2]]), find(
-            vertex_ids[b[:-1] if b[0] == "e" else b[:2]]
-        )
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(i) for i in range(len(vertex_ids))}) != 1:
+    reached, stack = set(), [ends[0]]
+    while stack:
+        d = stack.pop()
+        if d not in reached:
+            reached.add(d)
+            stack += (sigma[d], alpha[d])
+    if len(reached) != len(sigma):
         raise DivideError("divide map is disconnected; nesting is undetermined")
 
-    # sigma: dart -> next dart counterclockwise at its vertex.
-    sigma: dict[tuple[int, int], tuple[int, int]] = {}
-    dart_vertex: dict[tuple[int, int], tuple] = {}
-    dart_att: dict[tuple[int, int], tuple] = {}
-    for vertex, atts in rotations.items():
-        darts = [attachments[att] for att in atts]
-        for i, d in enumerate(darts):
-            sigma[d] = darts[(i + 1) % len(darts)]
-            dart_vertex[d] = vertex
-            dart_att[d] = atts[i]
-
-    def alpha(d):
-        return (d[0], 1 - d[1])
-
-    visited = set()
-    raw_faces = []
-    for start in sigma:
-        if start in visited:
-            continue
-        walk = []
-        corners = []
-        endpoints = []
-        has_circle = False
-        d = start
-        while True:
-            visited.add(d)
-            walk.append(d)
-            if d[0] in circle_edges:
-                has_circle = True
-            rev = alpha(d)
-            vertex = dart_vertex[rev]
-            nxt = sigma[rev]
-            if vertex[0] == "c":
-                corners.append((vertex[1], dart_att[rev][2]))
-            else:
-                endpoints.append((vertex[1], vertex[2]))
-                has_circle = True
-            d = nxt
-            if d == start:
-                break
-        raw_faces.append((tuple(corners), has_circle, tuple(endpoints)))
-
-    n_vertices = len(rotations)
-    n_edges = len(edges)
-    n_faces = len(raw_faces)
-    if n_vertices - n_edges + n_faces != 2:
+    # Each orbit is recorded by its reversed darts alpha(d): a crossing
+    # dart (c, s) there is the corner between slots s and s + 1.
+    orbits = []
+    seen = set()
+    for d in sigma:
+        orbit = []
+        while d not in seen:
+            seen.add(d)
+            orbit.append(alpha[d])
+            d = sigma[alpha[d]]
+        if orbit:
+            orbits.append(orbit)
+    n_vertices, n_edges = divide.crossings + len(bo), len(sigma) // 2
+    if n_vertices - n_edges + len(orbits) != 2:
         raise DivideError(
             "rotation system is not planar: "
-            f"V - E + F = {n_vertices} - {n_edges} + {n_faces} != 2"
+            f"V - E + F = {n_vertices} - {n_edges} + {len(orbits)} != 2"
         )
-
-    bounded = [
-        Face(corners, True)
-        for corners, has_circle, _ in raw_faces
-        if not has_circle
-    ]
-    merged_corners: list[tuple[int, int]] = []
-    merged_endpoints: list[tuple[int, int]] = []
-    for corners, has_circle, endpoints in raw_faces:
-        if has_circle:
-            merged_corners.extend(corners)
-            merged_endpoints.extend(endpoints)
-    seen_endpoints = sorted(set(merged_endpoints))
-    if seen_endpoints != sorted(divide.boundary_order):
-        raise DivideError("unbounded region does not reach every endpoint")
-    unbounded = Face(tuple(merged_corners), False, tuple(seen_endpoints))
-
-    faces = tuple(bounded) + (unbounded,)
-    # Corner conservation: each crossing has exactly four corners overall.
-    tally: dict[int, int] = {}
-    for face in faces:
-        for c, _ in face.corners:
-            tally[c] = tally.get(c, 0) + 1
-    if any(tally.get(c, 0) != 4 for c in range(divide.crossings)):
-        raise DivideError("corner conservation failed")
-    return DivideFaces(faces)
+    bounded = [Face(tuple(o), True) for o in orbits if all(len(d) == 2 for d in o)]
+    outer = [d for o in orbits if any(len(d) == 3 for d in o) for d in o if len(d) == 2]
+    return DivideFaces((*bounded, Face(tuple(outer), False, tuple(sorted(bo)))))
 
 
 def milnor_number(divide: Divide) -> int:
@@ -350,13 +244,9 @@ class AcampoQuiver:
         return f"q{v - self.crossings}"
 
     def to_dot(self) -> str:
-        lines = ["digraph acampo_quiver {"]
-        for v in range(self.rank):
-            lines.append(f'  "{self.vertex_label(v)}";')
-        for s, t in self.arrows:
-            lines.append(f'  "{self.vertex_label(s)}" -> "{self.vertex_label(t)}";')
-        lines.append("}")
-        return "\n".join(lines)
+        from .bricks import quiver_to_dot
+
+        return quiver_to_dot(self, "acampo_quiver")
 
     def to_json_dict(self) -> dict:
         return {

@@ -52,22 +52,12 @@ def graphs_isomorphic(n1: int, edges1, n2: int, edges2) -> bool:
             return True
         u = order[pos]
         for v in range(n2):
-            if used[v] or signature(adj1, u) != signature(adj2, v):
-                continue
-            ok = True
-            for w, c in adj1[u].items():
-                if w in mapping and adj2[v][mapping[w]] != c:
-                    ok = False
-                    break
-            if ok:
-                # Mapped neighbors of v must be matched by mapped neighbors of u.
-                for w2, c2 in adj2[v].items():
-                    if w2 in mapping.values():
-                        back = next(k for k, x in mapping.items() if x == w2)
-                        if adj1[u][back] != c2:
-                            ok = False
-                            break
-            if not ok:
+            # A Counter reads 0 for a missing key, so absent edges match too.
+            if (
+                used[v]
+                or signature(adj1, u) != signature(adj2, v)
+                or not all(adj1[u][w] == adj2[v][x] for w, x in mapping.items())
+            ):
                 continue
             mapping[u] = v
             used[v] = True

@@ -16,6 +16,23 @@ class LinkError(ValueError):
     pass
 
 
+MAX_BRAID = 10**5  # letters, and strands, of a braid word
+
+
+def _check_braid_size(strands: int, letters: int) -> None:
+    """Reject a braid word over ``MAX_BRAID`` letters or strands before it is built.
+
+    Raises :class:`~singlink.exactmath.BudgetExceededError` (CLI exit code 3).
+    """
+    for count, what in ((letters, "letters"), (strands, "strands")):
+        if count > MAX_BRAID:
+            from .exactmath import BudgetExceededError
+
+            raise BudgetExceededError(
+                f"a braid word of {count} {what} exceeds the braid bound {MAX_BRAID}", MAX_BRAID
+            )
+
+
 @dataclass(frozen=True)
 class PuiseuxPairs:
     """Ordered characteristic pairs (n_i, m_i) of a Puiseux expansion.
@@ -67,6 +84,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_braid_size(self.strands, len(self.letters))
         object.__setattr__(self, "letters", tuple(int(k) for k in self.letters))
         if self.strands < 1:
             raise LinkError("braid needs at least one strand")
@@ -96,6 +114,7 @@ def braid_from_text(text: str, strands: int | None = None) -> BraidWord:
     When ``strands`` is omitted it is inferred as max(letter) + 1.
     """
     tokens = text.split()
+    _check_braid_size(strands or 0, len(tokens))
     if not all(re.fullmatch(r"\d+", tok) for tok in tokens):
         raise LinkError(f"braid word must be whitespace-separated indices, got {text!r}")
     letters = tuple(int(tok) for tok in tokens)
@@ -198,7 +217,9 @@ def ade_braid(label: ADELabel | str) -> BraidWord:
         label = parse_ade_label(label)
     n = label.rank
     if label.family == "A":
+        _check_braid_size(2, n + 1)
         return BraidWord(2, (1,) * (n + 1))
+    _check_braid_size(3, n + 2)
     if label.family == "D":
         return BraidWord(3, (1,) * (n - 2) + (2,) + (1, 1) + (2,))
     return BraidWord(3, (1,) * (n - 3) + (2,) + (1, 1, 1) + (2,))
@@ -208,6 +229,7 @@ def torus_braid(a: int, b: int) -> BraidWord:
     """The (a, b)-torus link braid: (sigma_1 ... sigma_{a-1})^b on a strands."""
     if a < 2 or b < 2:
         raise LinkError("torus parameters must both be >= 2")
+    _check_braid_size(a, (a - 1) * b)
     return BraidWord(a, tuple(range(1, a)) * b)
 
 

@@ -25,7 +25,7 @@ from singlink.cluster import (
 )
 from singlink.dividecatalog import CATALOG_LABELS, divide_catalog
 from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
-from singlink.links import braid_from_text
+from singlink.links import MAX_BRAID, braid_from_text
 from singlink.sheafmoduli import THETA_METHODS, theta_ring
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -190,6 +190,24 @@ def test_quiver_from_divide_file(tmp_path):
     code, out, _ = run_cli("quiver", "--divide", str(path))
     data = json.loads(out)
     assert data == {"crossings": 1, "regions": 1, "arrows": [[0, 1]]}
+
+
+def test_quiver_takes_exactly_one_source(tmp_path):
+    path = tmp_path / "divide.json"
+    path.write_text(json.dumps(divide_catalog("A2").to_json_dict()))
+    for argv in (
+        ("--divide-label", "A2", "--ade", "E8"),
+        ("--divide-label", "A2", "--divide", str(path)),
+        ("--divide", str(path), "--torus", "2", "3"),
+        ("--ade", "A2", "--braid", "1 1"),
+        (),
+    ):
+        code, out, err = run_cli("quiver", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            "error: choose exactly one of --ade / --torus / --puiseux / --braid"
+            " / --divide / --divide-label\n"
+        ), argv
 
 
 def test_matrix_file_is_closed(tmp_path):
@@ -368,6 +386,27 @@ def test_aug_term_budget_is_counted_before_the_product():
         assert time.perf_counter() - started < 2.0, argv
         assert (code, out) == (3, ""), argv
         assert "terms after letter" in err and "term budget 20000" in err
+
+
+def test_braid_size_is_bounded():
+    # One letter or strand over the bound exits 3 before the word, its
+    # strand list or its brick quiver is built.
+    message = f"exceeds the braid bound {MAX_BRAID}\n"
+    for argv in (
+        ("link", "--torus", "2", str(MAX_BRAID + 1)),
+        ("link", "--torus", str(MAX_BRAID + 1), "2"),
+        ("link", "--puiseux", f"{MAX_BRAID + 1},2"),
+        ("link", "--ade", f"D{MAX_BRAID - 1}"),
+        ("classify", "--ade", f"A{MAX_BRAID}"),
+        ("quiver", "--ade", f"A{MAX_BRAID}"),
+        ("link", "--braid", "1", "--strands", str(MAX_BRAID + 1)),
+        ("aug", "--braid", "", "--strands", str(MAX_BRAID + 1)),
+    ):
+        started = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - started < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("budget exceeded: a braid word of ") and err.endswith(message), argv
 
 
 def test_seeds_full_dump_parses():

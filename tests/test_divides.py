@@ -166,7 +166,15 @@ def test_all_closed_rejected():
     loop_a = Strand(True, ((0, 0), (1, 0)))
     loop_b = Strand(True, ((0, 1), (1, 1)))
     d = Divide(2, (loop_a, loop_b), ())
-    with pytest.raises(DivideError):
+    with pytest.raises(DivideError, match="^divide has no boundary endpoints"):
+        trace_faces(d)
+
+
+def test_disconnected_map_rejected():
+    # An open chord, and a closed figure-eight strand that never meets it.
+    figure_eight = Strand(True, ((0, 0), (0, 1)))
+    d = Divide(1, (Strand(False, ()), figure_eight), ((0, 0), (0, 1)))
+    with pytest.raises(DivideError, match="^divide map is disconnected; nesting is undetermined$"):
         trace_faces(d)
 
 

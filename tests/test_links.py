@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from singlink.exactmath import BudgetExceededError
 from singlink.links import (
+    MAX_BRAID,
     ADELabel,
     BraidWord,
     CablePairs,
@@ -176,3 +178,24 @@ def puiseux_inputs(draw):
 def test_puiseux_cables_always_algebraic(p):
     cables = cable_pairs_from_puiseux(p)
     assert is_algebraic(cables), f"counterexample: {p.pairs} -> {cables.pairs}"
+
+
+def test_braid_size_is_bounded_before_the_word_is_built():
+    # Just above the bound in letters or in strands, every constructor raises
+    # from integers alone; at the bound the word is built.
+    for build in (
+        lambda: torus_braid(2, MAX_BRAID + 1),
+        lambda: torus_braid(MAX_BRAID + 1, 2),
+        lambda: ade_braid(f"A{MAX_BRAID}"),
+        lambda: ade_braid(f"D{MAX_BRAID - 1}"),
+        lambda: BraidWord(MAX_BRAID + 1, ()),
+        lambda: BraidWord(2, (1,) * (MAX_BRAID + 1)),
+        lambda: braid_from_text("1", MAX_BRAID + 1),
+        lambda: braid_from_text(f"{MAX_BRAID}"),
+        lambda: braid_from_text("1 " * (MAX_BRAID + 1)),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"exceeds the braid bound {MAX_BRAID}"):
+            build()
+    assert len(torus_braid(2, MAX_BRAID)) == MAX_BRAID
+    assert len(ade_braid(f"A{MAX_BRAID - 1}")) == MAX_BRAID
+    assert BraidWord(MAX_BRAID, ()).strands == MAX_BRAID
