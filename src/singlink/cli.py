@@ -23,9 +23,8 @@ class UsageError(ValueError):
     pass
 
 
-def _emit(payload, out=None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text, file=out or sys.stdout)
+def _emit(payload) -> None:
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _braid_from_args(args) -> tuple[str, links.BraidWord | None, dict]:
@@ -110,6 +109,8 @@ def build_pipeline_report(
     """
     from . import bricks, cluster, dividecatalog, divides
 
+    if ade_label is not None:
+        cluster.check_rank(ade_label.rank)  # the rank of its brick quiver
     report = _link_payload(descriptor, braid)
     if not braid.letters:
         return report
@@ -162,7 +163,6 @@ def _write_equation_files(
     os.makedirs(directory, exist_ok=True)
     stem = descriptor.replace(":", "_").replace(",", "-").replace(" ", "_")
     paths = []
-    augment.check_strand_budget(braid.strands)
     word = links.append_full_twist(braid)
     system = augment.augmentation_equations(word)
     aug_path = os.path.join(directory, f"{stem}.aug.json")
@@ -257,7 +257,10 @@ def _matrix_from_args(args) -> cluster.ExchangeMatrix:
         return cluster.exchange_matrix_from_json(json.loads(text))
     if getattr(args, "type", None):
         return cluster.initial_matrix(cluster.parse_dynkin_type(args.type))
-    return bricks.to_exchange_matrix(bricks.brick_quiver(links.ade_braid(args.ade)))
+    label = links.parse_ade_label(args.ade)
+    braid = links.ade_braid(label)
+    cluster.check_rank(label.rank)  # the rank of its brick quiver
+    return bricks.to_exchange_matrix(bricks.brick_quiver(braid))
 
 
 def cmd_mutate(args) -> int:
@@ -307,7 +310,6 @@ def cmd_aug(args) -> int:
     from . import augment, links
 
     _, braid, _ = _braid_from_args(args)
-    augment.check_strand_budget(braid.strands)
     word = links.append_full_twist(braid) if args.full_twist else braid
     system = augment.augmentation_equations(word, t_convention=args.t_convention)
     payload = augment.system_to_json_dict(system)

@@ -22,7 +22,6 @@ checks in the test suite.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .divides import Divide, DivideError, Strand
@@ -43,27 +42,15 @@ def _sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _angle_class(v: Point) -> int:
-    # 0 for the upper half plane (including the positive x-axis ray).
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
-
-
 def _ccw_key(v: Point):
-    return functools.cmp_to_key(_ccw_cmp)(v)
+    """Exact sort key of a nonzero direction by its angle in [0, 2 pi).
 
-
-def _ccw_cmp(a: Point, b: Point) -> int:
-    ha, hb = _angle_class(a), _angle_class(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = _cross(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    The positive x-axis comes first, then the upper half plane, where
+    -x/y grows with the angle, then the negative x-axis and the lower
+    half plane in the same way.  Exact for int and Fraction coordinates.
+    """
+    x, y = v
+    return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
 
 
 def divide_from_polylines(polylines: list[list[Point]]) -> Divide:
@@ -73,7 +60,8 @@ def divide_from_polylines(polylines: list[list[Point]]) -> Divide:
     exactly two segments, endpoints have pairwise distinct directions
     from the origin, and the drawing is radially star-shaped enough that
     the endpoint angle order equals the disk boundary order (violations
-    surface through the planarity check downstream).
+    surface through the planarity check downstream).  Coordinates may be
+    ints or Fractions; all arithmetic is exact.
     """
     segments = []  # (strand, seg index, p, q)
     for sid, pts in enumerate(polylines):
@@ -99,15 +87,15 @@ def divide_from_polylines(polylines: list[list[Point]]) -> Divide:
                 if _cross(diff, d1) == 0:
                     # Same line: only disjoint parameter intervals are fine.
                     dd = d1[0] * d1[0] + d1[1] * d1[1]
-                    t2a = (diff[0] * d1[0] + diff[1] * d1[1]) / dd
+                    t2a = Fraction(diff[0] * d1[0] + diff[1] * d1[1], dd)
                     diff_q = _sub(q2, p1)
-                    t2b = (diff_q[0] * d1[0] + diff_q[1] * d1[1]) / dd
+                    t2b = Fraction(diff_q[0] * d1[0] + diff_q[1] * d1[1], dd)
                     lo, hi = min(t2a, t2b), max(t2a, t2b)
                     if hi >= 0 and lo <= 1:
                         raise DivideError("collinear overlapping segments in drawing")
                 continue
-            t = _cross(diff, d2) / denom
-            u = _cross(diff, d1) / denom
+            t = Fraction(_cross(diff, d2), denom)
+            u = Fraction(_cross(diff, d1), denom)
             if t <= 0 or t >= 1 or u <= 0 or u >= 1:
                 if 0 <= t <= 1 and 0 <= u <= 1:
                     raise DivideError("segments touch at an endpoint")
@@ -120,53 +108,29 @@ def divide_from_polylines(polylines: list[list[Point]]) -> Divide:
         if len(records) != 2:
             raise DivideError(f"more than two branches meet at {point}")
 
-    crossing_points = sorted(hits, key=lambda p: (p[0], p[1]))
-    crossing_index = {p: i for i, p in enumerate(crossing_points)}
-
-    # Counterclockwise slot assignment from the four branch rays.
-    slot_of: dict[tuple[Point, int, int, bool], int] = {}
-    for point, records in hits.items():
-        rays = []
-        for rec_id, (sid, j, t, d) in enumerate(records):
-            rays.append((d, rec_id, True))
-            rays.append(((-d[0], -d[1]), rec_id, False))
-        rays.sort(key=lambda r: _ccw_key(r[0]))
-        for slot, (_, rec_id, forward) in enumerate(rays):
-            sid, j, t, _ = records[rec_id]
-            slot_of[(point, sid, j, forward)] = slot
-
-    strands = []
-    for sid, pts in enumerate(polylines):
-        strand_hits = []
-        for point, records in hits.items():
-            for s2, j2, t, d in records:
-                if s2 == sid:
-                    strand_hits.append((j2, t, point))
-        strand_hits.sort(key=lambda h: (h[0], h[1]))
-        passages = []
-        for j, t, point in strand_hits:
-            entry_slot = slot_of[(point, sid, j, False)]
-            exit_slot = slot_of[(point, sid, j, True)]
-            if (entry_slot + 2) % 4 != exit_slot:
-                raise DivideError("branch rays are not opposite slots")
-            passages.append((crossing_index[point], entry_slot))
-        strands.append(Strand(False, tuple(passages)))
-
-    endpoints = []
-    for sid, pts in enumerate(polylines):
-        endpoints.append(((sid, 0), pts[0]))
-        endpoints.append(((sid, 1), pts[-1]))
-    for _, p in endpoints:
-        if p == (0, 0):
-            raise DivideError("strand endpoints must avoid the origin")
-    for i in range(len(endpoints)):
-        for j in range(i + 1, len(endpoints)):
-            if _ccw_cmp(endpoints[i][1], endpoints[j][1]) == 0:
-                raise DivideError("two endpoints share a boundary direction")
-    order = tuple(
-        key for key, _ in sorted(endpoints, key=lambda ep: _ccw_key(ep[1]))
+    # Crossings are numbered in coordinate order.  Their four branch rays
+    # take the counterclockwise slots 0..3, and a strand enters through
+    # the slot of its backward ray.
+    passages: list[list[tuple]] = [[] for _ in polylines]
+    for crossing, point in enumerate(sorted(hits)):
+        records = hits[point]
+        back = [_ccw_key((-d[0], -d[1])) for *_, d in records]
+        slots = sorted(back + [_ccw_key(d) for *_, d in records])
+        for (sid, j, t, _), key in zip(records, back):
+            passages[sid].append((j, t, crossing, slots.index(key)))
+    strands = tuple(
+        Strand(False, tuple((c, slot) for *_, c, slot in sorted(p))) for p in passages
     )
-    return Divide(len(crossing_points), tuple(strands), order)
+
+    ends = {}
+    for sid, pts in enumerate(polylines):
+        ends[sid, 0], ends[sid, 1] = pts[0], pts[-1]
+    if (0, 0) in ends.values():
+        raise DivideError("strand endpoints must avoid the origin")
+    keys = {end: _ccw_key(p) for end, p in ends.items()}
+    if len(set(keys.values())) < len(keys):
+        raise DivideError("two endpoints share a boundary direction")
+    return Divide(len(hits), strands, tuple(sorted(keys, key=keys.get)))
 
 
 # -- snake family (A types) ----------------------------------------------------

@@ -111,11 +111,10 @@ def _is_pairs(value) -> bool:
     )
 
 
-def divide_from_json(data: dict | str) -> Divide:
-    """The divide of JSON text, or of its parsed value, in the shape of
-    :meth:`Divide.to_json_dict`; any other shape raises :class:`DivideError`."""
-    if isinstance(data, str):
-        data = json.loads(data)
+def divide_from_json(text: str) -> Divide:
+    """The divide of JSON text in the shape of :meth:`Divide.to_json_dict`;
+    any other shape raises :class:`DivideError`."""
+    data = json.loads(text)
     strands = data.get("strands") if isinstance(data, dict) else None
     if not (
         isinstance(strands, list)

@@ -47,10 +47,6 @@ class SubstitutionError(ExactMathError):
     pass
 
 
-class EvaluationError(ExactMathError):
-    pass
-
-
 class PolynomialParseError(ExactMathError):
     pass
 
@@ -168,9 +164,9 @@ class RingDescriptor:
 
 
 def _grlex_key(exp: tuple[int, ...]):
-    # Sort key for descending graded lex: larger total degree first, then
-    # lexicographically larger exponent vector (first variable most significant).
-    return (-sum(exp), tuple(map(operator.neg, exp)))
+    # Graded lex key: total degree, then the exponent vector itself (first
+    # variable most significant).  Terms print in descending key order.
+    return (sum(exp), exp)
 
 
 def _fast_poly(ring: RingDescriptor, terms: dict) -> "Polynomial":
@@ -222,7 +218,7 @@ class Polynomial:
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         if not self.terms:
             raise ExactMathError("zero polynomial has no leading term")
-        exp = min(self.terms, key=_grlex_key)
+        exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
     def __eq__(self, other) -> bool:
@@ -310,7 +306,7 @@ class Polynomial:
                 base = base * base
         return self.ring.one() if result is None else result
 
-    # -- substitution, evaluation ------------------------------------------
+    # -- substitution -----------------------------------------------------
 
     def substitute(self, name: str, replacement: "Polynomial") -> "Polynomial":
         """Replace every occurrence of ``name`` by ``replacement``, exactly expanded.
@@ -336,37 +332,6 @@ class Polynomial:
             result = result + mono * power_cache[e]
         return result
 
-    def evaluate_mod(self, assignment: Mapping[str, int], q: int) -> int:
-        """Evaluate in the prime field F_q at the given variable assignment.
-
-        Every variable of the ring must be assigned; Laurent variables must
-        get nonzero values (their inverses are needed).
-        """
-        if not is_prime(q):
-            raise EvaluationError(f"modulus {q} is not prime")
-        values = []
-        for name in self.ring.variables:
-            if name not in assignment:
-                raise EvaluationError(f"missing assignment for variable {name!r}")
-            v = assignment[name] % q
-            if v == 0 and name in self.ring.laurent:
-                raise EvaluationError(f"Laurent variable {name!r} assigned zero")
-            values.append(v)
-        total = 0
-        for exp, coeff in self.terms.items():
-            term = coeff % q
-            for v, e in zip(values, exp):
-                if e == 0:
-                    continue
-                if e < 0:
-                    if v == 0:
-                        raise EvaluationError("zero raised to negative power")
-                    term = term * pow(pow(v, q - 2, q), -e, q) % q
-                else:
-                    term = term * pow(v, e, q) % q
-            total = (total + term) % q
-        return total
-
     # -- printing ----------------------------------------------------------
 
     def _monomial_text(self, exp: tuple[int, ...]) -> str:
@@ -380,7 +345,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         chunks = []
-        for exp in sorted(self.terms, key=_grlex_key):
+        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
             coeff = self.terms[exp]
             mono = self._monomial_text(exp)
             mag = abs(coeff)

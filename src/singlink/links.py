@@ -235,6 +235,7 @@ def torus_braid(a: int, b: int) -> BraidWord:
 
 def half_twist(strands: int) -> BraidWord:
     """The positive half twist: (s1)(s2 s1)...(s_{i-1} ... s1)."""
+    _check_braid_size(strands, strands * (strands - 1) // 2)
     letters = []
     for j in range(1, strands):
         letters.extend(range(j, 0, -1))
@@ -248,8 +249,10 @@ def append_full_twist(braid: BraidWord) -> BraidWord:
     rainbow closure of ``braid``; Delta^2 contributes i(i-1) letters on i
     strands (none for a single strand).
     """
-    delta = half_twist(braid.strands).letters
-    return BraidWord(braid.strands, braid.letters + delta + delta)
+    n = braid.strands
+    _check_braid_size(n, len(braid) + n * (n - 1))
+    delta = half_twist(n).letters
+    return BraidWord(n, braid.letters + delta + delta)
 
 
 def braid_invariants(braid: BraidWord) -> LinkInvariants:

@@ -122,7 +122,7 @@ def theta_system(n: int, method: str = "recursion") -> ThetaSystem:
     return theta_equations_recursion(n) if method == "recursion" else theta_equations_wedge(n)
 
 
-def count_theta_points_brute(system: ThetaSystem, q: int, budget: int = BRUTE_FORCE_BUDGET) -> int:
+def count_theta_points_brute(system: ThetaSystem, q: int) -> int:
     """Oracle: enumerate F_q^(2n) and test every equation.
 
     The loop runs as Python source generated for the system, one plain sum
@@ -132,7 +132,7 @@ def count_theta_points_brute(system: ThetaSystem, q: int, budget: int = BRUTE_FO
     if not is_prime(q):
         raise ThetaError(f"{q} is not prime")
     nvars = 2 * system.n
-    if q**nvars > budget:
+    if q**nvars > BRUTE_FORCE_BUDGET:
         raise BudgetExceededError(f"q^(2n) = {q}^{nvars} exceeds the enumeration budget")
     values = "".join(f"v{i}, " for i in range(nvars))
     lines = ["def kernel(q):", "    count = 0", f"    for {values} in product(range(q), repeat={nvars}):"]

@@ -126,8 +126,9 @@ def test_criterion_10_unknot_augmentation():
     assert result.passed
 
 
-def test_check_machinery_detects_injected_fault():
+def test_check_machinery_detects_injected_fault(monkeypatch):
     """A corrupted D4 divide (3 crossings, 0 regions) must be flagged."""
+    from singlink import dividecatalog
     from singlink.dividecatalog import _pt, divide_from_polylines
 
     strands = []
@@ -137,7 +138,13 @@ def test_check_machinery_detects_injected_fault():
     corrupted = divide_from_polylines(strands)
     assert corrupted.crossings == 3
     assert divides.milnor_number(corrupted) == 3  # rank of D4 is 4
-    result = checks.check_divide_cross_check(overrides={"D4": corrupted})
+    catalog = dividecatalog.divide_catalog
+    monkeypatch.setattr(
+        dividecatalog,
+        "divide_catalog",
+        lambda label: corrupted if label == "D4" else catalog(label),
+    )
+    result = checks.check_divide_cross_check()
     assert not result.passed
     flagged = [row for row in result.details["labels"] if not row["ok"]]
     assert [row["label"] for row in flagged] == ["D4"]

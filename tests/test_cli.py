@@ -318,6 +318,28 @@ def test_exchange_matrix_rank_is_bounded():
     assert code == 0 and json.loads(out)["type"] == f"A{MAX_RANK}"
 
 
+def test_ade_rank_is_checked_before_the_brick_quiver(monkeypatch):
+    # The brick quiver of an ADE label has the label's rank, so a rank over
+    # the bound exits 3 before the quiver is built.
+    from singlink import bricks
+
+    def refuse(braid):
+        raise AssertionError("the brick quiver was built")
+
+    monkeypatch.setattr(bricks, "brick_quiver", refuse)
+    over = f"A{MAX_RANK + 1}"
+    message = f"budget exceeded: rank {MAX_RANK + 1} exceeds the exchange matrix rank bound"
+    for argv in (
+        ("classify", "--ade", over),
+        ("seeds", "--ade", over),
+        ("mutate", "--ade", over, "--at", "1"),
+        ("link", "--ade", over, "--pipeline"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(message), argv
+
+
 def test_classify_cap_flag_is_gone():
     code, _, err = run_cli("classify", "--type", "E6", "--cap", "10")
     assert code == 2
@@ -401,6 +423,8 @@ def test_braid_size_is_bounded():
         ("quiver", "--ade", f"A{MAX_BRAID}"),
         ("link", "--braid", "1", "--strands", str(MAX_BRAID + 1)),
         ("aug", "--braid", "", "--strands", str(MAX_BRAID + 1)),
+        # The full twist on 317 strands has 317 * 316 = 100172 letters.
+        ("aug", "--braid", "", "--strands", "317"),
     ):
         started = time.perf_counter()
         code, out, err = run_cli(*argv)

@@ -1,14 +1,17 @@
 """Tests for divides, face tracing, and intersection quivers."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from singlink.bricks import to_exchange_matrix
 from singlink.dividecatalog import (
     CATALOG_LABELS,
     divide_catalog,
     divide_from_polylines,
+    _ccw_key,
     _pt,
 )
 from singlink.divides import (
@@ -268,6 +271,9 @@ def test_random_chord_arrangements_are_planar():
                 divide = divide_from_polylines(chords)
             except DivideError:
                 continue  # degenerate draw; try again
+            # The builder is exact on int coordinates as well.
+            ints = [[(int(x), int(y)) for x, y in chord] for chord in chords]
+            assert divide_from_polylines(ints) == divide
             faces = trace_faces(divide)
             tally = {}
             for face in faces.faces:
@@ -279,3 +285,19 @@ def test_random_chord_arrangements_are_planar():
             assert milnor_number(divide) >= divide.crossings
             built += 1
     assert built == 30, f"only {built} random arrangements built"
+
+
+_DIRECTIONS = (
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    .filter(any)
+    .map(lambda v: (v[0] // math.gcd(*v), v[1] // math.gcd(*v)))
+)
+
+
+@given(st.sets(_DIRECTIONS, max_size=12))
+def test_ccw_key_orders_directions_by_angle(directions):
+    # Primitive integer directions are distinct, so are their angles.
+    def angle(v):
+        return math.atan2(v[1], v[0]) % (2 * math.pi)
+
+    assert sorted(directions, key=_ccw_key) == sorted(directions, key=angle)

@@ -1,10 +1,12 @@
 """Tests for singularity inputs and braid presentations."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from singlink.augment import count_solutions_dp
 from singlink.exactmath import BudgetExceededError
 from singlink.links import (
     MAX_BRAID,
@@ -199,3 +201,30 @@ def test_braid_size_is_bounded_before_the_word_is_built():
     assert len(torus_braid(2, MAX_BRAID)) == MAX_BRAID
     assert len(ade_braid(f"A{MAX_BRAID - 1}")) == MAX_BRAID
     assert BraidWord(MAX_BRAID, ()).strands == MAX_BRAID
+
+
+def test_full_twist_size_is_checked_before_it_is_built():
+    # On 3000 strands the half twist has 4498500 letters: each call raises
+    # from the strand count alone, without building a word of that size.
+    word = BraidWord(3000, (1, 2))
+    for build in (
+        lambda: half_twist(3000),
+        lambda: append_full_twist(word),
+        lambda: count_solutions_dp(word, 2),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"exceeds the braid bound {MAX_BRAID}"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # 447 * 446 / 2 = 99681 letters fit in the bound, 448 * 447 / 2 do not;
+    # the full twist on 316 strands adds 316 * 315 = 99540 letters.
+    assert len(half_twist(447)) == 99681
+    with pytest.raises(BudgetExceededError):
+        half_twist(448)
+    assert len(append_full_twist(BraidWord(316, (1,) * 460))) == MAX_BRAID
+    with pytest.raises(BudgetExceededError):
+        append_full_twist(BraidWord(316, (1,) * 461))
