@@ -22,10 +22,11 @@ enumerates z_1..z_{s-1} and solves for the last crossing variable z_s
 and for t, and an independent count that never builds the equations.
 The latter counts a twisted knot (beta * Delta^2 closing to one
 component) by a recursion over the Bruhat cells of S_n, exact for
-every prime q, and every other word by a dynamic program over the
-distribution of partial matrix products in GL_n(F_q), which advances
-one coset a + F_q b of the affected column pair at a time instead of
-one z at a time.
+every prime q, a twisted link by a recursion over the Bruhat cells
+times the torus (F_q^*)^n, and an untwisted word by a dynamic program
+over the distribution of partial matrix products in GL_n(F_q), which
+advances one coset a + F_q b of the affected column pair at a time
+instead of one z at a time.
 
 The brute force runs as one Python function generated per system, with
 every equation unrolled into plain sums of products.  The tests keep an
@@ -35,6 +36,7 @@ every point (z, t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,6 +219,8 @@ def _compile_system(system: AugmentationSystem):
     c t^e + alpha(z') + beta(z') z_s with c, e in {1, -1} and
     entry = (alpha, beta); constraints holds the (alpha, beta) of every
     other equation, fewest terms first.  t must occur exactly there.
+    Every part is a tuple, so the parts key :func:`_bruteforce_kernel`'s
+    cache.
     """
     s = len(system.word)
     compiled = [_compile_terms(p, s) for p in system.equations]
@@ -227,17 +231,22 @@ def _compile_system(system: AugmentationSystem):
     if index or zs or coeff not in (1, -1) or t_exp not in (1, -1):
         raise AugmentError("t must occur as a lone term +-t^(+-1) of the (1,1) equation")
     entry = _split_last([term for term in compiled[0] if not term[2]], s)
-    constraints = sorted(
-        (_split_last(eq, s) for eq in compiled[1:]),
-        key=lambda split: len(split[0]) + len(split[1]),
+    constraints = tuple(
+        sorted(
+            (_split_last(eq, s) for eq in compiled[1:]),
+            key=lambda split: len(split[0]) + len(split[1]),
+        )
     )
     return coeff, t_exp, entry, constraints
 
 
+@functools.lru_cache(maxsize=32)
 def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     """kernel(q, check) -> count: the prefix loop, generated for one system.
 
-    Takes the parts :func:`_compile_system` returns.  The loop runs over
+    Takes the parts :func:`_compile_system` returns.  The kernel does not
+    depend on q, so a system counted at several primes is compiled once
+    (the last 32 systems are kept).  The loop runs over
     the prefixes (z0, .., z{s-2}) with every constraint unrolled, fewest
     terms first, into plain sums of products (:func:`exactmath.sum_source`),
     and calls ``check`` on every t^(+-1) value it counts.
@@ -334,23 +343,22 @@ def count_solutions_bruteforce(
 def count_solutions_dp(word: BraidWord, q: int) -> int:
     """Independent count of the solutions (z, t), without the equations.
 
-    A twisted knot, a word beta * Delta^2 (the suffix
-    :func:`links.append_full_twist` adds) whose closure has one component,
-    is counted over Bruhat cells of S_n in :func:`_count_twisted_knot`;
-    every other word by the coset dynamic program :func:`_count_by_cosets`
-    over GL_n(F_q).  Both agree exactly with
-    :func:`count_solutions_bruteforce`.
+    A twisted word is beta * Delta^2, ending with the suffix that
+    :func:`links.append_full_twist` adds.  A twisted knot (one component)
+    is counted over the Bruhat cells of S_n in :func:`_count_twisted_knot`,
+    a twisted link over Bruhat cells times the torus in
+    :func:`_count_twisted_link`, and an untwisted word by the coset
+    dynamic program :func:`_count_by_cosets` over GL_n(F_q).  All three
+    agree exactly with :func:`count_solutions_bruteforce`.
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
     twist = half_twist(word.strands).letters * 2
-    if (
-        len(word) >= len(twist)
-        and word.letters[len(word) - len(twist) :] == twist
-        and braid_invariants(word).components == 1
-    ):
+    if len(word) < len(twist) or word.letters[len(word) - len(twist) :] != twist:
+        return _count_by_cosets(word, q)
+    if braid_invariants(word).components == 1:
         return _count_twisted_knot(word, q)
-    return _count_by_cosets(word, q)
+    return _count_twisted_link(word, q)
 
 
 def _identity_cell_count(word: BraidWord, q: int) -> int:
@@ -411,6 +419,103 @@ def _count_twisted_knot(word: BraidWord, q: int) -> int:
             f"D_e = {cells} is not divisible by (q-1)^(n-1) q^(n(n-1)/2) at q = {q}"
         )
     return count
+
+
+def _torus_cells(word: BraidWord, q: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """#{z in F_q^s : w0 B(word)(z)^T in U^- w t U^-}, as cells[w][tau].
+
+    Every g in GL_n(F_q) lies in one cell U^- w T U^- of the Bruhat
+    decomposition for lower triangular matrices, with a unique torus
+    part t in (F_q^*)^n; w is a permutation in one-line notation (the
+    matrix with a 1 in row w[j] of column j), and w0 the longest one.
+    Each P_k(z) is symmetric, so B(z)^T = P_{k_s}(z_s) .. P_{k_1}(z_1):
+    the letters are walked in reverse, right-multiplying, from the cell
+    (w0, 1 .. 1) of w0.
+
+    Write P_k(z) = y_k(z) s_k, with y_k(z) the lower unipotent matrix
+    whose (k+1, k) entry is z.  Take M = u w t u' with u, u' in U^-.  The
+    (k+1, k) entry is additive on U^-, and the matrices of U^- with a zero
+    there form a normal subgroup that s_k normalizes.  So u' y_k(z) =
+    y_k(x) v with v in it, and M P_k(z) = u w t P_k(x) (s_k v s_k), where
+    x = c + z and c is the (k+1, k) entry of u'.  As z runs over F_q, so
+    does x.
+      - If w[k-1] < w[k], w y_k w^-1 lies in U^-, and t y_k(x) s_k =
+        y_k(x t_{k+1}/t_k) s_k (s_k t s_k): every x goes to
+        (w s_k, s_k t s_k).
+      - Otherwise x = 0 gives P_k(0) = s_k and the same cell.  For x != 0,
+        P_k(x) = x_k(1/x) diag_k(-1/x, x) y_k(1/x) with x_k upper
+        unipotent, and w x_k w^-1 lies in U^-: the cell stays at w, with
+        t_k -> -t_k/x and t_{k+1} -> x t_{k+1}.  These q - 1 successors
+        are the pairs with product -t_k t_{k+1}, one each, so the counts
+        are summed per product first.
+
+    t is stored as tau with tau[w[j]] = t_j, so that a move to w s_k
+    keeps tau and moves a whole torus dictionary at once.  The cells
+    always form an upper set in the Bruhat order: {w0} does, and if
+    u <= v then max(u, u s_k) <= max(v, v s_k).  So with an ascent w, its
+    successor w s_k is a cell too, and each letter visits only the
+    descents w: w s_k receives the torus of w, and w receives q times the
+    torus of w s_k plus its own stays.  The states are at most
+    n! (q-1)^(n-1), as det M = +-1 fixes the product of t, and each takes
+    at most q moves per letter: that product is held to
+    ``DP_STATE_BUDGET``.
+    """
+    n = word.strands
+    if math.factorial(n) * (q - 1) ** (n - 1) * q > DP_STATE_BUDGET:
+        raise BudgetExceededError(
+            f"n! (q-1)^(n-1) q = {n}! x {q - 1}^{n - 1} x {q} exceeds the DP state budget"
+        )
+    inverse = [0] + [pow(v, q - 2, q) for v in range(1, q)]
+    cells = {tuple(range(n - 1, -1, -1)): {(1,) * n: 1}}
+    for k in reversed(word.letters):
+        i = k - 1
+        moved: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for w, torus in cells.items():
+            if w[i] < w[i + 1]:
+                continue  # moved on the turn of w s_k, a state as well
+            ws = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+            moved[ws] = torus
+            cell = moved[w] = {tau: q * count for tau, count in cells.get(ws, {}).items()}
+            # tau with entry lo replaced by -tau[lo] tau[hi] and entry hi dropped.
+            lo, hi = w[i + 1], w[i]
+            products: dict[tuple[int, ...], int] = {}
+            for tau, count in torus.items():
+                key = tau[:lo] + (-tau[lo] * tau[hi] % q,) + tau[lo + 1 : hi] + tau[hi + 1 :]
+                products[key] = products.get(key, 0) + count
+            for key, count in products.items():
+                head, product, mid, tail = key[:lo], key[lo], key[lo + 1 : hi], key[hi:]
+                for x in range(1, q):
+                    tau = head + (x,) + mid + (product * inverse[x] % q,) + tail
+                    cell[tau] = cell.get(tau, 0) + count
+        cells = moved
+    return cells
+
+
+def _count_twisted_link(word: BraidWord, q: int) -> int:
+    """aug = sum_t C(w0, -diag(t, 1, .., 1)) for a twisted link beta * Delta^2.
+
+    C is :func:`_torus_cells` of beta, and N = n(n-1)/2.  As in step 1 of
+    :func:`_count_twisted_knot`, the 2N letters of Delta^2 give
+    B(Delta^2) = v u, with (v, u) running once over U^- x U as their z
+    run over F_q^(2N).  So for each z of beta, B(beta) v u = D has one
+    solution (v, u) if B(beta) lies in D U U^- and none otherwise, and
+    the count is #{z of beta : B(beta) in D U U^-}, summed over
+    D = -diag(t, 1, .., 1).  Transposed and multiplied by w0 on the left,
+    B(beta) = D a b with a in U and b in U^- becomes w0 B(beta)^T =
+    (w0 b^T w0) w0 D (D^-1 a^T D), which lies in U^- w0 D U^-; every
+    element of that cell arises so.
+    So C(w0, D) is the count for D, with no division, and Delta^2 is
+    never walked.  Unlike the knot formula this needs no torus symmetry,
+    so it holds for any number of components; for a knot it equals
+    :func:`_count_twisted_knot`, which has only n! states.
+    """
+    n = word.strands
+    beta = BraidWord(n, word.letters[: len(word) - n * (n - 1)])
+    w0 = tuple(range(n - 1, -1, -1))
+    # tau[w0[j]] = t_j: the base point t_1 sits at index n - 1.
+    torus = _torus_cells(beta, q).get(w0, {})
+    minus = (q - 1,) * (n - 1)
+    return sum(torus.get(minus + (t_val,), 0) for t_val in range(1, q))
 
 
 def _count_by_cosets(word: BraidWord, q: int) -> int:

@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import singlink.augment as augment
 from singlink.augment import (
     DP_STATE_BUDGET,
     T_CONVENTIONS,
@@ -19,7 +20,10 @@ from singlink.augment import (
     _compile_system,
     _compile_terms,
     _count_by_cosets,
+    _count_twisted_knot,
+    _count_twisted_link,
     _identity_cell_count,
+    _torus_cells,
     augmentation_equations,
     augmentation_ring,
     braid_matrix,
@@ -29,7 +33,7 @@ from singlink.augment import (
     symbolic_determinant,
     system_to_json_dict,
 )
-from singlink.exactmath import is_prime, parse_polynomial
+from singlink.exactmath import compile_kernel, is_prime, parse_polynomial
 from singlink.links import (
     BraidWord,
     ade_braid,
@@ -625,6 +629,25 @@ def test_bruteforce_kernel_compiles_at_the_term_budget():
     assert callable(_bruteforce_kernel(t_coeff, entry, constraints, 19))
 
 
+def test_bruteforce_kernel_is_compiled_once_per_system(monkeypatch):
+    compiled = []
+
+    def counting_compile(lines):
+        compiled.append(lines)
+        return compile_kernel(lines)
+
+    monkeypatch.setattr(augment, "compile_kernel", counting_compile)
+    _bruteforce_kernel.cache_clear()
+    system = augmentation_equations(append_full_twist(ade_braid(parse_ade_label("A2"))))
+    assert [count_solutions_bruteforce(system, q) for q in (2, 3, 2)] == [
+        count_by_prefixes(system, q) for q in (2, 3, 2)
+    ]
+    assert len(compiled) == 1
+    # An equal system built again hits the same kernel.
+    count_solutions_bruteforce(augmentation_equations(system.word), 5)
+    assert len(compiled) == 1
+
+
 # -- the Bruhat-cell count of twisted knots ---------------------------------------
 
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
@@ -743,3 +766,98 @@ def test_twisted_knot_state_budget():
     assert is_knot(word)
     with pytest.raises(BudgetExceededError, match="10!"):
         count_solutions_dp(word, 2)
+
+
+# -- the Bruhat-cell x torus count of twisted links -------------------------------
+
+LINK_LABELS = [label for label in ADE_LABELS if label not in KNOT_LABELS]
+
+
+def random_words(seed: int, count: int, strands: tuple[int, int], letters: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(*strands)
+        yield BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, letters))))
+
+
+def test_link_labels():
+    assert LINK_LABELS == ["A1", "A3", "A5", "A7", "D4", "D5", "D6", "D7", "D8", "E7"]
+
+
+@pytest.mark.parametrize("label", LINK_LABELS)
+def test_twisted_link_count_matches_cosets_on_ade_links(label):
+    # Every prime the coset budget admits for A1 and up to 13 for the other
+    # two-strand labels; q = 3 on three strands is left to the full matrix
+    # DP test above.
+    word = append_full_twist(ade_braid(parse_ade_label(label)))
+    for q in PRIMES_TO_31 if label == "A1" else PRIMES_TO_31[:6]:
+        if q ** (word.strands**2) <= DP_STATE_BUDGET and (word.strands, q) != (3, 3):
+            assert _count_twisted_link(word, q) == coset_count(word, q), q
+
+
+def test_twisted_link_count_matches_cosets_on_random_links():
+    # q <= 7 on two strands, every prime the coset budget admits on three
+    # (q <= 3) and on four (q = 2).
+    links = {2: 0, 3: 0, 4: 0}
+    for beta in [*random_words(41, 24, (2, 3), 5), *random_words(47, 5, (4, 4), 2)]:
+        word = append_full_twist(beta)
+        if is_knot(word):
+            continue
+        links[word.strands] += 1
+        for q in PRIMES_TO_31[: {2: 4, 3: 2, 4: 1}[word.strands]]:
+            assert count_solutions_dp(word, q) == _count_by_cosets(word, q), (word, q)
+    assert min(links.values()) >= 3, links
+
+
+def test_twisted_link_count_matches_bruteforce_on_ade_links():
+    # The cases within 10^6 brute-force work units, a hundredth of its
+    # budget, to keep the test short.
+    compared = 0
+    for label in LINK_LABELS:
+        word = append_full_twist(ade_braid(parse_ade_label(label)))
+        system = augmentation_equations(word)
+        terms = sum(len(p.terms) for p in system.equations)
+        for q in (2, 3, 5):
+            if q ** (len(word) - 1) * terms <= 10**6:
+                compared += 1
+                assert count_solutions_bruteforce(system, q) == _count_twisted_link(word, q), (
+                    label,
+                    q,
+                )
+    assert compared == 11
+
+
+def test_twisted_link_count_equals_knot_formula_on_knots():
+    for label in KNOT_LABELS:
+        word = append_full_twist(ade_braid(parse_ade_label(label)))
+        for q in (2, 3, 5, 7, 11, 13):
+            assert _count_twisted_link(word, q) == _count_twisted_knot(word, q), (label, q)
+
+
+def test_torus_cells_at_w0_sum_to_the_bruhat_cell_count():
+    # Summed over t, the cell w0 of beta holds the z of beta Delta^2 with
+    # B(z) diagonal: D_e / q^N, for every word beta.
+    for beta in random_words(43, 200, (2, 4), 6):
+        n = beta.strands
+        w0 = tuple(range(n - 1, -1, -1))
+        for q in (2, 3, 5):
+            diagonal = sum(_torus_cells(beta, q).get(w0, {}).values())
+            cells = _identity_cell_count(append_full_twist(beta), q)
+            assert diagonal * q ** (n * (n - 1) // 2) == cells, (beta, q)
+
+
+def test_twisted_link_state_budget_boundary():
+    # n! (q-1)^(n-1) q <= 10^6: 2 x 700 x 701 on two strands, while 709
+    # gives 2 x 708 x 709.  A1 counts q - 1 at every odd prime (checked
+    # against the coset DP up to 31 above).
+    word = append_full_twist(ade_braid(parse_ade_label("A1")))
+    for q in PRIMES_TO_31[1:] + [701]:
+        assert count_solutions_dp(word, q) == q - 1, q
+    with pytest.raises(BudgetExceededError, match="2! x 708\\^1 x 709 exceeds the DP state budget"):
+        count_solutions_dp(word, 709)
+    # On three strands 3! x 52^2 x 53 fits and 3! x 58^2 x 59 does not; the
+    # D4 count at 53 is a regression value.
+    word = append_full_twist(ade_braid(parse_ade_label("D4")))
+    assert count_solutions_dp(word, 53) == 8030932
+    with pytest.raises(BudgetExceededError, match="DP state budget"):
+        count_solutions_dp(word, 59)

@@ -496,7 +496,12 @@ def test_aug_dp_counts_twisted_knots_past_the_coset_budget():
     code, out, _ = run_cli("aug", "--ade", "E8", "--count-fq", "101", "--method", "dp")
     assert code == 0
     assert json.loads(out)["count"] == {"q": 101, "method": "dp", "solutions": 10829639191632807}
-    # D4 closes to a link, so it keeps the coset DP and its q^(n^2) budget.
+    # D4 closes to a 3-component link, counted over Bruhat cells times the
+    # torus: 3! x 6^2 x 7 moves per letter fit the DP state budget at q = 7,
+    # and 3! x 100^2 x 101 do not at q = 101.
+    code, out, _ = run_cli("aug", "--ade", "D4", "--count-fq", "7", "--method", "dp")
+    assert code == 0
+    assert json.loads(out)["count"] == {"q": 7, "method": "dp", "solutions": 2598}
     code, out, err = run_cli("aug", "--ade", "D4", "--count-fq", "101", "--method", "dp")
     assert code == 3 and out == ""
     assert "DP state budget" in err
@@ -750,7 +755,7 @@ def _argv(draw, command: str) -> list[str]:
     budget = st.integers(-1, 10**6)
     if method == ["--method", "dp"]:
         # Large primes reach the Bruhat-cell count of twisted knots and the
-        # coset DP's state budget for every other word.
+        # state budgets of twisted links and of untwisted words.
         q = st.one_of(q, st.sampled_from([101, 10007, 1000000007]))
     count = None
     if method in ([], ["--method", "brute"]):

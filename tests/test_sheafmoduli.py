@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from singlink.augment import count_solutions_dp
 from singlink.exactmath import is_prime, parse_polynomial
+from singlink.links import ade_braid, append_full_twist, parse_ade_label
 from singlink.sheafmoduli import (
     THETA_MAX_N,
     BudgetExceededError,
@@ -304,3 +306,15 @@ def test_even_chains_follow_closed_form_at_large_q():
     for n, q in [(n, 101) for n in range(2, 41, 2)] + [(24, 61)]:
         expected = sum(q ** (2 * i) for i in range(n // 2 + 1))
         assert count_theta_points_chain(n, q) == expected, (n, q)
+
+
+def test_chain_count_against_augmentations_of_a_n():
+    """A finding, not a fix: the chain system of theta(n) and the one-t
+    augmentation count of A_n with its full twist differ by exactly
+    q^((n+1)/2) when n = 1 (mod 4), n >= 5 and q is odd, and agree
+    otherwise.  Odd n are 2-component links, even n knots."""
+    for n in range(2, 14):
+        word = append_full_twist(ade_braid(parse_ade_label(f"A{n}")))
+        for q in (2, 3, 5, 7, 11, 13):
+            offset = q ** ((n + 1) // 2) if n % 4 == 1 and n >= 5 and q % 2 else 0
+            assert count_theta_points_chain(n, q) - count_solutions_dp(word, q) == offset, (n, q)
