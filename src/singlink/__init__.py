@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "augment": (
         "AugmentationSystem", "augmentation_equations", "count_solutions_bruteforce",
-        "count_solutions_dp", "pk_matrix",
+        "count_solutions_dp",
     ),
     "sheafmoduli": (
         "ThetaSystem", "count_positroid_points", "theta_equations_recursion",

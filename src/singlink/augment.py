@@ -20,13 +20,14 @@ are raw variety counts.
 Counting oracles: a brute force over the stored equations, which
 enumerates z_1..z_{s-1} and solves for the last crossing variable z_s
 and for t, and an independent count that never builds the equations.
-The latter counts a twisted knot (beta * Delta^2 closing to one
-component) by a recursion over the Bruhat cells of S_n, exact for
-every prime q, a twisted link by a recursion over the Bruhat cells
-times the torus (F_q^*)^n, and an untwisted word by a dynamic program
-over the distribution of partial matrix products in GL_n(F_q), which
-advances one coset a + F_q b of the affected column pair at a time
-instead of one z at a time.
+The latter walks only beta of a twisted word beta * Delta^2, in
+reverse from the cell of w0: a knot (one component) over the Bruhat
+cells of S_n, divided by (q-1)^(n-1) at the end, and a link over the
+Bruhat cells times the torus (F_q^*)^n, both exact for every prime q.
+An untwisted word is counted by a dynamic program over the
+distribution of partial matrix products in GL_n(F_q), which advances
+one coset a + F_q b of the affected column pair at a time instead of
+one z at a time.
 
 The brute force runs as one Python function generated per system, with
 every equation unrolled into plain sums of products.  The tests keep an
@@ -68,32 +69,6 @@ def augmentation_ring(s: int) -> RingDescriptor:
     """Z[z_1..z_s, t, t^-1]: one z per crossing plus the Laurent base-point variable."""
     names = tuple(f"z{i}" for i in range(1, s + 1)) + ("t",)
     return RingDescriptor(names, laurent=frozenset({"t"}))
-
-
-def pk_matrix(ring: RingDescriptor, n: int, k: int, var: str) -> PolyMatrix:
-    """The n x n matrix P_k(z): identity except rows/columns k, k+1.
-
-    The exceptional block is [[0, 1], [1, z]]; its determinant is -1 for
-    every n and k.
-    """
-    if not 1 <= k <= n - 1:
-        raise AugmentError(f"generator index {k} out of range for {n} strands")
-    one, zero = ring.one(), ring.zero()
-    z = ring.var(var)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if (i, j) == (k, k + 1) or (i, j) == (k + 1, k):
-                row.append(one)
-            elif i == j == k + 1:
-                row.append(z)
-            elif i == j and i != k:
-                row.append(one)
-            else:
-                row.append(zero)
-        rows.append(row)
-    return PolyMatrix(ring, rows)
 
 
 @dataclass(frozen=True)
@@ -344,80 +319,70 @@ def count_solutions_dp(word: BraidWord, q: int) -> int:
     """Independent count of the solutions (z, t), without the equations.
 
     A twisted word is beta * Delta^2, ending with the suffix that
-    :func:`links.append_full_twist` adds.  A twisted knot (one component)
-    is counted over the Bruhat cells of S_n in :func:`_count_twisted_knot`,
+    :func:`links.append_full_twist` adds.  Its Delta^2 is stripped here,
+    and beta alone is walked from the cell of w0: a twisted knot (one
+    component) over the Bruhat cells of S_n in :func:`_count_twisted_knot`,
     a twisted link over Bruhat cells times the torus in
-    :func:`_count_twisted_link`, and an untwisted word by the coset
+    :func:`_count_twisted_link`.  An untwisted word is counted by the coset
     dynamic program :func:`_count_by_cosets` over GL_n(F_q).  All three
     agree exactly with :func:`count_solutions_bruteforce`.
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
-    twist = half_twist(word.strands).letters * 2
+    n = word.strands
+    twist = half_twist(n).letters * 2
     if len(word) < len(twist) or word.letters[len(word) - len(twist) :] != twist:
         return _count_by_cosets(word, q)
+    beta = BraidWord(n, word.letters[: len(word) - len(twist)])
     if braid_invariants(word).components == 1:
-        return _count_twisted_knot(word, q)
-    return _count_twisted_link(word, q)
+        return _count_twisted_knot(beta, q)
+    return _count_twisted_link(beta, q)
 
 
-def _identity_cell_count(word: BraidWord, q: int) -> int:
-    """D_e = #{z in F_q^s : B(word)(z) is upper triangular}.
+def _count_twisted_knot(beta: BraidWord, q: int) -> int:
+    """aug = C(w0) / (q-1)^(n-1) for a twisted knot beta * Delta^2.
 
-    Write P_k(z) = s_k x_k(z) with x_k(z) upper unipotent, and track the
-    Bruhat cell B w B of the partial product as a permutation w of S_n in
-    one-line notation.  Right multiplication by P_k(z) sends B w B into
-    B w s_k B for all q values of z when w s_k > w (w[k-1] < w[k]);
-    otherwise 1 value of z goes to B w s_k B and q - 1 values stay in
-    B w B (Deodhar 1985).  So n! states replace the q^(n^2) of GL_n(F_q).
-    """
-    n = word.strands
-    if math.factorial(n) > DP_STATE_BUDGET:
-        raise BudgetExceededError(f"n! = {n}! exceeds the DP state budget")
-    cells = {tuple(range(n)): 1}
-    for k in word.letters:
-        moved: dict[tuple[int, ...], int] = {}
-        for w, count in cells.items():
-            ws = w[: k - 1] + (w[k], w[k - 1]) + w[k + 1 :]
-            if w[k - 1] < w[k]:
-                moved[ws] = moved.get(ws, 0) + q * count
-            else:
-                moved[ws] = moved.get(ws, 0) + count
-                moved[w] = moved.get(w, 0) + (q - 1) * count
-        cells = moved
-    return cells.get(tuple(range(n)), 0)
+    C(w) counts the z of beta with w0 B(beta)^T in U^- w T U^-: the cells
+    of :func:`_torus_cells`, walked by its moves with the torus summed
+    out.  At an ascent w all q values of z go to w s_k; at a descent 1
+    goes to w s_k and q - 1 stay at w.  The cells form an upper set (see
+    :func:`_torus_cells`), so each letter visits only the descents w:
+    w s_k receives C(w), and w receives q C(w s_k) + (q - 1) C(w).  The
+    states are at most n!, held to ``DP_STATE_BUDGET``.
 
-
-def _count_twisted_knot(word: BraidWord, q: int) -> int:
-    """aug = D_e / ((q-1)^(n-1) q^(n(n-1)/2)) for a twisted knot beta * Delta^2.
-
-    With N = n(n-1)/2 and D_e from :func:`_identity_cell_count`:
-
-    1. The 2N letters of Delta^2 give B(Delta^2) = v u with v in U^- and
-       u in U, and (v, u) is uniform over U^- x U as their z range over
-       F_q^(2N).  B(beta) v u is upper triangular iff B(beta) v = b is,
-       which pins v for each z of beta with B(beta) in B U^-; B(beta) v u
-       = b u is diagonal for exactly one of the q^N values of u.  So
-       D_e = q^N #{z : B(z) diagonal}.
-    2. For d in the torus, d P_k(z) (s_k d s_k)^-1 = P_k(z d_{k+1}/d_k).
-       Letter by letter, z -> z' is a bijection with d B(z) d_w^-1 = B(z'),
-       where d_w is d with its entries permuted by the permutation w of
-       the word.  So the z with B(z) = D are as many as those with
-       B(z) = D d/d_w.  For a knot w is an n-cycle, so d/d_w runs over
-       every diagonal of determinant 1, and every diagonal of determinant
-       det B = (-1)^s is taken equally often: by #{z : B(z) diagonal}
-       / (q-1)^(n-1) values of z.  -diag(t, 1, .., 1) is one of them for
-       exactly one t, t = (-1)^(n+s), in either t convention.
+    By :func:`_count_twisted_link`, C(w0, D) = #{z of beta Delta^2 :
+    B(z) = D} for every diagonal D, so C(w0) counts the z with B(z)
+    diagonal.  For d in the torus, d P_k(z) (s_k d s_k)^-1 = P_k(z
+    d_{k+1}/d_k).  Letter by letter, z -> z' is a bijection with d B(z)
+    d_w^-1 = B(z'), where d_w is d with its entries permuted by the
+    permutation w of the word.  So the z with B(z) = D are as many as
+    those with B(z) = D d/d_w.  For a knot w is an n-cycle, so d/d_w runs
+    over every diagonal of determinant 1, and every diagonal of
+    determinant det B = (-1)^s, s the length of beta Delta^2, is taken
+    equally often: by C(w0) / (q-1)^(n-1) values of z.  -diag(t, 1, ..,
+    1) is one of them for exactly one t, t = (-1)^(n+s), in either t
+    convention.
 
     The division is checked to be exact (:class:`AugmentError` if not).
     """
-    n = word.strands
-    cells = _identity_cell_count(word, q)
-    count, rest = divmod(cells, (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2))
+    n = beta.strands
+    if math.factorial(n) > DP_STATE_BUDGET:
+        raise BudgetExceededError(f"n! = {n}! exceeds the DP state budget")
+    w0 = tuple(range(n - 1, -1, -1))
+    cells = {w0: 1}
+    for k in reversed(beta.letters):
+        i = k - 1
+        moved: dict[tuple[int, ...], int] = {}
+        for w, count in cells.items():
+            if w[i] < w[i + 1]:
+                continue  # moved on the turn of w s_k, a state as well
+            ws = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+            moved[ws] = count
+            moved[w] = q * cells.get(ws, 0) + (q - 1) * count
+        cells = moved
+    count, rest = divmod(cells[w0], (q - 1) ** (n - 1))
     if rest:
-        raise AugmentError(
-            f"D_e = {cells} is not divisible by (q-1)^(n-1) q^(n(n-1)/2) at q = {q}"
-        )
+        raise AugmentError(f"C(w0) = {cells[w0]} is not divisible by (q-1)^(n-1) at q = {q}")
     return count
 
 
@@ -491,26 +456,28 @@ def _torus_cells(word: BraidWord, q: int) -> dict[tuple[int, ...], dict[tuple[in
     return cells
 
 
-def _count_twisted_link(word: BraidWord, q: int) -> int:
+def _count_twisted_link(beta: BraidWord, q: int) -> int:
     """aug = sum_t C(w0, -diag(t, 1, .., 1)) for a twisted link beta * Delta^2.
 
-    C is :func:`_torus_cells` of beta, and N = n(n-1)/2.  As in step 1 of
-    :func:`_count_twisted_knot`, the 2N letters of Delta^2 give
-    B(Delta^2) = v u, with (v, u) running once over U^- x U as their z
-    run over F_q^(2N).  So for each z of beta, B(beta) v u = D has one
-    solution (v, u) if B(beta) lies in D U U^- and none otherwise, and
-    the count is #{z of beta : B(beta) in D U U^-}, summed over
-    D = -diag(t, 1, .., 1).  Transposed and multiplied by w0 on the left,
-    B(beta) = D a b with a in U and b in U^- becomes w0 B(beta)^T =
-    (w0 b^T w0) w0 D (D^-1 a^T D), which lies in U^- w0 D U^-; every
-    element of that cell arises so.
+    C is :func:`_torus_cells` of beta, and N = n(n-1)/2.
+
+    1. Delta is a reduced word of w0.  With P_k(z) = s_k x_k(z) and x_k(z)
+       upper unipotent, its N values of z run once over w0 U, so the 2N
+       letters of Delta^2 give B(Delta^2) = (w0 u w0) u' = v u' with
+       (v, u') running once over U^- x U as their z run over F_q^(2N).
+    2. So for each z of beta, B(beta) v u' = D has one solution (v, u') if
+       B(beta) lies in D U U^- and none otherwise, and the count is
+       #{z of beta : B(beta) in D U U^-}, summed over D = -diag(t, 1, ..,
+       1).  Transposed and multiplied by w0 on the left, B(beta) = D a b
+       with a in U and b in U^- becomes w0 B(beta)^T = (w0 b^T w0) w0 D
+       (D^-1 a^T D), which lies in U^- w0 D U^-; every element of that
+       cell arises so.
+
     So C(w0, D) is the count for D, with no division, and Delta^2 is
-    never walked.  Unlike the knot formula this needs no torus symmetry,
-    so it holds for any number of components; for a knot it equals
-    :func:`_count_twisted_knot`, which has only n! states.
+    never walked.  Unlike :func:`_count_twisted_knot` this needs no torus
+    symmetry, so it holds for any number of components.
     """
-    n = word.strands
-    beta = BraidWord(n, word.letters[: len(word) - n * (n - 1)])
+    n = beta.strands
     w0 = tuple(range(n - 1, -1, -1))
     # tau[w0[j]] = t_j: the base point t_1 sits at index n - 1.
     torus = _torus_cells(beta, q).get(w0, {})

@@ -22,18 +22,16 @@ from singlink.augment import (
     _count_by_cosets,
     _count_twisted_knot,
     _count_twisted_link,
-    _identity_cell_count,
     _torus_cells,
     augmentation_equations,
     augmentation_ring,
     braid_matrix,
     count_solutions_bruteforce,
     count_solutions_dp,
-    pk_matrix,
     symbolic_determinant,
     system_to_json_dict,
 )
-from singlink.exactmath import compile_kernel, is_prime, parse_polynomial
+from singlink.exactmath import PolyMatrix, compile_kernel, is_prime, parse_polynomial
 from singlink.links import (
     BraidWord,
     ade_braid,
@@ -188,6 +186,29 @@ def raised(count, system: AugmentationSystem, q: int) -> str:
     with pytest.raises(AugmentError) as info:
         count(system, q)
     return str(info.value)
+
+
+def pk_matrix(ring, n: int, k: int, var: str) -> PolyMatrix:
+    """Oracle: the n x n matrix P_k(z), the identity except for the block
+    [[0, 1], [1, z]] in rows and columns k, k+1; its determinant is -1."""
+    if not 1 <= k <= n - 1:
+        raise AugmentError(f"generator index {k} out of range for {n} strands")
+    one, zero = ring.one(), ring.zero()
+    z = ring.var(var)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            if (i, j) == (k, k + 1) or (i, j) == (k + 1, k):
+                row.append(one)
+            elif i == j == k + 1:
+                row.append(z)
+            elif i == j and i != k:
+                row.append(one)
+            else:
+                row.append(zero)
+        rows.append(row)
+    return PolyMatrix(ring, rows)
 
 
 def test_pk_matrix_two_strands():
@@ -661,6 +682,31 @@ def is_knot(word: BraidWord) -> bool:
     return braid_invariants(word).components == 1
 
 
+def _identity_cell_count(word: BraidWord, q: int) -> int:
+    """Oracle: D_e = #{z in F_q^s : B(word)(z) is upper triangular}.
+
+    Write P_k(z) = s_k x_k(z) with x_k(z) upper unipotent, and track the
+    Bruhat cell B w B of the partial product as a permutation w of S_n in
+    one-line notation, from the identity.  Right multiplication by P_k(z)
+    sends B w B into B w s_k B for all q values of z when w s_k > w
+    (w[k-1] < w[k]); otherwise 1 value of z goes to B w s_k B and q - 1
+    values stay in B w B (Deodhar 1985).
+    """
+    n = word.strands
+    cells = {tuple(range(n)): 1}
+    for k in word.letters:
+        moved: dict[tuple[int, ...], int] = {}
+        for w, count in cells.items():
+            ws = w[: k - 1] + (w[k], w[k - 1]) + w[k + 1 :]
+            if w[k - 1] < w[k]:
+                moved[ws] = moved.get(ws, 0) + q * count
+            else:
+                moved[ws] = moved.get(ws, 0) + count
+                moved[w] = moved.get(w, 0) + (q - 1) * count
+        cells = moved
+    return cells.get(tuple(range(n)), 0)
+
+
 KNOT_LABELS = [
     label
     for label in ADE_LABELS
@@ -702,6 +748,27 @@ def test_twisted_knot_count_matches_cosets_on_random_knots():
         knots += 1
         for q in (2, 3) if n == 3 else (2, 3, 5):
             assert count_solutions_dp(word, q) == _count_by_cosets(word, q), (word, q)
+
+
+def test_twisted_knot_count_times_its_divisor_is_the_identity_cell_count():
+    # The walk over beta from w0 against the walk over beta Delta^2 from
+    # the identity: aug (q-1)^(n-1) q^N = D_e, with N = n(n-1)/2, on the
+    # unknot (the one knot on one strand) and 300 knots on 2-5 strands.
+    rng = random.Random(53)
+    knots = {BraidWord(1, ())}
+    while len(knots) <= 300:
+        n = rng.randint(2, 5)
+        beta = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(n - 1, 3 * n))))
+        if is_knot(append_full_twist(beta)):
+            knots.add(beta)
+    for beta in knots:
+        n, word = beta.strands, append_full_twist(beta)
+        for q in (2, 3, 5, 7):
+            divisor = (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2)
+            assert count_solutions_dp(word, q) * divisor == _identity_cell_count(word, q), (
+                word,
+                q,
+            )
 
 
 def test_identity_cell_count_matches_full_matrix_dp():
@@ -789,10 +856,11 @@ def test_twisted_link_count_matches_cosets_on_ade_links(label):
     # Every prime the coset budget admits for A1 and up to 13 for the other
     # two-strand labels; q = 3 on three strands is left to the full matrix
     # DP test above.
-    word = append_full_twist(ade_braid(parse_ade_label(label)))
+    beta = ade_braid(parse_ade_label(label))
+    word = append_full_twist(beta)
     for q in PRIMES_TO_31 if label == "A1" else PRIMES_TO_31[:6]:
         if q ** (word.strands**2) <= DP_STATE_BUDGET and (word.strands, q) != (3, 3):
-            assert _count_twisted_link(word, q) == coset_count(word, q), q
+            assert _count_twisted_link(beta, q) == coset_count(word, q), q
 
 
 def test_twisted_link_count_matches_cosets_on_random_links():
@@ -814,13 +882,14 @@ def test_twisted_link_count_matches_bruteforce_on_ade_links():
     # budget, to keep the test short.
     compared = 0
     for label in LINK_LABELS:
-        word = append_full_twist(ade_braid(parse_ade_label(label)))
+        beta = ade_braid(parse_ade_label(label))
+        word = append_full_twist(beta)
         system = augmentation_equations(word)
         terms = sum(len(p.terms) for p in system.equations)
         for q in (2, 3, 5):
             if q ** (len(word) - 1) * terms <= 10**6:
                 compared += 1
-                assert count_solutions_bruteforce(system, q) == _count_twisted_link(word, q), (
+                assert count_solutions_bruteforce(system, q) == _count_twisted_link(beta, q), (
                     label,
                     q,
                 )
@@ -829,9 +898,9 @@ def test_twisted_link_count_matches_bruteforce_on_ade_links():
 
 def test_twisted_link_count_equals_knot_formula_on_knots():
     for label in KNOT_LABELS:
-        word = append_full_twist(ade_braid(parse_ade_label(label)))
+        beta = ade_braid(parse_ade_label(label))
         for q in (2, 3, 5, 7, 11, 13):
-            assert _count_twisted_link(word, q) == _count_twisted_knot(word, q), (label, q)
+            assert _count_twisted_link(beta, q) == _count_twisted_knot(beta, q), (label, q)
 
 
 def test_torus_cells_at_w0_sum_to_the_bruhat_cell_count():

@@ -507,6 +507,16 @@ def test_aug_dp_counts_twisted_knots_past_the_coset_budget():
     assert "DP state budget" in err
 
 
+def test_aug_dp_counts_a_nine_strand_twisted_knot_quickly():
+    # T(9, 4) is a knot on 9 strands, 9! Bruhat cells, as the fuzz test's
+    # long torus braids can draw it.  Only beta is walked, not Delta^2.
+    started = time.perf_counter()
+    code, out, _ = run_cli("aug", "--torus", "9", "4", "--count-fq", "3", "--method", "dp")
+    assert code == 0
+    assert json.loads(out)["count"] == {"q": 3, "method": "dp", "solutions": 334069986943}
+    assert time.perf_counter() - started < 2.0
+
+
 def test_aug_budget_exit_code():
     code, _, err = run_cli(
         "aug", "--braid", "1 1 1 1 1 1 1 1", "--strands", "2", "--no-full-twist",
@@ -745,9 +755,10 @@ def _argv(draw, command: str) -> list[str]:
     if command == "link":
         argv = ["link", *draw(_braid_inputs(puiseux=True))]
         return argv + (["--pipeline"] if draw(st.booleans()) else [])
-    # The slowest aug inputs here take about 1 s: the F_2 DP on four
-    # strands, which holds 2^16 states.  Torus words up to T(9, 12) end at
-    # the term budget (exit 3) in well under a second.
+    # The slowest aug inputs here take about 2 s: T(9, 5) with --method dp,
+    # a knot walked over the 9! Bruhat cells.  The F_2 DP on four strands,
+    # which holds 2^16 states, takes about 1 s.  Longer torus words up to
+    # T(9, 12) end at the term budget (exit 3) in well under a second.
     braid = st.one_of(_braid_inputs(puiseux=False), _long_torus)
     method = _flag(draw, "--method", _choice(_CHOICES["aug"]["--method"]))
     q = st.integers(-3, 13)
