@@ -328,6 +328,8 @@ def cmd_aug(args) -> int:
 def cmd_theta(args) -> int:
     from . import sheafmoduli
 
+    if args.positroid and args.count_fq is None:
+        raise UsageError("--positroid counts points: it needs --count-fq Q")
     system = sheafmoduli.theta_system(args.n, args.method)
     payload = sheafmoduli.system_to_json_dict(system)
     payload["method"] = args.method
@@ -445,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("--method", default="recursion")
     p_theta.add_argument("--count-fq", type=int, metavar="Q")
     p_theta.add_argument("--positroid", action="store_true",
-                         help="also count the cyclic positroid stratum")
+                         help="with --count-fq, also count the cyclic positroid stratum")
     p_theta.set_defaults(func=cmd_theta)
 
     p_check = sub.add_parser("check", help="run the cross-validation suite")

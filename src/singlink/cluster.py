@@ -3,9 +3,10 @@ and finite-type classification.
 
 Seeds carry exact Laurent cluster variables in the initial variables
 u1..un; mutation divides the exchange binomial by the outgoing variable,
-which is exact whenever the Laurent phenomenon holds (asserted).  Seed
-identity is the unordered set of cluster variables in canonical form, so
-enumeration counts clusters.
+which is exact whenever the Laurent phenomenon holds (asserted).  A seed
+of a finite-type algebra is determined by its cluster (Fomin-Zelevinsky,
+Cluster algebras II; Gekhtman-Shapiro-Vainshtein), so seed identity is
+the unordered set of cluster variables and enumeration counts clusters.
 """
 
 from __future__ import annotations
@@ -168,9 +169,6 @@ class Seed:
     matrix: ExchangeMatrix
     cluster: tuple[Polynomial, ...]
 
-    def key(self) -> frozenset:
-        return frozenset(self.cluster)
-
 
 def initial_seed(matrix: ExchangeMatrix) -> Seed:
     ring = initial_cluster_ring(matrix.n)
@@ -228,10 +226,13 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
     component seed counts above ``cap``, raises
     :class:`BudgetExceededError` at once instead of after ``cap`` seeds.
 
-    Cluster variables are hash-consed into a pool and exchange results
-    are memoized on the local configuration (the outgoing variable and
-    its signed neighborhood), which the larger exploration frontiers
-    (E7, E8) revisit constantly.
+    Cluster variables are hash-consed into a pool that lives as long as
+    the search, so a pooled variable's ``id`` stands for the variable.  A
+    cluster is keyed by the frozenset of its ids, and an exchange result
+    is memoized on ``(id of x_k, frozenset of (id of x_i, b_ik) with
+    b_ik != 0)``, a local configuration that the larger frontiers (E7,
+    E8) revisit constantly.  The matrix of a neighbour is mutated only
+    when its cluster is new.
     """
     if cap < 1:
         raise ClusterError("cap must be at least 1")
@@ -242,37 +243,26 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
             count *= expected_seed_count(dynkin)
         if dynkin is None or count > cap:
             raise BudgetExceededError(f"more than {cap} seeds reached", cap)
-    n = matrix.n
     start = initial_seed(matrix)
     pool: dict = {var: var for var in start.cluster}
     exchange_memo: dict = {}
-
-    def mutate_interned(seed: Seed, k: int) -> Seed:
-        kk = k - 1
-        column = tuple(seed.matrix.entries[i][kk] for i in range(n))
-        local = tuple(
-            sorted((id(seed.cluster[i]), b) for i, b in enumerate(column) if b != 0)
-        )
-        memo_key = (id(seed.cluster[kk]), local)
-        new_var = exchange_memo.get(memo_key)
-        if new_var is None:
-            new_var = _exchange(seed, kk)
-            new_var = pool.setdefault(new_var, new_var)
-            exchange_memo[memo_key] = new_var
-        cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]
-        return Seed(mutate(seed.matrix, k), cluster)
-
-    seen: dict[frozenset, Seed] = {start.key(): start}
+    seen: dict[frozenset, Seed] = {frozenset(map(id, start.cluster)): start}
     queue: deque[Seed] = deque([start])
     while queue:
         seed = queue.popleft()
-        for k in range(1, n + 1):
-            neighbor = mutate_interned(seed, k)
-            key = neighbor.key()
+        ids = tuple(map(id, seed.cluster))
+        for kk, column in enumerate(zip(*seed.matrix.entries)):
+            memo_key = (ids[kk], frozenset(itertools.compress(zip(ids, column), column)))
+            new_var = exchange_memo.get(memo_key)
+            if new_var is None:
+                new_var = _exchange(seed, kk)
+                new_var = exchange_memo[memo_key] = pool.setdefault(new_var, new_var)
+            key = frozenset(ids[:kk] + (id(new_var),) + ids[kk + 1 :])
             if key not in seen:
                 if len(seen) >= cap:
                     raise BudgetExceededError(f"more than {cap} seeds reached", cap)
-                seen[key] = neighbor
+                cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]
+                seen[key] = neighbor = Seed(mutate(seed.matrix, kk + 1), cluster)
                 queue.append(neighbor)
     return tuple(seen.values())
 

@@ -113,6 +113,13 @@ def test_theta_budget_flag_is_gone():
     assert "--budget" in err
 
 
+def test_theta_positroid_without_a_count_is_a_usage_error():
+    code, out, err = run_cli("theta", "--n", "3", "--positroid")
+    assert code == 2
+    assert out == ""
+    assert "--positroid" in err and "--count-fq" in err and "Traceback" not in err
+
+
 def test_theta_positroid_count_at_large_n_and_q():
     n, q = 40, 101
     code, out, _ = run_cli("theta", "--n", str(n), "--count-fq", str(q), "--positroid")

@@ -7,6 +7,7 @@ from math import comb, gcd
 
 import pytest
 
+import singlink.cluster as cluster_module
 from singlink.bricks import brick_quiver, to_exchange_matrix
 from singlink.cluster import (
     ClusterError,
@@ -291,9 +292,9 @@ def test_seed_mutation_rejects_a_non_laurent_exchange():
 def test_seed_mutation_involution():
     seed = initial_seed(initial_matrix(DynkinType("D", 4)))
     for k in (1, 2, 3, 4):
-        assert mutate_seed(mutate_seed(seed, k), k).key() == seed.key()
+        assert frozenset(mutate_seed(mutate_seed(seed, k), k).cluster) == frozenset(seed.cluster)
     walked = mutate_seed(mutate_seed(seed, 2), 3)
-    assert mutate_seed(mutate_seed(walked, 4), 4).key() == walked.key()
+    assert frozenset(mutate_seed(mutate_seed(walked, 4), 4).cluster) == frozenset(walked.cluster)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +324,56 @@ def test_enumerate_disconnected_counts_the_product_and_checks_the_cap_first():
     # An infinite component (Kronecker) next to a finite one.
     with pytest.raises(BudgetExceededError):
         enumerate_seeds(M([[0, 2, 0], [-2, 0, 0], [0, 0, 0]]), cap=2000)
+
+
+def _enumerate_seeds_plainly(matrix: ExchangeMatrix, cap: int) -> tuple[Seed, ...]:
+    """Breadth-first closure that runs mutate_seed on every edge and keys
+    each seed by the set of its cluster variables: no pool, no memo."""
+    start = initial_seed(matrix)
+    seen = {frozenset(start.cluster): start}
+    queue = deque([start])
+    while queue:
+        seed = queue.popleft()
+        for k in range(1, matrix.n + 1):
+            neighbor = mutate_seed(seed, k)
+            key = frozenset(neighbor.cluster)
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise BudgetExceededError(f"more than {cap} seeds reached", cap)
+                seen[key] = neighbor
+                queue.append(neighbor)
+    return tuple(seen.values())
+
+
+@pytest.mark.parametrize("type_text", ["A5", "B3", "C3", "G2", "D5", "F4", "D6", "A1xA2"])
+def test_enumerate_seeds_matches_a_plain_breadth_first_search(type_text):
+    if type_text == "A1xA2":
+        matrix = M([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    else:
+        matrix = initial_matrix(parse_dynkin_type(type_text))
+    seeds = enumerate_seeds(matrix, cap=1000)
+    assert seeds == _enumerate_seeds_plainly(matrix, cap=1000)
+    count = len(seeds)
+    message = f"more than {count - 1} seeds reached"
+    with pytest.raises(BudgetExceededError, match=message):
+        enumerate_seeds(matrix, cap=count - 1)
+    with pytest.raises(BudgetExceededError, match=message):
+        _enumerate_seeds_plainly(matrix, cap=count - 1)
+
+
+def test_enumerate_seeds_mutates_each_new_seed_once_and_divides_as_before(monkeypatch):
+    calls = {"mutate": 0, "divide_exact": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cluster_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cluster_module, name, counted)
+    seeds = enumerate_seeds(initial_matrix(DynkinType("E", 6)), cap=1000)
+    assert len(seeds) == 833
+    # One matrix mutation per seed past the first; 770 Laurent divisions,
+    # the exchange memo's count on E6.
+    assert calls == {"mutate": 832, "divide_exact": 770}
 
 
 def test_expected_seed_count_closed_forms():
