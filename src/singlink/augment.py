@@ -29,10 +29,18 @@ distribution of partial matrix products in GL_n(F_q), which advances
 one coset a + F_q b of the affected column pair at a time instead of
 one z at a time.
 
+Every entry of the braid matrix is multilinear, since each z enters
+through one factor only.  So a system stores each equation as a term map
+{bitmask of z's: coefficient} (see :mod:`exactmath`), with the lone t
+term of the (1,1) equation kept apart: building, printing and compiling
+it take time linear in its terms, not terms times s.  Dense polynomials
+are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
+:func:`symbolic_determinant`).
+
 The brute force runs as one Python function generated per system, with
 every equation unrolled into plain sums of products.  The tests keep an
 interpreted loop over term tuples as an oracle, next to a count over
-every point (z, t).
+every point (z, t) of the dense equations.
 """
 
 from __future__ import annotations
@@ -48,14 +56,20 @@ from .exactmath import (
     RingDescriptor,
     compile_kernel,
     is_prime,
+    mask_indices,
+    multilinear_polynomial,
+    multilinear_product,
+    multilinear_text,
     sum_source,
 )
 from .links import BraidWord, braid_invariants, half_twist
 
 BRUTE_FORCE_BUDGET = 10**8
 DP_STATE_BUDGET = 10**6
-# Terms of the symbolic braid matrix.  T(6,7) with the full twist needs
-# 12331; T(7,9) needs over 77000 and would take about 20 s.
+# Terms of the symbolic braid matrix, which also bound the printed
+# equations and the source of the brute-force kernel.  T(6,7) with the
+# full twist needs 12331; T(7,9) needs 80060, and `aug --torus 7 9` would
+# take about 0.65 s in-process on a 2-vCPU VM with Python 3.11.
 TERM_BUDGET = 20_000
 
 T_CONVENTIONS = ("t", "t-inverse")
@@ -65,21 +79,31 @@ class AugmentError(ValueError):
     pass
 
 
+def augmentation_variables(s: int) -> tuple[str, ...]:
+    """z_1..z_s, one per crossing, then the base-point variable t."""
+    return tuple(f"z{i}" for i in range(1, s + 1)) + ("t",)
+
+
 def augmentation_ring(s: int) -> RingDescriptor:
-    """Z[z_1..z_s, t, t^-1]: one z per crossing plus the Laurent base-point variable."""
-    names = tuple(f"z{i}" for i in range(1, s + 1)) + ("t",)
-    return RingDescriptor(names, laurent=frozenset({"t"}))
+    """Z[z_1..z_s, t, t^-1], the dense ring of the oracles."""
+    return RingDescriptor(augmentation_variables(s), laurent=frozenset({"t"}))
 
 
 @dataclass(frozen=True)
 class AugmentationSystem:
-    """The n^2 equations cutting out the augmentation variety in C^s x C*."""
+    """The n^2 equations cutting out the augmentation variety in C^s x C*.
+
+    ``equations`` holds each entry row-major as a multilinear term map
+    (:mod:`exactmath`) in z_1..z_s, z_k at bit s - k.  The (1,1) equation
+    also holds one lone term ``t_coeff`` t^(+-1), kept apart: t for the
+    convention "t", t^-1 for "t-inverse".
+    """
 
     strands: int
     word: BraidWord
-    ring: RingDescriptor
-    equations: tuple[Polynomial, ...]
+    equations: tuple[dict[int, int], ...]
     t_convention: str
+    t_coeff: int = 1
 
     @property
     def z_count(self) -> int:
@@ -87,24 +111,36 @@ class AugmentationSystem:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return self.ring.variables
+        return augmentation_variables(self.z_count)
 
-    def equation(self, i: int, j: int) -> Polynomial:
-        """Row-major access, 1-based."""
+    @property
+    def t_exponent(self) -> int:
+        return 1 if self.t_convention == "t" else -1
+
+    def equation(self, i: int, j: int) -> dict[int, int]:
+        """Row-major access, 1-based; the lone t term is not in the map."""
         return self.equations[(i - 1) * self.strands + (j - 1)]
 
+    def polynomials(self) -> tuple[Polynomial, ...]:
+        """The equations as dense polynomials of :func:`augmentation_ring`."""
+        ring = augmentation_ring(self.z_count)
+        dense = [multilinear_polynomial(ring, eq, self.z_count) for eq in self.equations]
+        dense[0] = dense[0] + ring.var("t", self.t_exponent) * self.t_coeff
+        return tuple(dense)
 
-def braid_matrix(ring: RingDescriptor, word: BraidWord) -> PolyMatrix:
-    """B(word) = P_{k_1}(z_1) ... P_{k_s}(z_s), left-to-right.
+
+def braid_matrix(word: BraidWord) -> tuple[tuple[dict[int, int], ...], ...]:
+    """B(word) = P_{k_1}(z_1) ... P_{k_s}(z_s), left-to-right, as rows of term maps.
 
     Right multiplication by P_k(z) sends the column pair (c_k, c_{k+1})
-    to (c_{k+1}, c_k + z c_{k+1}).  z is a fresh variable, so the new
-    column holds exactly terms(c_k) + terms(c_{k+1}) terms, and the term
-    count after every letter follows from integers alone.  It is checked
-    before any polynomial is built: above ``TERM_BUDGET`` the product
-    raises :class:`BudgetExceededError`.
+    to (c_{k+1}, c_k + z c_{k+1}).  z is a fresh variable, so no monomial
+    of c_k holds it and every monomial of z c_{k+1} does: the new column
+    holds exactly terms(c_k) + terms(c_{k+1}) terms, every coefficient
+    stays 1, and the term count after every letter follows from integers
+    alone.  It is checked before any term is built: above ``TERM_BUDGET``
+    the product raises :class:`BudgetExceededError`.
     """
-    n = word.strands
+    n, s = word.strands, len(word)
     if n * n > TERM_BUDGET:
         raise BudgetExceededError(
             f"{n} strands give n^2 = {n * n} equations, over the term budget {TERM_BUDGET}"
@@ -118,14 +154,13 @@ def braid_matrix(ring: RingDescriptor, word: BraidWord) -> PolyMatrix:
                 f"the braid matrix holds {terms} terms after letter {pos} of "
                 f"{len(word)}, over the term budget {TERM_BUDGET}"
             )
-    one, zero = ring.one(), ring.zero()
-    columns = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    columns = [[{0: 1} if i == j else {} for i in range(n)] for j in range(n)]
     for pos, k in enumerate(word.letters, start=1):
-        z = ring.var(f"z{pos}")
+        z = {1 << (s - pos): 1}
         left, right = columns[k - 1], columns[k]
         columns[k - 1] = right
-        columns[k] = [a + z * b for a, b in zip(left, right)]
-    return PolyMatrix(ring, zip(*columns))
+        columns[k] = [{**a, **multilinear_product(z, b)} for a, b in zip(left, right)]
+    return tuple(zip(*columns))
 
 
 def augmentation_equations(word: BraidWord, t_convention: str = "t") -> AugmentationSystem:
@@ -136,54 +171,29 @@ def augmentation_equations(word: BraidWord, t_convention: str = "t") -> Augmenta
     """
     if t_convention not in T_CONVENTIONS:
         raise AugmentError(f"unknown t convention {t_convention!r}")
-    n = word.strands
-    ring = augmentation_ring(len(word))
-    b = braid_matrix(ring, word)
-    t_power = 1 if t_convention == "t" else -1
-    t_entry = ring.var("t", t_power)
-    equations = []
-    for i in range(n):
-        for j in range(n):
-            entry = b[i, j]
-            if i == j:
-                entry = entry + (t_entry if i == 0 else ring.one())
-            equations.append(entry)
+    rows = braid_matrix(word)
+    for i in range(1, word.strands):
+        diagonal = rows[i][i]  # a fresh map; its coefficients are all 1
+        diagonal[0] = diagonal.get(0, 0) + 1
     return AugmentationSystem(
-        strands=n,
+        strands=word.strands,
         word=word,
-        ring=ring,
-        equations=tuple(equations),
+        equations=tuple(entry for row in rows for entry in row),
         t_convention=t_convention,
     )
 
 
-def _compile_terms(p: Polynomial, s: int):
-    """Precompile for F_q evaluation: (coeff, z-index tuple, t exponent).
+def _split_last(terms: dict[int, int], s: int):
+    """Terms of alpha(z') + beta(z') z_s, z' = (z_1..z_{s-1}): (alpha, beta).
 
-    Entries of products of P_k matrices are multilinear in each z, so
-    z-exponents are 0/1; z-indices come in increasing order.
+    z_s is bit 0 of a mask; each part is (coeff, z-index tuple) terms.
     """
-    compiled = []
-    for exp, coeff in p.terms.items():
-        zs = []
-        for idx in range(s):
-            e = exp[idx]
-            if e == 1:
-                zs.append(idx)
-            elif e != 0:
-                raise AugmentError("unexpected exponent in augmentation equation")
-        compiled.append((int(coeff), tuple(zs), exp[s]))
-    return compiled
-
-
-def _split_last(terms, s: int):
-    """Terms of alpha(z') + beta(z') z_s, z' = (z_1..z_{s-1}): (alpha, beta)."""
     alpha, beta = [], []
-    for coeff, zs, _ in terms:
-        if zs and zs[-1] == s - 1:
-            beta.append((coeff, zs[:-1]))
+    for mask, coeff in terms.items():
+        if mask & 1:
+            beta.append((coeff, mask_indices(mask ^ 1, s)))
         else:
-            alpha.append((coeff, zs))
+            alpha.append((coeff, mask_indices(mask, s)))
     return tuple(alpha), tuple(beta)
 
 
@@ -191,28 +201,22 @@ def _compile_system(system: AugmentationSystem):
     """The stored equations, split for solving in z_s and t.
 
     Returns (c, e, entry, constraints): the (1,1) equation is
-    c t^e + alpha(z') + beta(z') z_s with c, e in {1, -1} and
-    entry = (alpha, beta); constraints holds the (alpha, beta) of every
-    other equation, fewest terms first.  t must occur exactly there.
-    Every part is a tuple, so the parts key :func:`_bruteforce_kernel`'s
-    cache.
+    c t^e + alpha(z') + beta(z') z_s with entry = (alpha, beta), and c
+    must be 1 or -1; constraints holds the (alpha, beta) of every other
+    equation, fewest terms first.  Every part is a tuple, so the parts
+    key :func:`_bruteforce_kernel`'s cache.
     """
     s = len(system.word)
-    compiled = [_compile_terms(p, s) for p in system.equations]
-    t_terms = [(index, term) for index, eq in enumerate(compiled) for term in eq if term[2]]
-    if len(t_terms) != 1:
-        raise AugmentError(f"t occurs in {len(t_terms)} terms, expected exactly one")
-    index, (coeff, zs, t_exp) = t_terms[0]
-    if index or zs or coeff not in (1, -1) or t_exp not in (1, -1):
+    if system.t_coeff not in (1, -1):
         raise AugmentError("t must occur as a lone term +-t^(+-1) of the (1,1) equation")
-    entry = _split_last([term for term in compiled[0] if not term[2]], s)
+    entry = _split_last(system.equations[0], s)
     constraints = tuple(
         sorted(
-            (_split_last(eq, s) for eq in compiled[1:]),
+            (_split_last(eq, s) for eq in system.equations[1:]),
             key=lambda split: len(split[0]) + len(split[1]),
         )
     )
-    return coeff, t_exp, entry, constraints
+    return system.t_coeff, system.t_exponent, entry, constraints
 
 
 @functools.lru_cache(maxsize=32)
@@ -297,7 +301,7 @@ def count_solutions_bruteforce(
         raise AugmentError(f"{q} is not prime")
     s = len(system.word)
     prefix_length = max(s - 1, 0)
-    terms = sum(len(p.terms) for p in system.equations)
+    terms = sum(map(len, system.equations)) + 1  # and the lone t term
     if q**prefix_length * terms > budget:
         raise BudgetExceededError(
             f"q^(s-1) x terms = {q}^{prefix_length} x {terms} exceeds the work budget {budget}"
@@ -547,16 +551,25 @@ def _count_by_cosets(word: BraidWord, q: int) -> int:
 
 
 def symbolic_determinant(word: BraidWord) -> Polynomial:
-    """det B(word) as an exact polynomial; equals (-1)^s identically."""
-    ring = augmentation_ring(len(word))
-    return braid_matrix(ring, word).det()
+    """det B(word) as an exact dense polynomial; equals (-1)^s identically."""
+    s = len(word)
+    ring = augmentation_ring(s)
+    rows = [[multilinear_polynomial(ring, entry, s) for entry in row] for row in braid_matrix(word)]
+    return PolyMatrix(ring, rows).det()
 
 
 def system_to_json_dict(system: AugmentationSystem) -> dict:
+    names = system.variables
+    t_power = system.t_exponent
+    lone = (system.t_coeff, t_power, "t" if t_power == 1 else "t^-1")
     return {
         "strands": system.strands,
         "word": list(system.word.letters),
         "t_convention": system.t_convention,
-        "variables": list(system.variables),
-        "equations": [eq.to_text() for eq in system.equations],
+        "variables": list(names),
+        # The masks hold the z's alone; the (1,1) equation adds the t term.
+        "equations": [
+            multilinear_text(eq, names[:-1], lone if index == 0 else None)
+            for index, eq in enumerate(system.equations)
+        ],
     }

@@ -220,9 +220,10 @@ def check_worked_example() -> CheckResult:
     system = augment.augmentation_equations(word, t_convention="t-inverse")
     from .exactmath import parse_polynomial
 
-    expected = parse_polynomial(WORKED_EXAMPLE_EQ11, system.ring)
+    # Canonical texts are equal exactly when the polynomials are.
+    expected = parse_polynomial(WORKED_EXAMPLE_EQ11, augment.augmentation_ring(len(word)))
     structure_ok = len(word) == 31 and len(system.equations) == 16
-    eq_ok = system.equation(1, 1) == expected
+    eq_ok = augment.system_to_json_dict(system)["equations"][0] == expected.to_text()
     return CheckResult(
         "augmentation_worked_example",
         structure_ok and eq_ok,
@@ -271,7 +272,7 @@ def check_theta_equivalence() -> CheckResult:
     from .exactmath import parse_polynomial
 
     elim_ok = sheafmoduli.eliminate_x2(system) == parse_polynomial(
-        "x1*a1*a2 + a2 - a1 - 1", system.ring
+        "x1*a1*a2 + a2 - a1 - 1", sheafmoduli.theta_ring(2)
     )
     counts = {
         "chain": sheafmoduli.count_theta_points_chain(2, 2),

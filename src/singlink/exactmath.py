@@ -467,6 +467,113 @@ def _int_div(a: int, b: int) -> int:
     return a // b
 
 
+# -- multilinear term maps ----------------------------------------------------
+#
+# The augmentation and chain systems are multilinear: every variable has
+# exponent 0 or 1 in every term.  They store a polynomial in N variables as
+# a term map {mask: coefficient}, with variable i (declared order) at bit
+# N-1-i of the mask.  Integer order on masks is then lex order on exponent
+# vectors: two distinct masks first differ at their highest differing bit,
+# that is at the first variable where their 0/1 exponents differ, and the
+# mask with the bit set is both the larger integer and the lex-larger
+# vector.  So within one degree (popcount) the integer order of masks is
+# graded-lex order, and the key (popcount, mask) orders term maps as
+# Polynomial.to_text orders exponent vectors.
+
+
+def multilinear_key(mask: int) -> tuple[int, int]:
+    """Graded-lex sort key of a mask: its degree, then the mask itself."""
+    return mask.bit_count(), mask
+
+
+def _mask_bits(mask: int):
+    # The set bits of mask, highest (first variable) first.
+    while mask:
+        bit = mask.bit_length() - 1
+        yield bit
+        mask ^= 1 << bit
+
+
+def mask_indices(mask: int, width: int) -> tuple[int, ...]:
+    """The variables of a mask over ``width`` variables, in increasing order.
+
+    These are the index tuples :func:`sum_source` takes.
+    """
+    top = width - 1
+    return tuple(top - bit for bit in _mask_bits(mask))
+
+
+def multilinear_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two term maps in disjoint sets of variables.
+
+    No monomial of ``a`` shares a variable with one of ``b``, so each pair
+    of terms gives its own mask ``ma | mb`` and no coefficients merge.
+    """
+    return {ma | mb: ca * cb for ma, ca in a.items() for mb, cb in b.items()}
+
+
+def multilinear_text(
+    terms: Mapping[int, int],
+    names: tuple[str, ...],
+    lone: tuple[int, int, str] | None = None,
+) -> str:
+    """``Polynomial.to_text`` of a term map over ``names``, byte for byte.
+
+    ``lone`` is one more term (coeff, degree, monomial text) in a variable
+    declared after every name, such as t or t^-1.  On a tie in degree its
+    exponent vector is the lex-smaller one, so it prints after every term
+    of degree >= its own and before the rest.  Zero coefficients print
+    nothing, as the polynomial does not store them.
+    """
+    top = len(names) - 1
+    ordered = sorted(terms, key=multilinear_key, reverse=True)
+    pairs = [
+        (terms[mask], "*".join([names[top - bit] for bit in _mask_bits(mask)]))
+        for mask in ordered
+    ]
+    if lone is not None:
+        coeff, degree, mono = lone
+        at = next((i for i, mask in enumerate(ordered) if mask.bit_count() < degree), len(pairs))
+        pairs.insert(at, (coeff, mono))
+    chunks = []
+    for coeff, mono in pairs:
+        if not coeff:
+            continue
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks) or "0"
+
+
+def multilinear_polynomial(
+    ring: RingDescriptor, terms: Mapping[int, int], width: int | None = None
+) -> Polynomial:
+    """A term map as a dense :class:`Polynomial`, for oracles and tests.
+
+    The masks cover the first ``width`` variables of ``ring`` (all of them
+    by default); a mask with a bit beyond them is rejected.
+    """
+    nv = ring.nvars
+    width = nv if width is None else width
+    dense = {}
+    for mask, coeff in terms.items():
+        if mask >> width:
+            raise ExactMathError(f"mask {mask:#x} has a bit beyond {width} variables")
+        exp = [0] * nv
+        for i in mask_indices(mask, width):
+            exp[i] = 1
+        dense[tuple(exp)] = coeff
+    return Polynomial(ring, dense)
+
+
 # -- generated counting kernels -----------------------------------------------
 
 # Terms per parenthesized group of an emitted sum.  Groups of groups keep the

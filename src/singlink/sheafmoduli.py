@@ -29,7 +29,7 @@ counted in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactmath import (
     BudgetExceededError,
@@ -37,8 +37,16 @@ from .exactmath import (
     RingDescriptor,
     compile_kernel,
     is_prime,
+    mask_indices,
+    multilinear_key,
+    multilinear_polynomial,
+    multilinear_product,
+    multilinear_text,
     sum_source,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRUTE_FORCE_BUDGET = 10**8
 THETA_MAX_N = 1000
@@ -50,70 +58,96 @@ class ThetaError(ValueError):
     pass
 
 
+def theta_variables(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"a{i}" for i in range(1, n + 1))
+
+
 def theta_ring(n: int) -> RingDescriptor:
-    names = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"a{i}" for i in range(1, n + 1))
-    return RingDescriptor(names)
+    """Z[x_1..x_n, a_1..a_n], the dense ring of the oracles."""
+    return RingDescriptor(theta_variables(n))
 
 
 @dataclass(frozen=True)
 class ThetaSystem:
-    """n equations in (x_1..x_n, a_1..a_n) describing the sheaf moduli."""
+    """n equations in (x_1..x_n, a_1..a_n) describing the sheaf moduli.
+
+    Each equation is a multilinear term map (:mod:`exactmath`) over the 2n
+    variables: x_i at bit 2n - i, a_i at bit n - i.
+    """
 
     n: int
-    ring: RingDescriptor
-    equations: tuple[Polynomial, ...]
+    equations: tuple[dict[int, int], ...]
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return self.ring.variables
+        return theta_variables(self.n)
+
+    def polynomials(self) -> tuple[Polynomial, ...]:
+        """The equations as dense polynomials of :func:`theta_ring`."""
+        ring = theta_ring(self.n)
+        return tuple(multilinear_polynomial(ring, eq) for eq in self.equations)
 
 
-def _sign_normalized(p: Polynomial) -> Polynomial:
+def _theta_masks(n: int) -> tuple[list[int], list[int]]:
+    """The one-bit masks of x_1..x_n and of a_1..a_n."""
+    return [1 << (2 * n - i) for i in range(1, n + 1)], [1 << (n - i) for i in range(1, n + 1)]
+
+
+def _sign_normalized(terms: dict[int, int]) -> dict[int, int]:
     """Flip the global sign so the graded-lex leading coefficient is positive."""
-    if p.is_zero():
-        return p
-    _, lead = p.leading_term()
-    return -p if lead < 0 else p
+    if terms and terms[max(terms, key=multilinear_key)] < 0:
+        return {mask: -coeff for mask, coeff in terms.items()}
+    return terms
 
 
 def theta_equations_recursion(n: int) -> ThetaSystem:
     """Boundary and middle trivialization equations, sign-normalized."""
     if n < 2:
         raise ThetaError("the chain system needs n >= 2 (boundary equations collide)")
-    ring = theta_ring(n)
-    x = [ring.var(f"x{i}") for i in range(1, n + 1)]
-    a = [ring.var(f"a{i}") for i in range(1, n + 1)]
-    equations = [_sign_normalized(x[0] * a[0] + 1 + x[1])]
+    x, a = _theta_masks(n)
+    equations = [_sign_normalized({x[0] | a[0]: 1, 0: 1, x[1]: 1})]
     for j in range(2, n):
-        equations.append(_sign_normalized(ring.one() + x[j - 1] * a[j - 1] - a[j - 2] * x[j]))
-    equations.append(_sign_normalized(x[n - 1] * a[n - 1] + 1 + a[n - 2]))
-    return ThetaSystem(n, ring, tuple(equations))
+        equations.append(_sign_normalized({0: 1, x[j - 1] | a[j - 1]: 1, a[j - 2] | x[j]: -1}))
+    equations.append(_sign_normalized({x[n - 1] | a[n - 1]: 1, 0: 1, a[n - 2]: 1}))
+    return ThetaSystem(n, tuple(equations))
+
+
+def _wedge_minus_one(v: tuple[dict, dict], w: tuple[dict, dict]) -> dict[int, int]:
+    """v ^ w - 1 = p1 q2 - q1 p2 - 1 for v = (p1, q1), w = (p2, q2).
+
+    Each product pairs entries in disjoint variables.
+    """
+    (p1, q1), (p2, q2) = v, w
+    terms = multilinear_product(p1, q2)
+    for mask, coeff in multilinear_product(q1, p2).items():
+        terms[mask] = terms.get(mask, 0) - coeff
+    terms[0] = terms.get(0, 0) - 1
+    return {mask: coeff for mask, coeff in terms.items() if coeff}
 
 
 def theta_equations_wedge(n: int) -> ThetaSystem:
     """Consecutive wedge conditions v_i ^ v_{i+1} = 1 on the vector tuple."""
     if n < 2:
         raise ThetaError("the chain system needs n >= 2 (boundary equations collide)")
-    ring = theta_ring(n)
-    one, zero = ring.one(), ring.zero()
-    x = [ring.var(f"x{i}") for i in range(1, n + 1)]
-    a = [ring.var(f"a{i}") for i in range(1, n + 1)]
-    vectors = [(one, zero), (one, zero), (-one, x[0])]
+    x, a = ([{mask: 1} for mask in masks] for masks in _theta_masks(n))
+    one, minus_one, zero = {0: 1}, {0: -1}, {}
+    vectors = [(one, zero), (one, zero), (minus_one, x[0])]
     for j in range(1, n):
         vectors.append((a[j - 1], x[j]))
-    vectors.append((a[n - 1], -one))
-    equations = []
-    for i in range(2, n + 2):  # 0-based: v_i ^ v_{i+1} for i in [3, n+2]
-        (p1, q1), (p2, q2) = vectors[i], vectors[i + 1]
-        equations.append(_sign_normalized(p1 * q2 - q1 * p2 - one))
-    return ThetaSystem(n, ring, tuple(equations))
+    vectors.append((a[n - 1], minus_one))
+    equations = [
+        _sign_normalized(_wedge_minus_one(vectors[i], vectors[i + 1]))
+        for i in range(2, n + 2)  # 0-based: v_i ^ v_{i+1} for i in [3, n+2]
+    ]
+    return ThetaSystem(n, tuple(equations))
 
 
 def theta_system(n: int, method: str = "recursion") -> ThetaSystem:
     """The chain system by the chosen generator, for 2 <= n <= THETA_MAX_N.
 
-    Every term stores a dense exponent tuple of length 2n, so time and
-    memory grow as n^2; larger n raise :class:`BudgetExceededError`.
+    Both generators build n equations of at most four terms, each term
+    one integer mask, so time and memory grow as n; larger n raise
+    :class:`BudgetExceededError`.
     """
     if method not in THETA_METHODS:
         raise ThetaError(f"unknown generator {method!r}")
@@ -137,10 +171,7 @@ def count_theta_points_brute(system: ThetaSystem, q: int) -> int:
     values = "".join(f"v{i}, " for i in range(nvars))
     lines = ["def kernel(q):", "    count = 0", f"    for {values} in product(range(q), repeat={nvars}):"]
     for eq in system.equations:
-        terms = (
-            (coeff, [idx for idx, e in enumerate(exp) for _ in range(e)])
-            for exp, coeff in eq.terms.items()
-        )
+        terms = ((coeff, mask_indices(mask, nvars)) for mask, coeff in eq.items())
         lines += [f"        if ({sum_source(terms, 'v')}) % q:", "            continue"]
     lines += ["        count += 1", "    return count"]
     return compile_kernel(lines)(q)
@@ -197,10 +228,10 @@ def eliminate_x2(system: ThetaSystem) -> Polynomial:
     """
     if system.n != 2:
         raise ThetaError("elimination shortcut is defined for n = 2")
-    ring = system.ring
-    x1a1 = ring.var("x1") * ring.var("a1")
-    replacement = -ring.one() - x1a1
-    return _sign_normalized(system.equations[1].substitute("x2", replacement))
+    ring = theta_ring(2)
+    replacement = -ring.one() - ring.var("x1") * ring.var("a1")
+    result = system.polynomials()[1].substitute("x2", replacement)
+    return -result if result and result.leading_term()[1] < 0 else result
 
 
 def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[Fraction] | None:
@@ -209,6 +240,8 @@ def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[Fracti
     Newton's divided differences over exact rationals; returns None when
     any coefficient fails to be an integer.
     """
+    from fractions import Fraction
+
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     m = len(points)
@@ -249,6 +282,8 @@ def check_point_count_polynomiality(n: int) -> dict:
     The interpolation degree is n (the dimension of the chain system);
     returns the counts, integer coefficients, and verification outcome.
     """
+    from fractions import Fraction
+
     counts = [(q, count_theta_points_chain(n, q)) for q in POLYNOMIALITY_PRIMES]
     need = n + 1
     if len(counts) < need:
@@ -303,8 +338,9 @@ def count_positroid_points(n: int, q: int) -> int:
 
 
 def system_to_json_dict(system: ThetaSystem) -> dict:
+    names = system.variables
     return {
         "n": system.n,
-        "variables": list(system.variables),
-        "equations": [eq.to_text() for eq in system.equations],
+        "variables": list(names),
+        "equations": [multilinear_text(eq, names) for eq in system.equations],
     }

@@ -18,7 +18,6 @@ from singlink.augment import (
     BudgetExceededError,
     _bruteforce_kernel,
     _compile_system,
-    _compile_terms,
     _count_by_cosets,
     _count_twisted_knot,
     _count_twisted_link,
@@ -31,7 +30,14 @@ from singlink.augment import (
     symbolic_determinant,
     system_to_json_dict,
 )
-from singlink.exactmath import PolyMatrix, compile_kernel, is_prime, parse_polynomial
+from singlink.exactmath import (
+    PolyMatrix,
+    compile_kernel,
+    is_prime,
+    mask_indices,
+    multilinear_polynomial,
+    parse_polynomial,
+)
 from singlink.links import (
     BraidWord,
     ade_braid,
@@ -83,31 +89,29 @@ def count_by_full_matrix_dp(word: BraidWord, q: int) -> int:
 
 
 def count_by_points_and_t(system: AugmentationSystem, q: int) -> int:
-    """Oracle: every (z, t) in F_q^s x F_q^* tested against every stored
-    equation, with early exit; solutions are checked against the sign law
-    t = (-1)^(n+s)."""
+    """Oracle: every (z, t) in F_q^s x F_q^* tested against every equation,
+    read from its dense polynomial, with early exit; solutions are checked
+    against the sign law t = (-1)^(n+s)."""
     s = len(system.word)
-    compiled = [_compile_terms(p, s) for p in system.equations]
+    compiled = [
+        [(coeff, [(i, e) for i, e in enumerate(exp) if e]) for exp, coeff in p.terms.items()]
+        for p in system.polynomials()
+    ]
     expected_t = (-1) ** (system.strands + s) % q
-    inverse = {v: pow(v, q - 2, q) for v in range(1, q)}
 
-    def eval_equation(eq, zs, t_val) -> int:
+    def eval_equation(eq, point) -> int:
         total = 0
-        for coeff, z_idx, t_exp in eq:
-            term = coeff
-            for idx in z_idx:
-                term = term * zs[idx]
-            if t_exp == 1:
-                term = term * t_val
-            elif t_exp == -1:
-                term = term * inverse[t_val]
-            total += term
+        for coeff, factors in eq:
+            for i, e in factors:
+                coeff *= point[i] if e == 1 else pow(point[i], e, q)
+            total += coeff
         return total % q
 
     found = 0
     for zs in itertools.product(range(q), repeat=s):
         for t_val in range(1, q):
-            if all(eval_equation(eq, zs, t_val) == 0 for eq in compiled):
+            point = zs + (t_val,)
+            if all(eval_equation(eq, point) == 0 for eq in compiled):
                 if t_val != expected_t:
                     raise AugmentError(
                         f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
@@ -244,15 +248,15 @@ def test_pk_matrix_range_check():
 
 def test_unknot_system():
     system = augmentation_equations(BraidWord(1, ()))
-    assert len(system.equations) == 1
-    ring = system.ring
-    assert system.equations[0] == ring.var("t") + 1
+    assert system.equations == ({0: 1},)
+    ring = augmentation_ring(0)
+    assert system.polynomials() == (ring.var("t") + 1,)
 
 
 def test_single_letter_forces_contradiction():
     system = augmentation_equations(BraidWord(2, (1,)))
     # Entry (1, 2) of diag(t,1) + P_1(z1) is the constant 1.
-    assert system.equation(1, 2) == system.ring.one()
+    assert system.equation(1, 2) == {0: 1}
     assert count_solutions_bruteforce(system, 3) == 0
     assert count_solutions_dp(BraidWord(2, (1,)), 3) == 0
 
@@ -276,7 +280,7 @@ def test_worked_example_first_equation_monomials():
     """The (1,1)-equation under t-inverse matches the published display."""
     word = append_full_twist(WORKED_BETA)
     system = augmentation_equations(word, t_convention="t-inverse")
-    ring = system.ring
+    ring = augmentation_ring(len(word))
     display = (
         "z11 + z9*z12 + z9*z20 + z11*z18*z20 + z9*z12*z18*z20"
         " + z13*z21 + z9*z14*z21 + z11*z15*z21 + z9*z12*z15*z21"
@@ -284,15 +288,16 @@ def test_worked_example_first_equation_monomials():
         " + z9*z14*z19*z23 + z11*z15*z19*z23 + z9*z12*z15*z19*z23"
         " + z23 + t^-1"
     )
-    assert system.equation(1, 1) == parse_polynomial(display, ring)
+    assert system.polynomials()[0] == parse_polynomial(display, ring)
 
 
 def test_t_convention_changes_only_t_entry():
     word = append_full_twist(BraidWord(2, (1, 1, 1)))
     plain = augmentation_equations(word, "t")
     inv = augmentation_equations(word, "t-inverse")
-    assert plain.equation(1, 2) == inv.equation(1, 2)
-    assert plain.equation(1, 1) != inv.equation(1, 1)
+    assert plain.equations == inv.equations  # the lone t term is kept apart
+    assert plain.polynomials()[1:] == inv.polynomials()[1:]
+    assert plain.polynomials()[0] != inv.polynomials()[0]
     with pytest.raises(AugmentError):
         augmentation_equations(word, "bogus")
 
@@ -366,7 +371,7 @@ def test_determinant_identity_at_points_for_long_words():
 
     word = append_full_twist(WORKED_BETA)  # s = 31
     ring = augmentation_ring(len(word))
-    matrix = braid_matrix(ring, word)
+    matrix = dense_braid_matrix(ring, word)
     rng = random.Random(3)
     for q in (5, 7):
         assignment = {f"z{i}": rng.randrange(q) for i in range(1, 32)}
@@ -423,6 +428,14 @@ def braid_matrix_by_matmul(ring, word):
     return product
 
 
+def dense_braid_matrix(ring, word) -> PolyMatrix:
+    """braid_matrix(word), converted entry by entry to dense polynomials."""
+    s = len(word)
+    return PolyMatrix(
+        ring, [[multilinear_polynomial(ring, e, s) for e in row] for row in braid_matrix(word)]
+    )
+
+
 def test_braid_matrix_column_operations_match_matrix_products():
     rng = random.Random(13)
     words = [append_full_twist(ade_braid(parse_ade_label(label))) for label in ("A3", "D5", "E6")]
@@ -433,16 +446,43 @@ def test_braid_matrix_column_operations_match_matrix_products():
     ]
     for word in words:
         ring = augmentation_ring(len(word))
-        assert braid_matrix(ring, word) == braid_matrix_by_matmul(ring, word), word
+        assert dense_braid_matrix(ring, word) == braid_matrix_by_matmul(ring, word), word
+
+
+def test_equations_match_the_dense_construction():
+    # diag(t^(+-1), 1, .., 1) + the matrix product, built on dense
+    # polynomials, against the mask system converted and as printed.
+    rng = random.Random(19)
+    words = [append_full_twist(ade_braid(parse_ade_label(label))) for label in ("A1", "D4", "E6")]
+    words += [BraidWord(1, ()), BraidWord(2, ()), BraidWord(3, (2, 2))]
+    words += [
+        BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 10))))
+        for n in (2, 3, 4, 5)
+        for _ in range(8)
+    ]
+    for word in words:
+        n, ring = word.strands, augmentation_ring(len(word))
+        product = braid_matrix_by_matmul(ring, word)
+        for convention, t_power in (("t", 1), ("t-inverse", -1)):
+            dense = tuple(
+                (product[i, j] if product is not None else ring.const(int(i == j)))
+                + (ring.var("t", t_power) if i == j == 0 else ring.const(int(i == j)))
+                for i in range(n)
+                for j in range(n)
+            )
+            system = augmentation_equations(word, convention)
+            assert system.polynomials() == dense, (word, convention)
+            texts = system_to_json_dict(system)["equations"]
+            assert texts == [p.to_text() for p in dense], (word, convention)
 
 
 def test_braid_matrix_term_budget():
     # sigma_1^s on two strands holds F(s+3) terms (Fibonacci numbers):
     # 17711 at s = 19, and 28657 at s = 20, the first power over the budget.
-    matrix = braid_matrix(augmentation_ring(19), BraidWord(2, (1,) * 19))
-    assert sum(len(matrix[i, j].terms) for i in range(2) for j in range(2)) == 17711
+    matrix = braid_matrix(BraidWord(2, (1,) * 19))
+    assert sum(len(matrix[i][j]) for i in range(2) for j in range(2)) == 17711
     with pytest.raises(BudgetExceededError, match="28657 terms after letter 20 of 20"):
-        braid_matrix(augmentation_ring(20), BraidWord(2, (1,) * 20))
+        braid_matrix(BraidWord(2, (1,) * 20))
 
 
 def test_primality_checks():
@@ -460,8 +500,8 @@ def test_json_dict_roundtrip_text():
     data = system_to_json_dict(system)
     assert data["strands"] == 2
     assert data["word"] == [1, 1, 1, 1, 1]
-    reparsed = [parse_polynomial(text, system.ring) for text in data["equations"]]
-    assert tuple(reparsed) == system.equations
+    reparsed = [parse_polynomial(text, augmentation_ring(5)) for text in data["equations"]]
+    assert tuple(reparsed) == system.polynomials()
 
 
 def test_worked_example_diagonal_entry_fingerprints():
@@ -474,9 +514,9 @@ def test_worked_example_diagonal_entry_fingerprints():
     system = augmentation_equations(word, t_convention="t-inverse")
     for (i, j), n_terms in (((2, 2), 72), ((3, 3), 165)):
         eq = system.equation(i, j)
-        assert len(eq.terms) == n_terms
-        assert all(c == 1 for c in eq.terms.values())
-        assert eq.terms[(0,) * system.ring.nvars] == 1
+        assert len(eq) == n_terms
+        assert all(c == 1 for c in eq.values())
+        assert eq[0] == 1
 
 
 def test_every_crossing_variable_appears():
@@ -490,7 +530,7 @@ def test_every_crossing_variable_appears():
         words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(s))))
     for word in words:
         system = augmentation_equations(word)
-        used = {i for eq in system.equations for exp in eq.terms for i, e in enumerate(exp) if e}
+        used = {i for eq in system.equations for mask in eq for i in mask_indices(mask, len(word))}
         assert set(range(len(word))) <= used
 
 
@@ -568,21 +608,33 @@ def test_bruteforce_matches_point_oracle_on_random_words():
 
 
 def _hand_built(word: BraidWord, texts: list[str]) -> AugmentationSystem:
-    ring = augmentation_ring(len(word))
-    equations = tuple(parse_polynomial(text, ring) for text in texts)
-    return AugmentationSystem(word.strands, word, ring, equations, "t")
+    """A system from equation texts, with t at most as one lone term
+    c t^(+-1) of the first equation (c = 0 without t)."""
+    s = len(word)
+    ring = augmentation_ring(s)
+    equations, t_terms = [], []
+    for index, text in enumerate(texts):
+        terms = {}
+        for exp, coeff in parse_polynomial(text, ring).terms.items():
+            if exp[s]:
+                t_terms.append((index, exp, coeff))
+            else:
+                terms[sum(1 << (s - 1 - i) for i, e in enumerate(exp[:s]) if e)] = coeff
+        equations.append(terms)
+    t_coeff, convention = 0, "t"
+    if t_terms:
+        [(index, exp, t_coeff)] = t_terms
+        assert index == 0 and not any(exp[:s]) and exp[s] in (1, -1), texts
+        convention = "t" if exp[s] == 1 else "t-inverse"
+    return AugmentationSystem(word.strands, word, tuple(equations), convention, t_coeff)
 
 
 def test_bruteforce_rejects_t_outside_the_lone_first_term():
+    # A system holds t only as one lone term c t^(+-1) of the (1,1)
+    # equation, so t in a second equation, t^2 or z1*t cannot be stated.
+    # A coefficient c other than +-1, or c = 0 (no t), is rejected.
     word = BraidWord(2, (1,))
-    for texts in (
-        ["z1 + t", "1 + t", "0", "0"],  # t in a second equation
-        ["z1 + t^2", "0", "0", "0"],
-        ["z1 + 2*t", "0", "0", "0"],
-        ["z1*t + 1", "0", "0", "0"],
-        ["z1", "t", "0", "0"],
-        ["z1", "0", "0", "0"],  # no t at all
-    ):
+    for texts in (["z1 + 2*t", "0", "0", "0"], ["z1 - 3*t^-1", "0", "0", "0"], ["z1", "0", "0", "0"]):
         system = _hand_built(word, texts)
         assert raised(count_solutions_bruteforce, system, 5) == raised(count_by_prefixes, system, 5)
 
@@ -645,7 +697,7 @@ def test_bruteforce_kernel_compiles_at_the_term_budget():
     # admits there.  Its sums are emitted in nested groups: one flat sum of
     # this many terms exceeds the compiler's recursion limit.
     system = augmentation_equations(BraidWord(2, (1,) * 19))
-    assert sum(len(p.terms) for p in system.equations) == 17711 + 2
+    assert sum(map(len, system.equations)) + 1 == 17711 + 2  # and the lone t term
     t_coeff, _, entry, constraints = _compile_system(system)
     assert callable(_bruteforce_kernel(t_coeff, entry, constraints, 19))
 
@@ -885,7 +937,7 @@ def test_twisted_link_count_matches_bruteforce_on_ade_links():
         beta = ade_braid(parse_ade_label(label))
         word = append_full_twist(beta)
         system = augmentation_equations(word)
-        terms = sum(len(p.terms) for p in system.equations)
+        terms = sum(map(len, system.equations)) + 1  # and the lone t term
         for q in (2, 3, 5):
             if q ** (len(word) - 1) * terms <= 10**6:
                 compared += 1

@@ -135,6 +135,73 @@ def test_theta_chain_length_is_bounded():
     assert "budget exceeded" in err and "1000" in err and "Traceback" not in err
 
 
+def test_theta_at_its_bound_takes_linear_time():
+    # n = 1000 equations of at most four one-mask terms each.
+    run_cli("theta", "--n", "2")  # imports the layer
+    for method in THETA_METHODS:
+        started = time.perf_counter()
+        code, out, _ = run_cli("theta", "--n", "1000", "--method", method)
+        assert time.perf_counter() - started < 0.1, method
+        assert code == 0 and len(json.loads(out)["equations"]) == 1000
+
+
+def test_aug_at_38_strands_is_fast_and_small():
+    # The full twist on 38 strands has 1406 letters and 19019 terms, the
+    # most strands the term budget admits for the empty braid.
+    run_cli("aug", "--braid", "", "--strands", "2")  # imports the layers
+    started = time.perf_counter()
+    code, out, _ = run_cli("aug", "--braid", "", "--strands", "38")
+    assert time.perf_counter() - started < 0.5
+    assert code == 0 and len(json.loads(out)["equations"]) == 38 * 38
+    # The peak of the fresh process is its VmHWM: ru_maxrss would keep the
+    # resident set of this test process, which the child is forked from.
+    script = (
+        "import sys\n"
+        "from singlink import cli\n"
+        "code = cli.main(['aug', '--braid', '', '--strands', '38'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, peak_kb = map(int, done.stderr.split())
+    assert code == 0
+    assert peak_kb < 40 * 1024, f"peak {peak_kb} kB"
+
+
+def test_theta_and_aug_build_no_dense_polynomial(monkeypatch):
+    # Both systems are printed from their bitmask terms alone.  The
+    # counters see every Polynomial: the public constructor and the
+    # internal one that arithmetic uses.
+    from singlink import exactmath
+
+    built = []
+    init, fast = exactmath.Polynomial.__init__, exactmath._fast_poly
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_fast(*args):
+        built.append(args)
+        return fast(*args)
+
+    monkeypatch.setattr(exactmath.Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(exactmath, "_fast_poly", counting_fast)
+    for argv in (
+        ("theta", "--n", "1000"),
+        ("theta", "--n", "1000", "--method", "wedge"),
+        ("aug", "--torus", "4", "7"),
+    ):
+        assert run_cli(*argv)[0] == 0, argv
+    assert built == []
+    # The counters do count: the seeds of A2 are dense polynomials.
+    assert run_cli("seeds", "--type", "A2")[0] == 0
+    assert built
+
+
 def test_link_pipeline_report():
     code, out, _ = run_cli("link", "--ade", "A3", "--pipeline")
     data = json.loads(out)

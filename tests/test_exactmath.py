@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,10 @@ from singlink.exactmath import (
     SubstitutionError,
     divide_exact,
     is_prime,
+    mask_indices,
+    multilinear_polynomial,
+    multilinear_product,
+    multilinear_text,
     parse_polynomial,
 )
 
@@ -420,3 +425,63 @@ def test_is_prime_rejects_numbers_past_its_bound():
     assert issubclass(PrimalityBoundError, ValueError)
     # Multiples of a base are still decided at any size.
     assert not is_prime(2 * MR_EXACT_BOUND)
+
+
+# -- multilinear term maps ----------------------------------------------------------
+
+
+def random_term_map(rng: random.Random, width: int) -> dict[int, int]:
+    """Up to 12 terms, some cancelling to a kept zero coefficient, with
+    small and large coefficients of either sign and the constant often."""
+    terms: dict[int, int] = {}
+    for _ in range(rng.randint(0, 12)):
+        mask = 0 if rng.random() < 0.15 else rng.getrandbits(width)
+        coeff = rng.choice([1, -1, 2, -3, 10**20 + 1, -(10**20)])
+        terms[mask] = terms.get(mask, 0) + coeff
+        if rng.random() < 0.2:
+            terms[mask] -= terms[mask]  # a term that cancels
+    return terms
+
+
+def test_multilinear_text_matches_dense_to_text():
+    rng = random.Random(71)
+    cases = [(width, {}) for width in (0, 1, 5)]
+    cases += [(width, random_term_map(rng, width)) for width in (0, 1, 2, 3, 7, 70) for _ in range(60)]
+    for width, terms in cases:
+        names = tuple(f"v{i}" for i in range(1, width + 1))
+        ring = RingDescriptor(names + ("t",), laurent=frozenset({"t"}))
+        dense = multilinear_polynomial(ring, terms, width)
+        assert multilinear_text(terms, names) == dense.to_text(), terms
+        # The lone base-point term of an augmentation (1,1) entry.
+        for coeff in (1, -1, 2):
+            for power, mono in ((1, "t"), (-1, "t^-1")):
+                text = multilinear_text(terms, names, (coeff, power, mono))
+                assert text == (dense + ring.var("t", power) * coeff).to_text(), (terms, power)
+
+
+def test_multilinear_text_of_the_zero_map_and_constants():
+    names = ("x", "y")
+    assert multilinear_text({}, names) == "0"
+    assert multilinear_text({0: 0, 3: 0}, names) == "0"
+    assert multilinear_text({0: -5}, names) == "-5"
+    assert multilinear_text({3: 1, 2: -1, 1: 2, 0: -1}, names) == "x*y - x + 2*y - 1"
+    assert multilinear_text({0: 1}, names, (1, 1, "t")) == "t + 1"
+    assert multilinear_text({0: 1, 1: 1}, names, (-1, -1, "t^-1")) == "y + 1 - t^-1"
+
+
+def test_multilinear_product_and_indices_match_dense():
+    rng = random.Random(73)
+    ring = RingDescriptor(tuple(f"v{i}" for i in range(1, 9)))
+    for _ in range(200):
+        split = rng.randrange(9)
+        low, high = (1 << (8 - split)) - 1, ((1 << split) - 1) << (8 - split)
+        a = {mask & high: c for mask, c in random_term_map(rng, 8).items()}
+        b = {mask & low: c for mask, c in random_term_map(rng, 8).items()}
+        product = multilinear_product(a, b)
+        assert multilinear_polynomial(ring, product) == (
+            multilinear_polynomial(ring, a) * multilinear_polynomial(ring, b)
+        )
+    assert mask_indices(0b1011, 4) == (0, 2, 3)
+    assert mask_indices(0, 4) == ()
+    with pytest.raises(ExactMathError):
+        multilinear_polynomial(ring, {1 << 8: 1})

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from singlink.augment import count_solutions_dp
-from singlink.exactmath import is_prime, parse_polynomial
+from singlink.exactmath import Polynomial, is_prime, parse_polynomial
 from singlink.links import ade_braid, append_full_twist, parse_ade_label
 from singlink.sheafmoduli import (
     THETA_MAX_N,
@@ -20,6 +20,7 @@ from singlink.sheafmoduli import (
     system_to_json_dict,
     theta_equations_recursion,
     theta_equations_wedge,
+    theta_ring,
     theta_system,
 )
 
@@ -100,10 +101,56 @@ def positroid_count_by_enumeration(n: int, q: int) -> int:
     return count
 
 
+def dense_sign_normalized(p: Polynomial) -> Polynomial:
+    return -p if p.leading_term()[1] < 0 else p
+
+
+def dense_recursion(n: int) -> tuple[Polynomial, ...]:
+    """Oracle: the recursion form on dense polynomials of theta_ring(n)."""
+    ring = theta_ring(n)
+    x = [ring.var(f"x{i}") for i in range(1, n + 1)]
+    a = [ring.var(f"a{i}") for i in range(1, n + 1)]
+    equations = [dense_sign_normalized(x[0] * a[0] + 1 + x[1])]
+    for j in range(2, n):
+        equations.append(dense_sign_normalized(ring.one() + x[j - 1] * a[j - 1] - a[j - 2] * x[j]))
+    equations.append(dense_sign_normalized(x[n - 1] * a[n - 1] + 1 + a[n - 2]))
+    return tuple(equations)
+
+
+def dense_wedge(n: int) -> tuple[Polynomial, ...]:
+    """Oracle: v_i ^ v_{i+1} - 1 on dense polynomials of theta_ring(n)."""
+    ring = theta_ring(n)
+    one, zero = ring.one(), ring.zero()
+    x = [ring.var(f"x{i}") for i in range(1, n + 1)]
+    a = [ring.var(f"a{i}") for i in range(1, n + 1)]
+    vectors = [(one, zero), (one, zero), (-one, x[0])]
+    for j in range(1, n):
+        vectors.append((a[j - 1], x[j]))
+    vectors.append((a[n - 1], -one))
+    equations = []
+    for i in range(2, n + 2):
+        (p1, q1), (p2, q2) = vectors[i], vectors[i + 1]
+        equations.append(dense_sign_normalized(p1 * q2 - q1 * p2 - one))
+    return tuple(equations)
+
+
+def test_generators_match_dense_oracles():
+    # Both mask generators, converted, equal both dense constructions, and
+    # their printed equations are the dense ones byte for byte.
+    for n in range(2, 41):
+        dense = dense_recursion(n)
+        assert dense_wedge(n) == dense, n
+        for generator in (theta_equations_recursion, theta_equations_wedge):
+            system = generator(n)
+            assert system.polynomials() == dense, (generator.__name__, n)
+            texts = system_to_json_dict(system)["equations"]
+            assert texts == [p.to_text() for p in dense], (generator.__name__, n)
+
+
 def test_recursion_n2():
     system = theta_equations_recursion(2)
-    ring = system.ring
-    assert system.equations == (
+    ring = theta_ring(2)
+    assert system.polynomials() == (
         parse_polynomial("x1*a1 + x2 + 1", ring),
         parse_polynomial("x2*a2 + a1 + 1", ring),
     )
@@ -111,8 +158,8 @@ def test_recursion_n2():
 
 def test_recursion_n3():
     system = theta_equations_recursion(3)
-    ring = system.ring
-    assert set(system.equations) == {
+    ring = theta_ring(3)
+    assert set(system.polynomials()) == {
         parse_polynomial("x1*a1 + x2 + 1", ring),
         parse_polynomial("x2*a2 - a1*x3 + 1", ring),
         parse_polynomial("x3*a3 + a2 + 1", ring),
@@ -138,7 +185,7 @@ def test_n1_rejected():
 
 def test_elimination_matches_surface():
     system = theta_equations_recursion(2)
-    ring = system.ring
+    ring = theta_ring(2)
     # (x, y, z) = (a2, x1, a1) sends x*y*z + x - z - 1 to this polynomial.
     assert eliminate_x2(system) == parse_polynomial("x1*a1*a2 + a2 - a1 - 1", ring)
 
@@ -265,8 +312,8 @@ def test_json_dict():
     data = system_to_json_dict(system)
     assert data["n"] == 2
     assert data["variables"] == ["x1", "x2", "a1", "a2"]
-    reparsed = [parse_polynomial(t, system.ring) for t in data["equations"]]
-    assert tuple(reparsed) == system.equations
+    reparsed = [parse_polynomial(t, theta_ring(2)) for t in data["equations"]]
+    assert tuple(reparsed) == system.polynomials()
 
 
 def test_chain_matches_brute_for_longer_chains():
