@@ -18,10 +18,11 @@ torus action; that quotient is out of scope here, so counts for links
 are raw variety counts.
 
 Counting oracles: a brute force over the stored equations, which
-enumerates z_1..z_{s-1} and solves for the last crossing variable z_s
-and for t, and an independent count that never builds the equations.
-The latter walks only beta of a twisted word beta * Delta^2, in
-reverse from the cell of w0: a knot (one component) over the Bruhat
+enumerates z_1..z_{s-1} but solves one of them from each of up to
+``MAX_PINS`` z_s-free equations, then solves for the last crossing
+variable z_s and for t; and an independent count that never builds the
+equations.  The latter walks only beta of a twisted word beta * Delta^2,
+in reverse from the cell of w0: a knot (one component) over the Bruhat
 cells of S_n, divided by (q-1)^(n-1) at the end, and a link over the
 Bruhat cells times the torus (F_q^*)^n, both exact for every prime q.
 An untwisted word is counted by a dynamic program over the
@@ -38,9 +39,11 @@ are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
 :func:`symbolic_determinant`).
 
 The brute force runs as one Python function generated per system, with
-every equation unrolled into plain sums of products.  The tests keep an
-interpreted loop over term tuples as an oracle, next to a count over
-every point (z, t) of the dense equations.
+every equation unrolled into plain sums of products.  Its work guard,
+q^(s-1) prefixes times the terms, bounds the work from above: each pinned
+variable divides the prefixes actually visited by about q.  The tests
+keep an interpreted loop over term tuples as an oracle, next to a count
+over every point (z, t) of the dense equations.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ DP_STATE_BUDGET = 10**6
 # full twist needs 12331; T(7,9) needs 80060, and `aug --torus 7 9` would
 # take about 0.65 s in-process on a 2-vCPU VM with Python 3.11.
 TERM_BUDGET = 20_000
+# CPython compiles at most 20 statically nested blocks in one function.
+# The brute-force kernel nests one loop per pinned variable inside its
+# prefix loop, so 18 pins keep it one block under that limit; the full
+# twist on 6 strands alone offers 26.
+MAX_PINS = 18
 
 T_CONVENTIONS = ("t", "t-inverse")
 
@@ -219,62 +227,135 @@ def _compile_system(system: AugmentationSystem):
     return system.t_coeff, system.t_exponent, entry, constraints
 
 
+def _choose_pins(constraints):
+    """The z_s-free constraints that each solve one prefix variable.
+
+    Walks ``constraints`` in order (fewest terms first) and gives a
+    z_s-free one a pin if it holds a variable that is neither pinned nor
+    in an earlier pinned constraint: the highest-index one, z_v.  So every
+    other variable of a pinned constraint is free or pinned before it, and
+    the pin loops nest in the order of the pins.  Returns (index, v, a, b)
+    per pin, the constraint being a + b z_v, at most ``MAX_PINS`` of them.
+    """
+    pins, blocked = [], set()
+    for index, (alpha, beta) in enumerate(constraints):
+        if beta:
+            continue
+        variables = {i for _, indices in alpha for i in indices}
+        candidates = variables - blocked
+        if not candidates:
+            continue
+        v = max(candidates)
+        a = tuple(term for term in alpha if v not in term[1])
+        b = tuple(
+            (coeff, tuple(i for i in indices if i != v)) for coeff, indices in alpha if v in indices
+        )
+        pins.append((index, v, a, b))
+        blocked |= variables
+        if len(pins) == MAX_PINS:
+            break
+    return pins
+
+
 @functools.lru_cache(maxsize=32)
 def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     """kernel(q, check) -> count: the prefix loop, generated for one system.
 
     Takes the parts :func:`_compile_system` returns.  The kernel does not
     depend on q, so a system counted at several primes is compiled once
-    (the last 32 systems are kept).  The loop runs over
-    the prefixes (z0, .., z{s-2}) with every constraint unrolled, fewest
-    terms first, into plain sums of products (:func:`exactmath.sum_source`),
-    and calls ``check`` on every t^(+-1) value it counts.
+    (the last 32 systems are kept).  Every equation is multilinear, so a
+    z_s-free constraint a + b z_v solves one prefix variable z_v, pinned
+    as :func:`_choose_pins` picks: z_v = -a/b where b != 0, the prefix is
+    ruled out where b = 0 != a, and z_v runs over F_q where a = b = 0.
+    The loop runs over the free prefix variables, with one nested loop
+    over the values of each pinned one; k pins leave about q^(s-1-k)
+    prefixes.  A pinned constraint holds by construction.  Every other
+    constraint is unrolled, fewest terms first, into plain sums of
+    products (:func:`exactmath.sum_source`) that pin z_s or rule the
+    prefix out; a z_s-free one is tested as soon as its variables are
+    bound.  ``check`` is called on every t^(+-1) value counted.  With no
+    pins this is the loop over every prefix.
     """
-    prefix = "".join(f"z{i}, " for i in range(s - 1)) or "()"
+    pins = _choose_pins(constraints)
+    # A z_s-free constraint that no pin solves is tested in the loop that
+    # binds the last of its variables, so a prefix it rules out stops early.
+    loop_of = {v: depth for depth, (_, v, _, _) in enumerate(pins, start=1)}
+    early = [[] for _ in pins]
+    late = []
+    pinned = {index for index, _, _, _ in pins}
+    for index, (alpha, beta) in enumerate(constraints):
+        if index in pinned or not (alpha or beta):
+            continue
+        depth = len(pins)
+        if not beta:
+            depth = max((loop_of.get(i, 0) for _, indices in alpha for i in indices), default=0)
+        if depth < len(pins):
+            early[depth].append(alpha)
+        else:
+            late.append((alpha, beta))
+    free = "".join(f"z{i}, " for i in range(s - 1) if i not in loop_of) or "()"
     lines = [
         "def kernel(q, check):",
         "    found = 0",
-        f"    for {prefix} in product(range(q), repeat={max(s - 1, 0)}):",
-        # p is None while z_s is free; the unknot (s = 0) has no z_s.
-        f"        p = {'None' if s else 0}",
+        "    values = range(q)",
+        f"    for {free} in product(values, repeat={max(s - 1, 0) - len(pins)}):",
     ]
-    for alpha, beta in constraints:
+    pad = "        "
+    for (_, v, a, b), tests in zip(pins, early):
+        for alpha in tests:
+            lines += [f"{pad}if ({sum_source(alpha, 'z')}) % q:", f"{pad}    continue"]
+        lines += [
+            f"{pad}a = {sum_source(a, 'z')}",
+            f"{pad}b = ({sum_source(b, 'z')}) % q",
+            f"{pad}if b:",
+            f"{pad}    values{v} = (-a * pow(b, -1, q) % q,)",
+            f"{pad}elif a % q:",
+            f"{pad}    continue",
+            f"{pad}else:",
+            f"{pad}    values{v} = values",
+            f"{pad}for z{v} in values{v}:",
+        ]
+        pad += "    "
+    # p is None while z_s is free; the unknot (s = 0) has no z_s.
+    body = [f"p = {'None' if s else 0}"]
+    for alpha, beta in late:
         if beta:
-            lines += [
-                f"        a = {sum_source(alpha, 'z')}",
-                f"        b = ({sum_source(beta, 'z')}) % q",
-                "        if p is None:",
-                "            if b:",
-                "                p = -a * pow(b, -1, q) % q",
-                "            elif a % q:",
-                "                continue",
-                "        elif (a + b * p) % q:",
-                "            continue",
+            body += [
+                f"a = {sum_source(alpha, 'z')}",
+                f"b = ({sum_source(beta, 'z')}) % q",
+                "if p is None:",
+                "    if b:",
+                "        p = -a * pow(b, -1, q) % q",
+                "    elif a % q:",
+                "        continue",
+                "elif (a + b * p) % q:",
+                "    continue",
             ]
-        elif alpha:
-            lines += [f"        if ({sum_source(alpha, 'z')}) % q:", "            continue"]
+        else:
+            body += [f"if ({sum_source(alpha, 'z')}) % q:", "    continue"]
     # t^(+-1) = -c (alpha + beta z_s); with z_s free and beta != 0 it takes
     # every value of F_q once: q - 1 solutions with distinct t.
     sign = "-" if t_coeff == 1 else ""
-    lines += [
-        f"        a = {sum_source(entry[0], 'z')}",
-        f"        b = ({sum_source(entry[1], 'z')}) % q",
-        "        if p is not None:",
-        f"            u = {sign}(a + b * p) % q",
-        "            if u:",
-        "                check(u)",
-        "                found += 1",
-        "        elif b:",
-        "            check(1)",
-        "            check(q - 1)",
-        "            found += q - 1",
-        "        else:",
-        f"            u = {sign}a % q",
-        "            if u:",
-        "                check(u)",
-        "                found += q",
-        "    return found",
+    body += [
+        f"a = {sum_source(entry[0], 'z')}",
+        f"b = ({sum_source(entry[1], 'z')}) % q",
+        "if p is not None:",
+        f"    u = {sign}(a + b * p) % q",
+        "    if u:",
+        "        check(u)",
+        "        found += 1",
+        "elif b:",
+        "    check(1)",
+        "    check(q - 1)",
+        "    found += q - 1",
+        "else:",
+        f"    u = {sign}a % q",
+        "    if u:",
+        "        check(u)",
+        "        found += q",
     ]
+    lines += [pad + line for line in body]
+    lines.append("    return found")
     return compile_kernel(lines)
 
 
@@ -288,14 +369,17 @@ def count_solutions_bruteforce(
     Every stored equation is alpha(z') + beta(z') z_s in the last crossing
     variable, z' = (z_1..z_{s-1}), and t occurs only as one lone term
     c t^(+-1) of the (1,1) equation.  So only the prefixes z' are
-    enumerated.  For each, the t-free equations, fewest terms first, pin
-    z_s to -alpha/beta where beta != 0 and rule the prefix out where
-    beta = 0 != alpha, with early exit; the (1,1) equation then gives
-    t^(+-1) for each surviving z_s, and a nonzero value is one solution.
-    The work, at most q^(s-1) times the number of terms, is
-    budget-guarded; within the budget the loop runs as Python source
-    generated for the system (:func:`_bruteforce_kernel`).  Every solution
-    found is checked against the sign law t = (-1)^(n+s).
+    enumerated, and every equation is multilinear, so a z_s-free one,
+    a + b z_v, solves one prefix variable z_v: up to ``MAX_PINS`` such
+    pins nest inside the loop over the free prefix variables, and k pins
+    leave about q^(s-1-k) prefixes.  For each, the other t-free equations,
+    fewest terms first, pin z_s to -alpha/beta where beta != 0 and rule
+    the prefix out where beta = 0 != alpha, with early exit; the (1,1)
+    equation then gives t^(+-1) for each surviving z_s, and a nonzero
+    value is one solution.  The work guard, q^(s-1) times the number of
+    terms, is an upper bound on the work; within the budget the loop runs
+    as Python source generated for the system (:func:`_bruteforce_kernel`).
+    Every solution found is checked against the sign law t = (-1)^(n+s).
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")

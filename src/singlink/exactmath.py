@@ -169,6 +169,30 @@ def _grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
+def _terms_text(terms: Iterable[tuple[int, str]]) -> str:
+    """(coeff, monomial text) pairs, in order, as the signed sum ``to_text`` prints.
+
+    A coefficient of magnitude 1 prints only its monomial; a zero one
+    prints nothing, and no nonzero terms print "0".
+    """
+    chunks = []
+    for coeff, mono in terms:
+        if not coeff:
+            continue
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks) or "0"
+
+
 def _fast_poly(ring: RingDescriptor, terms: dict) -> "Polynomial":
     # Internal constructor for terms already in canonical form.
     p = object.__new__(Polynomial)
@@ -342,24 +366,11 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Deterministic serialization; round-trips through :func:`parse_polynomial`."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exp]
-            mono = self._monomial_text(exp)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        terms = self.terms
+        return _terms_text(
+            (terms[exp], self._monomial_text(exp))
+            for exp in sorted(terms, key=_grlex_key, reverse=True)
+        )
 
     def __str__(self) -> str:
         return self.to_text()
@@ -535,22 +546,7 @@ def multilinear_text(
         coeff, degree, mono = lone
         at = next((i for i, mask in enumerate(ordered) if mask.bit_count() < degree), len(pairs))
         pairs.insert(at, (coeff, mono))
-    chunks = []
-    for coeff, mono in pairs:
-        if not coeff:
-            continue
-        mag = abs(coeff)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks) or "0"
+    return _terms_text(pairs)
 
 
 def multilinear_polynomial(

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import singlink.augment as augment
 from singlink.augment import (
     DP_STATE_BUDGET,
+    MAX_PINS,
     T_CONVENTIONS,
     AugmentationSystem,
     AugmentError,
@@ -719,6 +720,87 @@ def test_bruteforce_kernel_is_compiled_once_per_system(monkeypatch):
     # An equal system built again hits the same kernel.
     count_solutions_bruteforce(augmentation_equations(system.word), 5)
     assert len(compiled) == 1
+
+
+def test_bruteforce_pinned_coefficient_vanishing_at_some_prefixes():
+    # n = 2, s = 3: z3 is the last crossing variable, and the sign law asks
+    # for t = -1.  The z3-free constraint pins z2, as a + b z2 with b = z1:
+    # z1*z2 - z1 leaves z2 free at z1 = 0, z1*z2 + 1 rules z1 = 0 out.
+    word = BraidWord(2, (1, 1, 1))
+    for texts, count in (
+        (["t + 1", "z1*z2 - z1", "0", "0"], lambda q: (2 * q - 1) * q),
+        (["t + 1", "z1*z2 + 1", "0", "0"], lambda q: (q - 1) * q),
+        (["t + 1", "z1*z2 - z1", "z3 - z2", "0"], lambda q: 2 * q - 1),
+        (["t + 1", "z1*z2 + 1", "z3*z1 - z2", "0"], lambda q: q - 1),
+        # z2 + 1 holds only z2, pinned before it: it stays a test, and
+        # -2 z1 = 0 at z2 = -1 leaves z1 = 0 (or both z1 at q = 2).
+        (["t + 1", "z1*z2 - z1", "z1*z3 + z2*z3 - 1", "z2 + 1"], lambda q: 1),
+    ):
+        system = _hand_built(word, texts)
+        for q in (2, 3, 5, 7):
+            assert brute_count(system, q) == count(q), (texts, q)
+    # t = -z3 takes every value of F_q^*, so the sign law breaks for q > 2,
+    # and the message names the same first solution as the prefix loop's.
+    for texts in (["t + z3", "z1*z2 - z1", "0", "0"], ["t + z3", "z1*z2 + 1", "0", "0"]):
+        system = _hand_built(word, texts)
+        assert brute_count(system, 2) > 0
+        for q in (3, 5, 7):
+            message = raised(count_solutions_bruteforce, system, q)
+            assert "violates" in message
+            assert message == raised(count_by_prefixes, system, q)
+
+
+def kernel_source(monkeypatch, word: BraidWord, q: int = 2) -> list[str]:
+    """The source lines of the brute-force kernel compiled for ``word``."""
+    compiled = []
+
+    def recording_compile(lines):
+        compiled.append(lines)
+        return compile_kernel(lines)
+
+    monkeypatch.setattr(augment, "compile_kernel", recording_compile)
+    _bruteforce_kernel.cache_clear()
+    count = count_solutions_bruteforce(augmentation_equations(word), q, budget=10**17)
+    assert count == count_solutions_dp(word, q), word
+    [lines] = compiled
+    return lines
+
+
+def prefix_loop_length(lines: list[str]) -> int:
+    """The number of variables the kernel's product loop runs over."""
+    [loop] = [line for line in lines if " in product(" in line]
+    return int(loop.split("repeat=")[1].rstrip("):"))
+
+
+def test_pins_shorten_the_prefix_loop(monkeypatch):
+    # On two strands the (2,1) entry is the one z_s-free constraint.
+    for s in range(3, 12):
+        lines = kernel_source(monkeypatch, append_full_twist(BraidWord(2, (1,) * (s - 2))))
+        assert prefix_loop_length(lines) == s - 2, s
+    for label in ADE_LABELS:
+        word = append_full_twist(ade_braid(parse_ade_label(label)))
+        assert prefix_loop_length(kernel_source(monkeypatch, word)) < len(word) - 1, label
+
+
+def test_pins_stay_within_the_nesting_cap(monkeypatch):
+    # The full twist on 6 strands, s = 30, offers more z_s-free constraints
+    # to pin than CPython can nest loops for; the kernel keeps MAX_PINS.
+    # kernel_source checks the count against the DP at q = 2 and 3.
+    word = append_full_twist(BraidWord(6, ()))
+    assert len(word) == 30
+    for q in (2, 3):
+        lines = kernel_source(monkeypatch, word, q)
+    loops = [line for line in lines if line.lstrip().startswith("for ")]
+    assert len(loops) == 1 + MAX_PINS
+    assert prefix_loop_length(lines) == 29 - MAX_PINS
+
+
+@pytest.mark.parametrize("label,q,expected", [("D4", 5, 676), ("E6", 3, 847)])
+def test_bruteforce_matches_dp_past_the_default_budget(label, q, expected):
+    # D4 at q = 5 is 5^11 prefixes without pins, about 11 s before them.
+    word = append_full_twist(ade_braid(parse_ade_label(label)))
+    count = count_solutions_bruteforce(augmentation_equations(word), q, budget=10**12)
+    assert count == count_solutions_dp(word, q) == expected
 
 
 # -- the Bruhat-cell count of twisted knots ---------------------------------------

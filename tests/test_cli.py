@@ -610,6 +610,15 @@ def test_aug_brute_force_work_budget():
     assert code == 3 and out == ""
 
 
+def test_aug_brute_force_on_the_six_strand_full_twist():
+    # s = 30 offers 26 pins, more than one kernel can nest loops for.
+    code, out, err = run_cli(
+        "aug", "--braid", "", "--strands", "6", "--count-fq", "2", "--budget", "10000000000000"
+    )
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["count"] == {"q": 2, "method": "brute", "solutions": 1}
+
+
 def test_count_fq_zero_is_a_usage_error():
     for argv in (
         ("aug", "--ade", "A2", "--count-fq", "0"),
