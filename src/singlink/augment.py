@@ -39,11 +39,15 @@ are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
 :func:`symbolic_determinant`).
 
 The brute force runs as one Python function generated per system, with
-every equation unrolled into plain sums of products.  Its work guard,
-q^(s-1) prefixes times the terms, bounds the work from above: each pinned
-variable divides the prefixes actually visited by about q.  The tests
-keep an interpreted loop over term tuples as an oracle, next to a count
-over every point (z, t) of the dense equations.
+every equation unrolled into plain sums of products.  The last few free
+prefix variables run in nested inner loops, and each sum is regrouped
+by its monomials in the inner and pinned variables, so its coefficients
+are summed once per outer prefix and folded in one inner variable at a
+time.  Its work guard, q^(s-1) prefixes times the terms, bounds the
+work from above: each pinned variable divides the prefixes actually
+visited by about q.  The tests keep an interpreted loop over term tuples
+as an oracle, next to a count over every point (z, t) of the dense
+equations.
 """
 
 from __future__ import annotations
@@ -53,17 +57,18 @@ import math
 from dataclasses import dataclass
 
 from .exactmath import (
+    INNER_LOOPS,
     BudgetExceededError,
     Polynomial,
     PolyMatrix,
     RingDescriptor,
     compile_kernel,
+    hoisted_loops,
     is_prime,
     mask_indices,
     multilinear_polynomial,
     multilinear_product,
     multilinear_text,
-    sum_source,
 )
 from .links import BraidWord, braid_invariants, half_twist
 
@@ -75,9 +80,10 @@ DP_STATE_BUDGET = 10**6
 # take about 0.65 s in-process on a 2-vCPU VM with Python 3.11.
 TERM_BUDGET = 20_000
 # CPython compiles at most 20 statically nested blocks in one function.
-# The brute-force kernel nests one loop per pinned variable inside its
-# prefix loop, so 18 pins keep it one block under that limit; the full
-# twist on 6 strands alone offers 26.
+# The brute-force kernel nests its inner loops and one loop per pinned
+# variable inside its prefix loop, so 18 of them keep it one block under
+# that limit; the full twist on 6 strands alone offers 26 pins.  Pins
+# come first; up to exactmath.INNER_LOOPS of the rest are inner loops.
 MAX_PINS = 18
 
 T_CONVENTIONS = ("t", "t-inverse")
@@ -267,46 +273,65 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     z_s-free constraint a + b z_v solves one prefix variable z_v, pinned
     as :func:`_choose_pins` picks: z_v = -a/b where b != 0, the prefix is
     ruled out where b = 0 != a, and z_v runs over F_q where a = b = 0.
-    The loop runs over the free prefix variables, with one nested loop
-    over the values of each pinned one; k pins leave about q^(s-1-k)
-    prefixes.  A pinned constraint holds by construction.  Every other
-    constraint is unrolled, fewest terms first, into plain sums of
-    products (:func:`exactmath.sum_source`) that pin z_s or rule the
-    prefix out; a z_s-free one is tested as soon as its variables are
-    bound.  ``check`` is called on every t^(+-1) value counted.  With no
-    pins this is the loop over every prefix.
+    k pins leave about q^(s-1-k) prefixes, and a pinned constraint holds
+    by construction.
+
+    The free prefix variables run in one ``product`` loop, but for the
+    last ``exactmath.INNER_LOOPS`` of them, which run in nested loops
+    inside it; one loop per pin nests inside those.  Pins come first in
+    the shared budget of ``MAX_PINS`` + 1 loops.  Every sum the loops
+    evaluate (each pin's a and b, every other constraint, the (1,1)
+    entry) is regrouped by its monomials in the inner and pinned
+    variables, with coefficients summed once per outer prefix and
+    combined one inner variable at a time
+    (:func:`exactmath.hoisted_loops`); what is left is evaluated directly
+    at the pins and in the body.  A z_s-free constraint is tested as soon
+    as its variables are bound; the others pin z_s or rule the prefix
+    out, fewest terms first.  ``check`` is called on every t^(+-1) value
+    counted.  With no pins and no inner loops this is the loop over every
+    prefix.
     """
     pins = _choose_pins(constraints)
-    # A z_s-free constraint that no pin solves is tested in the loop that
-    # binds the last of its variables, so a prefix it rules out stops early.
     loop_of = {v: depth for depth, (_, v, _, _) in enumerate(pins, start=1)}
-    early = [[] for _ in pins]
-    late = []
+    free = [i for i in range(s - 1) if i not in loop_of]
+    cut = len(free) - min(INNER_LOOPS, len(free), MAX_PINS - len(pins))
+    outer, inner = free[:cut], free[cut:]
     pinned = {index for index, _, _, _ in pins}
+    sums = [(part, False) for _, _, a, b in pins for part in (a, b)]
+    others = []  # where each other constraint starts in sums, in order
     for index, (alpha, beta) in enumerate(constraints):
         if index in pinned or not (alpha or beta):
             continue
-        depth = len(pins)
-        if not beta:
-            depth = max((loop_of.get(i, 0) for _, indices in alpha for i in indices), default=0)
-        if depth < len(pins):
-            early[depth].append(alpha)
-        else:
-            late.append((alpha, beta))
-    free = "".join(f"z{i}, " for i in range(s - 1) if i not in loop_of) or "()"
+        others.append(len(sums))
+        sums += [(alpha, False), (beta, False)] if beta else [(alpha, True)]
+    sums += [(entry[0], False), (entry[1], False)]
     lines = [
         "def kernel(q, check):",
         "    found = 0",
         "    values = range(q)",
-        f"    for {free} in product(values, repeat={max(s - 1, 0) - len(pins)}):",
+        f"    for {''.join(f'z{i}, ' for i in outer) or '()'} in product(values, "
+        f"repeat={len(outer)}):",
     ]
-    pad = "        "
-    for (_, v, a, b), tests in zip(pins, early):
-        for alpha in tests:
-            lines += [f"{pad}if ({sum_source(alpha, 'z')}) % q:", f"{pad}    continue"]
+    hoisted, pad, rest = hoisted_loops(sums, inner, loop_of, "z", "        ")
+    lines += hoisted
+    # A z_s-free constraint with a pinned variable is tested in the loop of
+    # the last of them, so a prefix it rules out stops early; one with no
+    # pinned variable is tested in the lines above (its rest is None).
+    early, late = [[] for _ in pins], []
+    for j in others:
+        terms, is_test = sums[j]
+        if rest[j] is None:
+            continue
+        depth = len(pins)
+        if is_test:
+            depth = max(loop_of.get(i, 0) for _, indices in terms for i in indices)
+        (early[depth] if depth < len(pins) else late).append(j)
+    for depth, (_, v, _, _) in enumerate(pins):
+        for j in early[depth]:
+            lines += [f"{pad}if ({rest[j]}) % q:", f"{pad}    continue"]
         lines += [
-            f"{pad}a = {sum_source(a, 'z')}",
-            f"{pad}b = ({sum_source(b, 'z')}) % q",
+            f"{pad}a = {rest[2 * depth]}",
+            f"{pad}b = ({rest[2 * depth + 1]}) % q",
             f"{pad}if b:",
             f"{pad}    values{v} = (-a * pow(b, -1, q) % q,)",
             f"{pad}elif a % q:",
@@ -318,11 +343,13 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
         pad += "    "
     # p is None while z_s is free; the unknot (s = 0) has no z_s.
     body = [f"p = {'None' if s else 0}"]
-    for alpha, beta in late:
-        if beta:
+    for j in late:
+        if sums[j][1]:
+            body += [f"if ({rest[j]}) % q:", "    continue"]
+        else:
             body += [
-                f"a = {sum_source(alpha, 'z')}",
-                f"b = ({sum_source(beta, 'z')}) % q",
+                f"a = {rest[j]}",
+                f"b = ({rest[j + 1]}) % q",
                 "if p is None:",
                 "    if b:",
                 "        p = -a * pow(b, -1, q) % q",
@@ -331,14 +358,12 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
                 "elif (a + b * p) % q:",
                 "    continue",
             ]
-        else:
-            body += [f"if ({sum_source(alpha, 'z')}) % q:", "    continue"]
     # t^(+-1) = -c (alpha + beta z_s); with z_s free and beta != 0 it takes
     # every value of F_q once: q - 1 solutions with distinct t.
     sign = "-" if t_coeff == 1 else ""
     body += [
-        f"a = {sum_source(entry[0], 'z')}",
-        f"b = ({sum_source(entry[1], 'z')}) % q",
+        f"a = {rest[-2]}",
+        f"b = ({rest[-1]}) % q",
         "if p is not None:",
         f"    u = {sign}(a + b * p) % q",
         "    if u:",

@@ -186,6 +186,8 @@ def _write_equation_files(
 
 
 def cmd_link(args) -> int:
+    if args.equations_dir is not None and not args.pipeline:
+        raise UsageError("--equations-dir dumps the pipeline's equations: it needs --pipeline")
     descriptor, braid, extras = _braid_from_args(args)
     if braid is None:
         payload = {"input": descriptor, **extras}
@@ -307,6 +309,8 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_aug(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise UsageError("budget must be at least 1")
     from . import augment, links
 
     _, braid, _ = _braid_from_args(args)
@@ -383,84 +387,116 @@ def _add_braid_inputs(parser: argparse.ArgumentParser, with_puiseux: bool = True
         parser.set_defaults(puiseux=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_link_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_braid_inputs(parser)
+    parser.add_argument("--pipeline", action="store_true",
+                        help="full report: quiver, classification, seed counts")
+    parser.add_argument("--equations-dir", metavar="DIR",
+                        help="with --pipeline: dump equation systems here")
+
+
+def _add_quiver_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_braid_inputs(parser)
+    parser.add_argument("--divide", help="divide JSON file")
+    parser.add_argument("--divide-label", help="catalog divide label, e.g. E7")
+    parser.add_argument("--format", choices=("json", "dot", "text"), default="json")
+
+
+def _add_mutate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--matrix", help="matrix JSON file, or - for stdin")
+    parser.add_argument("--type", help="start from a Dynkin initial matrix")
+    parser.add_argument("--ade", help="start from an ADE brick quiver matrix")
+    parser.add_argument("--at", type=int, nargs="+", required=True,
+                        metavar="K", help="1-based mutation directions, applied in order")
+
+
+def _add_classify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--matrix", help="matrix JSON file, or - for stdin")
+    parser.add_argument("--type", help="Dynkin type, e.g. E6")
+    parser.add_argument("--ade", help="ADE label; classifies its brick quiver")
+
+
+def _add_seeds_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--matrix", help="matrix JSON file, or - for stdin")
+    parser.add_argument("--type", help="Dynkin type, e.g. D4")
+    parser.add_argument("--ade", help="ADE label; enumerates its brick quiver")
+    parser.add_argument("--cap", type=int, default=2000)
+    parser.add_argument("--summary", action="store_true", help="emit the count only")
+
+
+def _add_aug_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_braid_inputs(parser, with_puiseux=False)
+    parser.add_argument("--full-twist", dest="full_twist", action="store_true", default=True,
+                        help="append Delta^2 to the input word (default)")
+    parser.add_argument("--no-full-twist", dest="full_twist", action="store_false")
+    # The library checks --t-convention, theta's --method and the --budget
+    # default, so that building the parser imports no layer.
+    parser.add_argument("--t-convention", default="t")
+    parser.add_argument("--count-fq", type=int, metavar="Q")
+    parser.add_argument("--method", choices=("brute", "dp"), default="brute")
+    parser.add_argument("--budget", type=int,
+                        help="brute-force work budget (default augment.BRUTE_FORCE_BUDGET)")
+
+
+def _add_theta_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--method", default="recursion")
+    parser.add_argument("--count-fq", type=int, metavar="Q")
+    parser.add_argument("--positroid", action="store_true",
+                        help="with --count-fq, also count the cyclic positroid stratum")
+
+
+def _add_check_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--deep", action="store_true", help="include E7/E8 enumerations")
+    parser.add_argument("--fast", action="store_true", help="shrink randomized instance counts")
+
+
+# (name, help, argument adder, handler) per subcommand, in usage order.
+COMMANDS = (
+    ("link", "braid presentation and invariants", _add_link_arguments, cmd_link),
+    ("quiver", "brick quiver of a braid or quiver of a divide", _add_quiver_arguments,
+     cmd_quiver),
+    ("mutate", "mutate an exchange matrix", _add_mutate_arguments, cmd_mutate),
+    ("classify", "finite-type detection", _add_classify_arguments, cmd_classify),
+    ("seeds", "enumerate cluster seeds", _add_seeds_arguments, cmd_seeds),
+    ("aug", "augmentation equation system", _add_aug_arguments, cmd_aug),
+    ("theta", "sheaf-moduli chain system", _add_theta_arguments, cmd_theta),
+    ("check", "run the cross-validation suite", _add_check_arguments, cmd_check),
+)
+COMMAND_NAMES = tuple(name for name, _, _, _ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A one-command parser still names every subcommand in its usage line,
+    so its messages read as the full parser's for that command.
+    """
     parser = argparse.ArgumentParser(
         prog="singlink",
         description="Exact toolkit for plane-curve singularity links: braids, "
         "divides, quivers, cluster seeds, and moduli equation systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_link = sub.add_parser("link", help="braid presentation and invariants")
-    _add_braid_inputs(p_link)
-    p_link.add_argument("--pipeline", action="store_true",
-                        help="full report: quiver, classification, seed counts")
-    p_link.add_argument("--equations-dir", metavar="DIR",
-                        help="with --pipeline: dump equation systems here")
-    p_link.set_defaults(func=cmd_link)
-
-    p_quiver = sub.add_parser("quiver", help="brick quiver of a braid or quiver of a divide")
-    _add_braid_inputs(p_quiver)
-    p_quiver.add_argument("--divide", help="divide JSON file")
-    p_quiver.add_argument("--divide-label", help="catalog divide label, e.g. E7")
-    p_quiver.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    p_quiver.set_defaults(func=cmd_quiver)
-
-    p_mutate = sub.add_parser("mutate", help="mutate an exchange matrix")
-    p_mutate.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-    p_mutate.add_argument("--type", help="start from a Dynkin initial matrix")
-    p_mutate.add_argument("--ade", help="start from an ADE brick quiver matrix")
-    p_mutate.add_argument("--at", type=int, nargs="+", required=True,
-                          metavar="K", help="1-based mutation directions, applied in order")
-    p_mutate.set_defaults(func=cmd_mutate)
-
-    p_classify = sub.add_parser("classify", help="finite-type detection")
-    p_classify.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-    p_classify.add_argument("--type", help="Dynkin type, e.g. E6")
-    p_classify.add_argument("--ade", help="ADE label; classifies its brick quiver")
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_seeds = sub.add_parser("seeds", help="enumerate cluster seeds")
-    p_seeds.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-    p_seeds.add_argument("--type", help="Dynkin type, e.g. D4")
-    p_seeds.add_argument("--ade", help="ADE label; enumerates its brick quiver")
-    p_seeds.add_argument("--cap", type=int, default=2000)
-    p_seeds.add_argument("--summary", action="store_true", help="emit the count only")
-    p_seeds.set_defaults(func=cmd_seeds)
-
-    p_aug = sub.add_parser("aug", help="augmentation equation system")
-    _add_braid_inputs(p_aug, with_puiseux=False)
-    p_aug.add_argument("--full-twist", dest="full_twist", action="store_true", default=True,
-                       help="append Delta^2 to the input word (default)")
-    p_aug.add_argument("--no-full-twist", dest="full_twist", action="store_false")
-    # The library checks --t-convention, theta's --method and the --budget
-    # default, so that building the parser imports no layer.
-    p_aug.add_argument("--t-convention", default="t")
-    p_aug.add_argument("--count-fq", type=int, metavar="Q")
-    p_aug.add_argument("--method", choices=("brute", "dp"), default="brute")
-    p_aug.add_argument("--budget", type=int,
-                       help="brute-force work budget (default augment.BRUTE_FORCE_BUDGET)")
-    p_aug.set_defaults(func=cmd_aug)
-
-    p_theta = sub.add_parser("theta", help="sheaf-moduli chain system")
-    p_theta.add_argument("--n", type=int, required=True)
-    p_theta.add_argument("--method", default="recursion")
-    p_theta.add_argument("--count-fq", type=int, metavar="Q")
-    p_theta.add_argument("--positroid", action="store_true",
-                         help="with --count-fq, also count the cyclic positroid stratum")
-    p_theta.set_defaults(func=cmd_theta)
-
-    p_check = sub.add_parser("check", help="run the cross-validation suite")
-    p_check.add_argument("--deep", action="store_true", help="include E7/E8 enumerations")
-    p_check.add_argument("--fast", action="store_true", help="shrink randomized instance counts")
-    p_check.set_defaults(func=cmd_check)
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        metavar = "{" + ",".join(COMMAND_NAMES) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments, handler in COMMANDS:
+        if command is None or name == command:
+            subparser = sub.add_parser(name, help=help_text)
+            add_arguments(subparser)
+            subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the parser of the subcommand that runs is built; help, no
+    # command or an unknown one take the full parser.
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every singlink error is a ValueError

@@ -576,6 +576,12 @@ def multilinear_polynomial(
 # expression tree about log_64(terms) deep, so a sum of 20000 terms stays far
 # inside the compiler's recursion limit.
 SUM_CHUNK = 64
+# Variables a generated brute force binds in nested loops inside its
+# ``product`` loop, each with the sums hoisted out of it
+# (:func:`hoisted_loops`).  Hoisting over every variable made the source
+# of an A6 augmentation kernel about twice as long and slower to compile
+# than it saved.
+INNER_LOOPS = 3
 
 
 def sum_source(terms: Iterable[tuple[int, Iterable[int]]], name: str) -> str:
@@ -585,17 +591,23 @@ def sum_source(terms: Iterable[tuple[int, Iterable[int]]], name: str) -> str:
     The source holds only integer literals, the names ``name<i>``, ``*``,
     ``+``, ``-`` and parentheses; the empty sum is ``0``.
     """
-    parts = []
-    for coeff, indices in terms:
-        factors = "*".join([f"{name}{i}" for i in indices])
-        if not factors:
-            parts.append(f"{coeff:d}")
-        elif coeff == 1:
-            parts.append(factors)
-        elif coeff == -1:
-            parts.append(f"-{factors}")
-        else:
-            parts.append(f"{coeff:d}*{factors}")
+    return _join_sum(
+        [_scaled(f"{coeff:d}", "*".join([f"{name}{i}" for i in indices])) for coeff, indices in terms]
+    )
+
+
+def _scaled(coeff: str, factors: str) -> str:
+    # coeff * factors, coeff an integer literal or a name.
+    if not factors:
+        return coeff
+    if coeff == "1":
+        return factors
+    if coeff == "-1":
+        return f"-{factors}"
+    return f"{coeff}*{factors}"
+
+
+def _join_sum(parts: list[str]) -> str:
     while len(parts) > SUM_CHUNK:
         parts = [
             f"({' + '.join(parts[i : i + SUM_CHUNK])})" for i in range(0, len(parts), SUM_CHUNK)
@@ -603,11 +615,101 @@ def sum_source(terms: Iterable[tuple[int, Iterable[int]]], name: str) -> str:
     return " + ".join(parts) or "0"
 
 
+def hoisted_loops(sums, inner, later, name: str, pad: str):
+    """Inner loops over ``inner``, with the sums of ``sums`` hoisted out of them.
+
+    ``sums`` holds (terms, test) pairs, the terms as :func:`sum_source`
+    takes them, each variable ``name<i>`` at most once per term.  The
+    outer variables, every one in neither ``inner`` nor ``later``, are
+    bound before these lines; ``inner`` is bound here, one nested
+    ``for name<v> in values:`` each, in order; ``later`` is bound by the
+    caller inside the last inner loop.
+
+    Each sum is regrouped by its monomials m in the inner and later
+    variables: every coefficient c_m is one sum over the outer variables,
+    assigned once before the first inner loop.  Binding an inner variable
+    v replaces c_m and c_{m v} by one coefficient, c_m + v c_{m v}.  A
+    test sum is tested, ``if (...) % q: continue``, at the first level
+    that binds all its variables.  Coefficients are named ``c<k>``, one
+    per distinct sum.
+
+    Returns (lines, pad, rest): the lines indented from ``pad``, the pad
+    inside the last inner loop, and per sum the source of what is left,
+    in the coefficients and the later variables, or None for a sum tested
+    in the lines (or an empty test).
+    """
+    later = set(later)
+    levels = [[] for _ in range(len(inner) + 1)]
+    named: dict[str, str] = {}
+
+    def atom(expr: str, level: int) -> str:
+        # An integer literal or a name stands as it is; a sum gets a name,
+        # one per distinct sum.  A sum holds a variable of its own level
+        # (or of none), so its name is bound wherever it is used again.
+        if expr.isidentifier() or expr.lstrip("-").isdigit():
+            return expr
+        if expr not in named:
+            named[expr] = f"c{len(named)}"
+            levels[level].append(f"{named[expr]} = {expr}")
+        return named[expr]
+
+    def test(expr: str, level: int) -> None:
+        levels[level] += [f"if ({expr}) % q:", "    continue"]
+
+    rest: list[str | None] = [None] * len(sums)
+    states = {}  # per hoisted sum, {monomial in inner and later: coefficient}
+    pending = []
+    for j, (terms, is_test) in enumerate(sums):
+        if is_test and not terms:
+            continue
+        grouped: dict[tuple[int, ...], list] = {}
+        for coeff, indices in terms:
+            key = tuple(i for i in indices if i in later or i in inner)
+            outer = tuple(i for i in indices if i not in key)
+            grouped.setdefault(key, []).append((coeff, outer))
+        if is_test and list(grouped) == [()]:
+            test(sum_source(terms, name), 0)  # tested before any coefficient
+        else:
+            pending.append((j, grouped))
+    for j, grouped in pending:
+        states[j] = {key: atom(sum_source(group, name), 0) for key, group in grouped.items()}
+    for level, v in enumerate(inner, start=1):
+        combined = {}
+        for j, state in states.items():
+            if not any(v in key for key in state):
+                continue
+            parts: dict[tuple[int, ...], list[str]] = {}
+            for key, coeff in state.items():
+                if v in key:
+                    key = tuple(i for i in key if i != v)
+                    coeff = _scaled(coeff, f"{name}{v}")
+                parts.setdefault(key, []).append(coeff)
+            combined[j] = parts
+        for j, parts in list(combined.items()):
+            if sums[j][1] and list(parts) == [()]:
+                test(" + ".join(parts[()]), level)
+                del combined[j], states[j]
+        for j, parts in combined.items():
+            states[j] = {key: atom(" + ".join(part), level) for key, part in parts.items()}
+    for j, state in states.items():
+        rest[j] = _join_sum(
+            [_scaled(coeff, "*".join([f"{name}{i}" for i in key])) for key, coeff in state.items()]
+        )
+    lines = []
+    for level, v in enumerate(inner):
+        lines += [pad + line for line in levels[level]]
+        lines.append(f"{pad}for {name}{v} in values:")
+        pad += "    "
+    lines += [pad + line for line in levels[len(inner)]]
+    return lines, pad, rest
+
+
 def compile_kernel(lines: list[str]):
     """The function ``kernel`` that the generated source lines define.
 
     Its only global is ``product`` (``itertools.product``); callers build
-    the lines from :func:`sum_source` and fixed text, never from input text.
+    the lines from :func:`sum_source`, :func:`hoisted_loops` and fixed
+    text, never from input text.
     """
     namespace = {"product": product}
     exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)

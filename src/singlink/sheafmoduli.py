@@ -32,17 +32,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .exactmath import (
+    INNER_LOOPS,
     BudgetExceededError,
     Polynomial,
     RingDescriptor,
     compile_kernel,
+    hoisted_loops,
     is_prime,
     mask_indices,
     multilinear_key,
     multilinear_polynomial,
     multilinear_product,
     multilinear_text,
-    sum_source,
 )
 
 if TYPE_CHECKING:
@@ -159,21 +160,33 @@ def theta_system(n: int, method: str = "recursion") -> ThetaSystem:
 def count_theta_points_brute(system: ThetaSystem, q: int) -> int:
     """Oracle: enumerate F_q^(2n) and test every equation.
 
-    The loop runs as Python source generated for the system, one plain sum
-    of products (:func:`exactmath.sum_source`) per equation, in the
-    variables v0, .., v{2n-1}.
+    The loop runs as Python source generated for the system, in the
+    variables v0, .., v{2n-1}: the last ``exactmath.INNER_LOOPS`` in nested
+    loops inside one ``product`` loop over the others, every equation
+    tested, as one plain sum of products, at the first loop that binds all
+    its variables (:func:`exactmath.hoisted_loops`).
     """
     if not is_prime(q):
         raise ThetaError(f"{q} is not prime")
     nvars = 2 * system.n
     if q**nvars > BRUTE_FORCE_BUDGET:
         raise BudgetExceededError(f"q^(2n) = {q}^{nvars} exceeds the enumeration budget")
-    values = "".join(f"v{i}, " for i in range(nvars))
-    lines = ["def kernel(q):", "    count = 0", f"    for {values} in product(range(q), repeat={nvars}):"]
-    for eq in system.equations:
-        terms = ((coeff, mask_indices(mask, nvars)) for mask, coeff in eq.items())
-        lines += [f"        if ({sum_source(terms, 'v')}) % q:", "            continue"]
-    lines += ["        count += 1", "    return count"]
+    cut = max(nvars - INNER_LOOPS, 0)
+    sums = [
+        ([(coeff, mask_indices(mask, nvars)) for mask, coeff in eq.items()], True)
+        for eq in system.equations
+    ]
+    hoisted, pad, _ = hoisted_loops(sums, range(cut, nvars), (), "v", "        ")
+    outer = "".join(f"v{i}, " for i in range(cut)) or "()"
+    lines = [
+        "def kernel(q):",
+        "    count = 0",
+        "    values = range(q)",
+        f"    for {outer} in product(values, repeat={cut}):",
+        *hoisted,
+        f"{pad}count += 1",
+        "    return count",
+    ]
     return compile_kernel(lines)(q)
 
 

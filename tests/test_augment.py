@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -766,33 +767,109 @@ def kernel_source(monkeypatch, word: BraidWord, q: int = 2) -> list[str]:
     return lines
 
 
-def prefix_loop_length(lines: list[str]) -> int:
-    """The number of variables the kernel's product loop runs over."""
+def free_loop_variables(lines: list[str]) -> int:
+    """The prefix variables the kernel enumerates: those of its product
+    loop and of the inner loops over all of F_q, not the pinned ones."""
     [loop] = [line for line in lines if " in product(" in line]
-    return int(loop.split("repeat=")[1].rstrip("):"))
+    inner = [line for line in lines if re.fullmatch(r"\s*for z\d+ in values:", line)]
+    return int(loop.split("repeat=")[1].rstrip("):")) + len(inner)
 
 
 def test_pins_shorten_the_prefix_loop(monkeypatch):
     # On two strands the (2,1) entry is the one z_s-free constraint.
     for s in range(3, 12):
         lines = kernel_source(monkeypatch, append_full_twist(BraidWord(2, (1,) * (s - 2))))
-        assert prefix_loop_length(lines) == s - 2, s
+        assert free_loop_variables(lines) == s - 2, s
     for label in ADE_LABELS:
         word = append_full_twist(ade_braid(parse_ade_label(label)))
-        assert prefix_loop_length(kernel_source(monkeypatch, word)) < len(word) - 1, label
+        assert free_loop_variables(kernel_source(monkeypatch, word)) < len(word) - 1, label
 
 
 def test_pins_stay_within_the_nesting_cap(monkeypatch):
     # The full twist on 6 strands, s = 30, offers more z_s-free constraints
-    # to pin than CPython can nest loops for; the kernel keeps MAX_PINS.
-    # kernel_source checks the count against the DP at q = 2 and 3.
+    # to pin than CPython can nest loops for; pins and inner loops share
+    # the MAX_PINS + 1 loops it can.  kernel_source checks the count
+    # against the DP at q = 2 and 3.
     word = append_full_twist(BraidWord(6, ()))
     assert len(word) == 30
     for q in (2, 3):
         lines = kernel_source(monkeypatch, word, q)
     loops = [line for line in lines if line.lstrip().startswith("for ")]
-    assert len(loops) == 1 + MAX_PINS
-    assert prefix_loop_length(lines) == 29 - MAX_PINS
+    assert len(loops) <= 1 + MAX_PINS
+
+
+@st.composite
+def prefix_loop_words(draw):
+    """(word, q) on at most 4 strands with at most 2000 prefixes, so that
+    the interpreted prefix loop stays quick; the full twist half the time."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    twist = n * (n - 1) if draw(st.booleans()) else 0
+    s_max = 1
+    while q**s_max <= 2000:
+        s_max += 1
+    if twist > s_max:
+        twist = 0
+    letters = st.integers(1, max(n - 1, 1))
+    size = s_max - twist if n > 1 else 0
+    word = BraidWord(n, tuple(draw(st.lists(letters, max_size=size))))
+    return (append_full_twist(word) if twist else word), q
+
+
+@given(prefix_loop_words(), st.sampled_from(T_CONVENTIONS))
+@settings(max_examples=60, deadline=None)
+def test_hoisted_kernel_matches_the_prefix_loop(case, convention):
+    word, q = case
+    system = augmentation_equations(word, convention)
+    assert count_solutions_bruteforce(system, q) == count_by_prefixes(system, q), (word, q)
+
+
+def test_hoisted_coefficients_vanishing_at_some_outer_prefixes(monkeypatch):
+    # n = 3, s = 8: the sign law asks for t = -1, and each (1,1) equation
+    # is t + 1 plus a multiple of the other equations.  In the first
+    # system z5, z3 and z6 are pinned, z1 is the one outer variable and
+    # z2, z4, z7 are inner.  The hoisted coefficients -z1, z1 and z1 - 1
+    # vanish at some outer prefixes: the pin of z3 (a = -z1, b = z1) then
+    # takes all of F_q, the pin of z6 (a = 0, b = (z1 - 1) z4) does so
+    # at z1 = 1, and the test z1 z2 z4 - z1 z4, whose variables are all
+    # pinned or blocked, passes at z1 = 0 for every inner value.
+    word = BraidWord(3, (1,) * 8)
+    for texts in (
+        ["t + 1 + z1*z3*z8 - z1*z8", "z2*z5 - z1", "z1*z3 - z1", "z1*z4*z6 - z4*z6",
+         "z1*z2*z4 - z1*z4", "z2*z8 - z2*z7", "0", "0", "0"],
+        ["t + 1", "z1*z4 - z1", "z1*z2*z7 + z1*z7 - z1", "0", "0", "0", "0", "0", "0"],
+        ["t + 1 + z1*z7*z8 - z7*z8 + z1*z2 - z2", "z1*z7*z8 - z7*z8 + z1*z2 - z2", "0", "0",
+         "0", "0", "0", "0", "0"],
+    ):
+        system = _hand_built(word, texts)
+        compiled = []
+
+        def recording_compile(lines):
+            compiled.append(lines)
+            return compile_kernel(lines)
+
+        monkeypatch.setattr(augment, "compile_kernel", recording_compile)
+        _bruteforce_kernel.cache_clear()
+        for q in (2, 3, 5):
+            brute_count(system, q, points=q < 5)
+        [lines] = compiled
+        # The kernel holds inner loops and the coefficients hoisted out of them.
+        assert any(re.fullmatch(r"\s*for z\d+ in values:", line) for line in lines), texts
+        assert any(re.fullmatch(r"\s*c\d+ = .*", line) for line in lines), texts
+
+
+def test_free_variables_past_the_nesting_cap(monkeypatch):
+    # beta = sigma_4^2 on five strands with the full twist: s = 22, with 16
+    # pins and 5 free prefix variables.  The pins leave room for only 2 of
+    # the inner loops, and the other 3 free variables stay in the product.
+    word = append_full_twist(BraidWord(5, (4, 4)))
+    assert len(word) == 22
+    for q in (2, 3, 5):
+        lines = kernel_source(monkeypatch, word, q)
+    loops = [line for line in lines if line.lstrip().startswith("for ")]
+    inner = [line for line in lines if re.fullmatch(r"\s*for z\d+ in values:", line)]
+    assert len(loops) == 1 + MAX_PINS and len(inner) == 2
+    assert free_loop_variables(lines) == 5
 
 
 @pytest.mark.parametrize("label,q,expected", [("D4", 5, 676), ("E6", 3, 847)])

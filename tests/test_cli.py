@@ -1,5 +1,6 @@
 """CLI behavior: determinism, round-trips, exit codes."""
 
+import argparse
 import io
 import json
 import contextlib
@@ -118,6 +119,71 @@ def test_theta_positroid_without_a_count_is_a_usage_error():
     assert code == 2
     assert out == ""
     assert "--positroid" in err and "--count-fq" in err and "Traceback" not in err
+
+
+def test_equations_dir_without_pipeline_is_a_usage_error(tmp_path):
+    directory = tmp_path / "equations"
+    code, out, err = run_cli("link", "--ade", "A2", "--equations-dir", str(directory))
+    assert code == 2
+    assert out == ""
+    assert "--equations-dir" in err and "--pipeline" in err and "Traceback" not in err
+    assert not directory.exists()
+
+
+def test_aug_budget_below_one_is_a_usage_error():
+    for budget in ("0", "-5"):
+        code, out, err = run_cli("aug", "--ade", "A2", "--count-fq", "3", "--budget", budget)
+        assert (code, out, err) == (2, "", "error: budget must be at least 1\n"), budget
+    code, out, _ = run_cli("aug", "--ade", "A1", "--count-fq", "2", "--budget", "1000")
+    assert code == 0
+
+
+# Each argument vector, as `main` runs it, must read as it does through the
+# parser of every subcommand: help, usage and error messages included.
+PARSER_ARGVS = [
+    ["--help"],
+    ["-h"],
+    [],
+    ["bogus"],
+    ["--", "aug"],
+    *([name, "--help"] for name in cli.COMMAND_NAMES),
+    ["classify", "--type", "E6", "--cap", "10"],
+    ["seeds", "--type", "A3", "--summary", "extra"],
+    ["aug", "--method", "Brute"],
+    ["theta"],
+    ["mutate", "--type", "A2"],
+    ["theta", "--n", "3", "--count", "5"],
+    ["aug", "--ade", "A2", "--count-fq", "x"],
+    ["quiver", "--format", "svg", "--ade", "A1"],
+]
+
+
+def test_one_command_parser_reads_as_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = cli.build_parser
+    lazy = [run_cli(*argv) for argv in PARSER_ARGVS]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built())
+    full = [run_cli(*argv) for argv in PARSER_ARGVS]
+    for argv, one, every in zip(PARSER_ARGVS, lazy, full):
+        assert one == every, argv
+    # The list reaches help, usage errors and a run.
+    assert {code for code, _, _ in full} == {0, 2}
+
+
+def test_main_builds_only_the_parser_it_runs(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert run_cli("theta", "--n", "2")[0] == 0
+    assert built == ["theta"]
+    built.clear()
+    cli.build_parser()
+    assert built == list(cli.COMMAND_NAMES)
 
 
 def test_theta_positroid_count_at_large_n_and_q():

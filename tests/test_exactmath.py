@@ -1,6 +1,7 @@
 """Tests for the exact polynomial substrate."""
 
 import heapq
+import itertools
 import math
 import random
 
@@ -18,7 +19,9 @@ from singlink.exactmath import (
     RingDescriptor,
     RingMismatchError,
     SubstitutionError,
+    compile_kernel,
     divide_exact,
+    hoisted_loops,
     is_prime,
     mask_indices,
     multilinear_polynomial,
@@ -485,3 +488,60 @@ def test_multilinear_product_and_indices_match_dense():
     assert mask_indices(0, 4) == ()
     with pytest.raises(ExactMathError):
         multilinear_polynomial(ring, {1 << 8: 1})
+
+
+# -- generated loops -------------------------------------------------------------
+
+
+@st.composite
+def hoisting_cases(draw):
+    """Multilinear sums over up to 6 variables, each variable outer, inner
+    or later, some sums marked as tests; and a prime q."""
+    nv = draw(st.integers(1, 6))
+    roles = draw(st.lists(st.sampled_from("oil"), min_size=nv, max_size=nv))
+    maps = st.dictionaries(st.integers(0, 2**nv - 1), st.integers(-3, 3).filter(bool), max_size=6)
+    sums = [
+        ([(coeff, mask_indices(mask, nv)) for mask, coeff in terms.items()], test)
+        for terms, test in draw(st.lists(st.tuples(maps, st.booleans()), max_size=5))
+    ]
+    return nv, roles, sums, draw(st.sampled_from([2, 3, 5]))
+
+
+@given(hoisting_cases())
+@settings(max_examples=80, deadline=None)
+def test_hoisted_loops_evaluate_every_sum(case):
+    nv, roles, sums, q = case
+    outer, inner, later = ([i for i in range(nv) if roles[i] == r] for r in "oil")
+    lines, pad, rest = hoisted_loops(sums, inner, later, "v", "        ")
+    # A test sum without later variables is tested in the lines; every
+    # other sum is left to the caller, in the coefficients and later ones.
+    tested = [
+        test and not any(i in later for _, indices in terms for i in indices)
+        for terms, test in sums
+    ]
+    assert [r is None for r in rest] == tested
+    names = "".join(f"v{i}, " for i in range(nv))
+    source = [
+        "def kernel(q, seen):",
+        "    values = range(q)",
+        f"    for {''.join(f'v{i}, ' for i in outer) or '()'} in product(values, "
+        f"repeat={len(outer)}):",
+        *lines,
+        f"{pad}for {''.join(f'v{i}, ' for i in later) or '()'} in product(values, "
+        f"repeat={len(later)}):",
+        f"{pad}    seen.append((({names}), ({''.join(f'{r}, ' for r in rest if r)})))",
+    ]
+    seen = []
+    compile_kernel(source)(q, seen)
+
+    def value(terms, point):
+        return sum(coeff * math.prod(point[i] for i in indices) for coeff, indices in terms)
+
+    expected = []
+    for point in itertools.product(range(q), repeat=nv):
+        if any(test and value(terms, point) % q for (terms, _), test in zip(sums, tested)):
+            continue
+        left = tuple(value(terms, point) for (terms, _), r in zip(sums, rest) if r)
+        expected.append((point, left))
+    # The values are exact integers, not residues: regrouping is exact.
+    assert sorted(seen) == sorted(expected)
