@@ -19,16 +19,16 @@ are raw variety counts.
 
 Counting oracles: a brute force over the stored equations, which
 enumerates z_1..z_{s-1} but solves one of them from each of up to
-``MAX_PINS`` z_s-free equations, then solves for the last crossing
-variable z_s and for t; and an independent count that never builds the
-equations.  The latter walks only beta of a twisted word beta * Delta^2,
-in reverse from the cell of w0: a knot (one component) over the Bruhat
-cells of S_n, divided by (q-1)^(n-1) at the end, and a link over the
-Bruhat cells times the torus (F_q^*)^n, both exact for every prime q.
-An untwisted word is counted by a dynamic program over the
-distribution of partial matrix products in GL_n(F_q), which advances
-one coset a + F_q b of the affected column pair at a time instead of
-one z at a time.
+``MAX_PINS`` z_s-free equations, solves z_s from one equation that holds
+it, and solves the (1,1) equation for t; and an independent count that
+never builds the equations.  The latter walks only beta of a twisted
+word beta * Delta^2, in reverse from the cell of w0: a knot (one
+component) over the Bruhat cells of S_n, divided by (q-1)^(n-1) at the
+end, and a link over the Bruhat cells times the torus (F_q^*)^n, both
+exact for every prime q.  An untwisted word is counted by a dynamic
+program over the distribution of partial matrix products in GL_n(F_q),
+which advances one coset a + F_q b of the affected column pair at a
+time instead of one z at a time.
 
 Every entry of the braid matrix is multilinear, since each z enters
 through one factor only.  So a system stores each equation as a term map
@@ -39,15 +39,16 @@ are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
 :func:`symbolic_determinant`).
 
 The brute force runs as one Python function generated per system, with
-every equation unrolled into plain sums of products.  The last few free
-prefix variables run in nested inner loops, and each sum is regrouped
-by its monomials in the inner and pinned variables, so its coefficients
-are summed once per outer prefix and folded in one inner variable at a
-time.  Its work guard, q^(s-1) prefixes times the terms, bounds the
-work from above: each pinned variable divides the prefixes actually
-visited by about q.  The tests keep an interpreted loop over term tuples
-as an oracle, next to a count over every point (z, t) of the dense
-equations.
+every equation unrolled into plain sums of products.  One loop emitter,
+:func:`exactmath.hoisted_loops`, nests a loop over each of the last few
+free prefix variables, each pinned variable and z_s inside the loop over
+the other free variables, and regroups each sum by its monomials in
+those, so its coefficients are summed once per outer prefix and folded
+in one variable at a time.  Its work guard, q^(s-1) prefixes times the
+terms, bounds the work from above: each pinned variable divides the
+prefixes actually visited by about q.  The tests keep an interpreted
+loop over term tuples as an oracle, next to a count over every point
+(z, t) of the dense equations.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ DP_STATE_BUDGET = 10**6
 # full twist needs 12331; T(7,9) needs 80060, and `aug --torus 7 9` would
 # take about 0.65 s in-process on a 2-vCPU VM with Python 3.11.
 TERM_BUDGET = 20_000
-# CPython compiles at most 20 statically nested blocks in one function.
-# The brute-force kernel nests its inner loops and one loop per pinned
-# variable inside its prefix loop, so 18 of them keep it one block under
-# that limit; the full twist on 6 strands alone offers 26 pins.  Pins
-# come first; up to exactmath.INNER_LOOPS of the rest are inner loops.
+# CPython 3.10 to 3.12 compile at most 20 nested loops in one function.
+# The brute-force kernel nests one loop per pinned variable, its inner
+# loops and z_s's loop inside its prefix loop, so product + pins + inner
+# + z_s <= 20 leaves 18 for the pins and the inner loops; the full twist
+# on 6 strands alone offers 26 pins.  Pins come first; up to
+# exactmath.INNER_LOOPS of the rest are inner loops.
 MAX_PINS = 18
 
 T_CONVENTIONS = ("t", "t-inverse")
@@ -240,10 +242,10 @@ def _choose_pins(constraints):
     z_s-free one a pin if it holds a variable that is neither pinned nor
     in an earlier pinned constraint: the highest-index one, z_v.  So every
     other variable of a pinned constraint is free or pinned before it, and
-    the pin loops nest in the order of the pins.  Returns (index, v, a, b)
-    per pin, the constraint being a + b z_v, at most ``MAX_PINS`` of them.
+    the pin loops nest in the order of the pins.  Returns {constraint
+    index: v}, in that order, at most ``MAX_PINS`` of them.
     """
-    pins, blocked = [], set()
+    pins, blocked = {}, set()
     for index, (alpha, beta) in enumerate(constraints):
         if beta:
             continue
@@ -251,12 +253,7 @@ def _choose_pins(constraints):
         candidates = variables - blocked
         if not candidates:
             continue
-        v = max(candidates)
-        a = tuple(term for term in alpha if v not in term[1])
-        b = tuple(
-            (coeff, tuple(i for i in indices if i != v)) for coeff, indices in alpha if v in indices
-        )
-        pins.append((index, v, a, b))
+        pins[index] = max(candidates)
         blocked |= variables
         if len(pins) == MAX_PINS:
             break
@@ -274,112 +271,66 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     as :func:`_choose_pins` picks: z_v = -a/b where b != 0, the prefix is
     ruled out where b = 0 != a, and z_v runs over F_q where a = b = 0.
     k pins leave about q^(s-1-k) prefixes, and a pinned constraint holds
-    by construction.
+    by construction.  z_s is solved the same way by the first constraint
+    that holds it, fewest terms first; every other constraint is a test.
 
     The free prefix variables run in one ``product`` loop, but for the
     last ``exactmath.INNER_LOOPS`` of them, which run in nested loops
-    inside it; one loop per pin nests inside those.  Pins come first in
-    the shared budget of ``MAX_PINS`` + 1 loops.  Every sum the loops
-    evaluate (each pin's a and b, every other constraint, the (1,1)
-    entry) is regrouped by its monomials in the inner and pinned
-    variables, with coefficients summed once per outer prefix and
-    combined one inner variable at a time
-    (:func:`exactmath.hoisted_loops`); what is left is evaluated directly
-    at the pins and in the body.  A z_s-free constraint is tested as soon
-    as its variables are bound; the others pin z_s or rule the prefix
-    out, fewest terms first.  ``check`` is called on every t^(+-1) value
-    counted.  With no pins and no inner loops this is the loop over every
-    prefix.
+    inside it.  The loops of the pins, in their order, and of z_s nest
+    inside those; the pins come first in the shared budget of
+    ``MAX_PINS`` loops inside the ``product`` loop and outside z_s's.
+    :func:`exactmath.hoisted_loops` writes every nested loop: it regroups
+    every sum by its monomials in the loop variables, with coefficients
+    summed once per outer prefix and combined one loop variable at a
+    time, and tests a constraint at the first loop that binds all its
+    variables.  The body solves the (1,1) entry for t^(+-1) and calls
+    ``check`` on every value counted.  If no constraint holds z_s, z_s is
+    free: q - 1 solutions with distinct t where the entry's z_s
+    coefficient is nonzero, and q (or none) where it is zero.
     """
     pins = _choose_pins(constraints)
-    loop_of = {v: depth for depth, (_, v, _, _) in enumerate(pins, start=1)}
-    free = [i for i in range(s - 1) if i not in loop_of]
+    free = [i for i in range(s - 1) if i not in pins.values()]
     cut = len(free) - min(INNER_LOOPS, len(free), MAX_PINS - len(pins))
-    outer, inner = free[:cut], free[cut:]
-    pinned = {index for index, _, _, _ in pins}
-    sums = [(part, False) for _, _, a, b in pins for part in (a, b)]
-    others = []  # where each other constraint starts in sums, in order
-    for index, (alpha, beta) in enumerate(constraints):
-        if index in pinned or not (alpha or beta):
-            continue
-        others.append(len(sums))
-        sums += [(alpha, False), (beta, False)] if beta else [(alpha, True)]
-    sums += [(entry[0], False), (entry[1], False)]
+    levels = [(v, None) for v in free[cut:]] + [(v, index) for index, v in pins.items()]
+    solver = next((index for index, (_, beta) in enumerate(constraints) if beta), None)
+    if solver is not None:
+        levels.append((s - 1, solver))
+
+    def joined(alpha, beta):  # alpha + beta z_s as one sum
+        return alpha + tuple((coeff, indices + (s - 1,)) for coeff, indices in beta)
+
+    sums = [
+        (joined(*parts), index not in pins and index != solver)
+        for index, parts in enumerate(constraints)
+    ]
+    free_zs = s and solver is None  # the unknot (s = 0) has no z_s
+    sums += [(entry[0], False), (entry[1], False)] if free_zs else [(joined(*entry), False)]
     lines = [
         "def kernel(q, check):",
         "    found = 0",
         "    values = range(q)",
-        f"    for {''.join(f'z{i}, ' for i in outer) or '()'} in product(values, "
-        f"repeat={len(outer)}):",
+        f"    for {''.join(f'z{i}, ' for i in free[:cut]) or '()'} in product(values, "
+        f"repeat={cut}):",
     ]
-    hoisted, pad, rest = hoisted_loops(sums, inner, loop_of, "z", "        ")
-    lines += hoisted
-    # A z_s-free constraint with a pinned variable is tested in the loop of
-    # the last of them, so a prefix it rules out stops early; one with no
-    # pinned variable is tested in the lines above (its rest is None).
-    early, late = [[] for _ in pins], []
-    for j in others:
-        terms, is_test = sums[j]
-        if rest[j] is None:
-            continue
-        depth = len(pins)
-        if is_test:
-            depth = max(loop_of.get(i, 0) for _, indices in terms for i in indices)
-        (early[depth] if depth < len(pins) else late).append(j)
-    for depth, (_, v, _, _) in enumerate(pins):
-        for j in early[depth]:
-            lines += [f"{pad}if ({rest[j]}) % q:", f"{pad}    continue"]
-        lines += [
-            f"{pad}a = {rest[2 * depth]}",
-            f"{pad}b = ({rest[2 * depth + 1]}) % q",
-            f"{pad}if b:",
-            f"{pad}    values{v} = (-a * pow(b, -1, q) % q,)",
-            f"{pad}elif a % q:",
-            f"{pad}    continue",
-            f"{pad}else:",
-            f"{pad}    values{v} = values",
-            f"{pad}for z{v} in values{v}:",
-        ]
-        pad += "    "
-    # p is None while z_s is free; the unknot (s = 0) has no z_s.
-    body = [f"p = {'None' if s else 0}"]
-    for j in late:
-        if sums[j][1]:
-            body += [f"if ({rest[j]}) % q:", "    continue"]
-        else:
-            body += [
-                f"a = {rest[j]}",
-                f"b = ({rest[j + 1]}) % q",
-                "if p is None:",
-                "    if b:",
-                "        p = -a * pow(b, -1, q) % q",
-                "    elif a % q:",
-                "        continue",
-                "elif (a + b * p) % q:",
-                "    continue",
-            ]
+    hoisted, pad, rest = hoisted_loops(sums, levels, "z", "        ")
     # t^(+-1) = -c (alpha + beta z_s); with z_s free and beta != 0 it takes
     # every value of F_q once: q - 1 solutions with distinct t.
     sign = "-" if t_coeff == 1 else ""
-    body += [
-        f"a = {rest[-2]}",
-        f"b = ({rest[-1]}) % q",
-        "if p is not None:",
-        f"    u = {sign}(a + b * p) % q",
-        "    if u:",
-        "        check(u)",
-        "        found += 1",
-        "elif b:",
-        "    check(1)",
-        "    check(q - 1)",
-        "    found += q - 1",
-        "else:",
-        f"    u = {sign}a % q",
-        "    if u:",
-        "        check(u)",
-        "        found += q",
-    ]
-    lines += [pad + line for line in body]
+    if free_zs:
+        body = [
+            f"if ({rest[-1]}) % q:",
+            "    check(1)",
+            "    check(q - 1)",
+            "    found += q - 1",
+            "else:",
+            f"    u = {sign}({rest[-2]}) % q",
+            "    if u:",
+            "        check(u)",
+            "        found += q",
+        ]
+    else:  # one solution per nonzero value
+        body = [f"u = {sign}({rest[-1]}) % q", "if u:", "    check(u)", "    found += 1"]
+    lines += hoisted + [pad + line for line in body]
     lines.append("    return found")
     return compile_kernel(lines)
 
@@ -393,18 +344,16 @@ def count_solutions_bruteforce(
 
     Every stored equation is alpha(z') + beta(z') z_s in the last crossing
     variable, z' = (z_1..z_{s-1}), and t occurs only as one lone term
-    c t^(+-1) of the (1,1) equation.  So only the prefixes z' are
-    enumerated, and every equation is multilinear, so a z_s-free one,
-    a + b z_v, solves one prefix variable z_v: up to ``MAX_PINS`` such
-    pins nest inside the loop over the free prefix variables, and k pins
-    leave about q^(s-1-k) prefixes.  For each, the other t-free equations,
-    fewest terms first, pin z_s to -alpha/beta where beta != 0 and rule
-    the prefix out where beta = 0 != alpha, with early exit; the (1,1)
-    equation then gives t^(+-1) for each surviving z_s, and a nonzero
-    value is one solution.  The work guard, q^(s-1) times the number of
-    terms, is an upper bound on the work; within the budget the loop runs
-    as Python source generated for the system (:func:`_bruteforce_kernel`).
-    Every solution found is checked against the sign law t = (-1)^(n+s).
+    c t^(+-1) of the (1,1) equation.  Every equation is multilinear, so a
+    z_s-free one, a + b z_v, solves one prefix variable z_v: up to
+    ``MAX_PINS`` such pins leave about q^(s-1-k) of the q^(s-1) prefixes
+    to enumerate.  The t-free equation with the fewest terms that holds
+    z_s solves it, each other t-free equation is tested, and the (1,1)
+    equation gives t^(+-1) for each solution; a nonzero value is one
+    solution.  The work guard, q^(s-1) times the number of terms, is an
+    upper bound on the work; within the budget the loop runs as Python
+    source generated for the system (:func:`_bruteforce_kernel`).  Every
+    solution found is checked against the sign law t = (-1)^(n+s).
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,8 +24,24 @@ class UsageError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def _big_int_text():
+    """Lift CPython's limit on the digits of an int written as text, which
+    3.10.7 and later set, while output is formatted; input keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    with _big_int_text():
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    print(text)
 
 
 def _braid_from_args(args) -> tuple[str, links.BraidWord | None, dict]:
@@ -309,6 +326,10 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_aug(args) -> int:
+    if args.budget is not None and (args.count_fq is None or args.method != "brute"):
+        raise UsageError(
+            "--budget bounds the brute-force count: it needs --count-fq Q and --method brute"
+        )
     if args.budget is not None and args.budget < 1:
         raise UsageError("budget must be at least 1")
     from . import augment, links
@@ -346,9 +367,10 @@ def cmd_theta(args) -> int:
         if args.positroid:
             stratum = sheafmoduli.count_positroid_points(args.n, q)
             payload["count"]["positroid"] = stratum
-            payload["count"]["positroid_ratio"] = (
-                f"{stratum}/{payload['count']['solutions']}"
-            )
+            with _big_int_text():
+                payload["count"]["positroid_ratio"] = (
+                    f"{stratum}/{payload['count']['solutions']}"
+                )
     _emit(payload)
     return 0
 

@@ -576,8 +576,8 @@ def multilinear_polynomial(
 # expression tree about log_64(terms) deep, so a sum of 20000 terms stays far
 # inside the compiler's recursion limit.
 SUM_CHUNK = 64
-# Variables a generated brute force binds in nested loops inside its
-# ``product`` loop, each with the sums hoisted out of it
+# Free variables a generated brute force binds in nested loops of their own
+# inside its ``product`` loop, each with the sums hoisted out of it
 # (:func:`hoisted_loops`).  Hoisting over every variable made the source
 # of an A6 augmentation kernel about twice as long and slower to compile
 # than it saved.
@@ -615,34 +615,36 @@ def _join_sum(parts: list[str]) -> str:
     return " + ".join(parts) or "0"
 
 
-def hoisted_loops(sums, inner, later, name: str, pad: str):
-    """Inner loops over ``inner``, with the sums of ``sums`` hoisted out of them.
+def hoisted_loops(sums, levels, name: str, pad: str):
+    """Nested loops over ``levels``, with the sums of ``sums`` hoisted out of them.
 
     ``sums`` holds (terms, test) pairs, the terms as :func:`sum_source`
     takes them, each variable ``name<i>`` at most once per term.  The
-    outer variables, every one in neither ``inner`` nor ``later``, are
-    bound before these lines; ``inner`` is bound here, one nested
-    ``for name<v> in values:`` each, in order; ``later`` is bound by the
-    caller inside the last inner loop.
+    outer variables, every one not in ``levels``, are bound before these
+    lines.  ``levels`` holds (v, j) pairs, one nested loop each, in
+    order: with j None, ``for name<v> in values:``; otherwise v runs over
+    the solutions of sum j, which must read a + b v with a and b bound
+    before the loop (and must not be a test).  Where b != 0 that is
+    -a/b, where b = 0 != a the loop is skipped by ``continue``, and where
+    a = b = 0 v runs over all of ``values``.
 
-    Each sum is regrouped by its monomials m in the inner and later
-    variables: every coefficient c_m is one sum over the outer variables,
-    assigned once before the first inner loop.  Binding an inner variable
-    v replaces c_m and c_{m v} by one coefficient, c_m + v c_{m v}.  A
-    test sum is tested, ``if (...) % q: continue``, at the first level
-    that binds all its variables.  Coefficients are named ``c<k>``, one
-    per distinct sum.
+    Each sum is regrouped by its monomials m in the level variables:
+    every coefficient c_m is one sum over the outer variables, assigned
+    once before the first loop.  Binding a level variable v replaces c_m
+    and c_{m v} by one coefficient, c_m + v c_{m v}.  A test sum is
+    tested, ``if (...) % q: continue``, at the first level that binds all
+    its variables, and a solved sum holds by construction.  Coefficients
+    are named ``c<k>``, one per distinct sum.
 
     Returns (lines, pad, rest): the lines indented from ``pad``, the pad
-    inside the last inner loop, and per sum the source of what is left,
-    in the coefficients and the later variables, or None for a sum tested
-    in the lines (or an empty test).
+    inside the last loop, and per sum the source of its value there, in
+    the coefficients, or None for a test or solved sum.
     """
-    later = set(later)
-    levels = [[] for _ in range(len(inner) + 1)]
+    bound = {v for v, _ in levels}
+    blocks = [[] for _ in range(len(levels) + 1)]
     named: dict[str, str] = {}
 
-    def atom(expr: str, level: int) -> str:
+    def atom(expr: str, depth: int) -> str:
         # An integer literal or a name stands as it is; a sum gets a name,
         # one per distinct sum.  A sum holds a variable of its own level
         # (or of none), so its name is bound wherever it is used again.
@@ -650,22 +652,21 @@ def hoisted_loops(sums, inner, later, name: str, pad: str):
             return expr
         if expr not in named:
             named[expr] = f"c{len(named)}"
-            levels[level].append(f"{named[expr]} = {expr}")
+            blocks[depth].append(f"{named[expr]} = {expr}")
         return named[expr]
 
-    def test(expr: str, level: int) -> None:
-        levels[level] += [f"if ({expr}) % q:", "    continue"]
+    def test(expr: str, depth: int) -> None:
+        blocks[depth] += [f"if ({expr}) % q:", "    continue"]
 
-    rest: list[str | None] = [None] * len(sums)
-    states = {}  # per hoisted sum, {monomial in inner and later: coefficient}
+    states = {}  # per live sum, {monomial in the level variables: coefficient}
     pending = []
     for j, (terms, is_test) in enumerate(sums):
         if is_test and not terms:
             continue
         grouped: dict[tuple[int, ...], list] = {}
         for coeff, indices in terms:
-            key = tuple(i for i in indices if i in later or i in inner)
-            outer = tuple(i for i in indices if i not in key)
+            key = tuple(i for i in indices if i in bound)
+            outer = tuple(i for i in indices if i not in bound)
             grouped.setdefault(key, []).append((coeff, outer))
         if is_test and list(grouped) == [()]:
             test(sum_source(terms, name), 0)  # tested before any coefficient
@@ -673,7 +674,19 @@ def hoisted_loops(sums, inner, later, name: str, pad: str):
             pending.append((j, grouped))
     for j, grouped in pending:
         states[j] = {key: atom(sum_source(group, name), 0) for key, group in grouped.items()}
-    for level, v in enumerate(inner, start=1):
+    for depth, (v, solved) in enumerate(levels, start=1):
+        if solved is not None:
+            state = states.pop(solved)
+            a = state.get((), "0")
+            blocks[depth - 1] += [
+                f"b = ({state.get((v,), '0')}) % q",
+                "if b:",
+                f"    values{v} = (-{a} * pow(b, -1, q) % q,)",
+                f"elif {a} % q:",
+                "    continue",
+                "else:",
+                f"    values{v} = values",
+            ]
         combined = {}
         for j, state in states.items():
             if not any(v in key for key in state):
@@ -687,20 +700,19 @@ def hoisted_loops(sums, inner, later, name: str, pad: str):
             combined[j] = parts
         for j, parts in list(combined.items()):
             if sums[j][1] and list(parts) == [()]:
-                test(" + ".join(parts[()]), level)
+                test(" + ".join(parts[()]), depth)
                 del combined[j], states[j]
         for j, parts in combined.items():
-            states[j] = {key: atom(" + ".join(part), level) for key, part in parts.items()}
+            states[j] = {key: atom(" + ".join(part), depth) for key, part in parts.items()}
+    rest: list[str | None] = [None] * len(sums)
     for j, state in states.items():
-        rest[j] = _join_sum(
-            [_scaled(coeff, "*".join([f"{name}{i}" for i in key])) for key, coeff in state.items()]
-        )
+        rest[j] = state.get((), "0")
     lines = []
-    for level, v in enumerate(inner):
-        lines += [pad + line for line in levels[level]]
-        lines.append(f"{pad}for {name}{v} in values:")
+    for depth, (v, solved) in enumerate(levels):
+        lines += [pad + line for line in blocks[depth]]
+        lines.append(f"{pad}for {name}{v} in values{'' if solved is None else v}:")
         pad += "    "
-    lines += [pad + line for line in levels[len(inner)]]
+    lines += [pad + line for line in blocks[len(levels)]]
     return lines, pad, rest
 
 

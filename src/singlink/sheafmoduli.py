@@ -176,7 +176,8 @@ def count_theta_points_brute(system: ThetaSystem, q: int) -> int:
         ([(coeff, mask_indices(mask, nvars)) for mask, coeff in eq.items()], True)
         for eq in system.equations
     ]
-    hoisted, pad, _ = hoisted_loops(sums, range(cut, nvars), (), "v", "        ")
+    levels = [(v, None) for v in range(cut, nvars)]
+    hoisted, pad, _ = hoisted_loops(sums, levels, "v", "        ")
     outer = "".join(f"v{i}, " for i in range(cut)) or "()"
     lines = [
         "def kernel(q):",

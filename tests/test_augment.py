@@ -1,5 +1,6 @@
 """Tests for augmentation equation systems and counting oracles."""
 
+import ast
 import functools
 import itertools
 import math
@@ -751,6 +752,24 @@ def test_bruteforce_pinned_coefficient_vanishing_at_some_prefixes():
             assert message == raised(count_by_prefixes, system, q)
 
 
+def test_bruteforce_z_s_solver_vanishing_at_some_prefixes():
+    # n = 2, s = 3: the sign law asks for t = -1.  Two constraints hold
+    # z3; the one with fewer terms, z1*z3 - z1, solves it.  At z1 = 0 it
+    # vanishes, z3 runs over F_q, and z2*z3 - z1 - 1 picks z3 = 1/z2: q - 1
+    # solutions.  Elsewhere z3 = 1, and z2 = z1 + 1: q - 1 more.
+    word = BraidWord(2, (1, 1, 1))
+    system = _hand_built(word, ["t + 1 + z1*z3 - z1", "z1*z3 - z1", "z2*z3 - z1 - 1", "0"])
+    for q in (2, 3, 5, 7):
+        assert brute_count(system, q) == 2 * (q - 1), q
+    # t = -z3 takes every value of F_q^* at z1 = 0, so the sign law breaks
+    # for q > 2.
+    system = _hand_built(word, ["t + z3", "z1*z3 - z1", "z2*z3 - z1 - 1", "0"])
+    assert brute_count(system, 2) == 2
+    for q in (3, 5, 7):
+        assert "violates" in raised(count_solutions_bruteforce, system, q)
+        assert "violates" in raised(count_by_prefixes, system, q)
+
+
 def kernel_source(monkeypatch, word: BraidWord, q: int = 2) -> list[str]:
     """The source lines of the brute-force kernel compiled for ``word``."""
     compiled = []
@@ -785,17 +804,28 @@ def test_pins_shorten_the_prefix_loop(monkeypatch):
         assert free_loop_variables(kernel_source(monkeypatch, word)) < len(word) - 1, label
 
 
+def loop_depth(lines: list[str]) -> int:
+    """The deepest nesting of ``for`` statements in the kernel source,
+    read with ``ast``: CPython 3.10 to 3.12 compile at most 20, while
+    3.13 compiles 21, so compiling the kernel would not show it."""
+
+    def depth(node) -> int:
+        below = max((depth(child) for child in ast.iter_child_nodes(node)), default=0)
+        return below + isinstance(node, ast.For)
+
+    return depth(ast.parse("\n".join(lines)))
+
+
 def test_pins_stay_within_the_nesting_cap(monkeypatch):
     # The full twist on 6 strands, s = 30, offers more z_s-free constraints
-    # to pin than CPython can nest loops for; pins and inner loops share
-    # the MAX_PINS + 1 loops it can.  kernel_source checks the count
-    # against the DP at q = 2 and 3.
+    # to pin than CPython can nest loops for: the product loop, the pins,
+    # the inner loops and z_s's loop nest at most 20 deep.  kernel_source
+    # checks the count against the DP at q = 2 and 3.
     word = append_full_twist(BraidWord(6, ()))
     assert len(word) == 30
     for q in (2, 3):
         lines = kernel_source(monkeypatch, word, q)
-    loops = [line for line in lines if line.lstrip().startswith("for ")]
-    assert len(loops) <= 1 + MAX_PINS
+    assert loop_depth(lines) == 2 + MAX_PINS == 20
 
 
 @st.composite
@@ -860,15 +890,15 @@ def test_hoisted_coefficients_vanishing_at_some_outer_prefixes(monkeypatch):
 
 def test_free_variables_past_the_nesting_cap(monkeypatch):
     # beta = sigma_4^2 on five strands with the full twist: s = 22, with 16
-    # pins and 5 free prefix variables.  The pins leave room for only 2 of
-    # the inner loops, and the other 3 free variables stay in the product.
+    # pins and 5 free prefix variables.  The pins and z_s leave room for
+    # only 2 of the inner loops, and the other 3 free variables stay in
+    # the product: 1 + 16 + 2 + 1 = 20 loops deep.
     word = append_full_twist(BraidWord(5, (4, 4)))
     assert len(word) == 22
     for q in (2, 3, 5):
         lines = kernel_source(monkeypatch, word, q)
-    loops = [line for line in lines if line.lstrip().startswith("for ")]
     inner = [line for line in lines if re.fullmatch(r"\s*for z\d+ in values:", line)]
-    assert len(loops) == 1 + MAX_PINS and len(inner) == 2
+    assert loop_depth(lines) == 2 + MAX_PINS and len(inner) == 2
     assert free_loop_variables(lines) == 5
 
 

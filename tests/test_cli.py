@@ -27,7 +27,12 @@ from singlink.cluster import (
 from singlink.dividecatalog import CATALOG_LABELS, divide_catalog
 from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
 from singlink.links import MAX_BRAID, braid_from_text
-from singlink.sheafmoduli import THETA_METHODS, theta_ring
+from singlink.sheafmoduli import (
+    THETA_METHODS,
+    count_positroid_points,
+    count_theta_points_chain,
+    theta_ring,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -136,6 +141,33 @@ def test_aug_budget_below_one_is_a_usage_error():
         assert (code, out, err) == (2, "", "error: budget must be at least 1\n"), budget
     code, out, _ = run_cli("aug", "--ade", "A1", "--count-fq", "2", "--budget", "1000")
     assert code == 0
+
+
+def test_aug_budget_without_a_brute_force_is_a_usage_error():
+    message = (
+        "error: --budget bounds the brute-force count: it needs --count-fq Q and --method brute\n"
+    )
+    for extra in ([], ["--count-fq", "3", "--method", "dp"]):
+        code, out, err = run_cli("aug", "--ade", "A1", *extra, "--budget", "5")
+        assert (code, out, err) == (2, "", message), extra
+
+
+def test_theta_counts_past_the_int_text_limit_print():
+    # CPython 3.10.7 and later refuse to write an int of more than 4300
+    # digits as text; the CLI lifts that limit while it formats output
+    # and restores it afterwards.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for n, q, extra in ((1000, 20011, ["--positroid"]), (700, 1000000007, [])):
+        code, out, err = run_cli("theta", "--n", str(n), "--count-fq", str(q), *extra)
+        assert (code, err) == (0, ""), (n, q)
+        count = json.loads(out, parse_int=lambda text: text)["count"]
+        with cli._big_int_text():
+            solutions = str(count_theta_points_chain(n, q))
+            if extra:
+                stratum = str(count_positroid_points(n, q))
+                assert count["positroid_ratio"] == f"{stratum}/{solutions}"
+        assert len(solutions) > 4300 and count["solutions"] == solutions
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 # Each argument vector, as `main` runs it, must read as it does through the
@@ -932,7 +964,10 @@ def _argv(draw, command: str) -> list[str]:
     argv = ["aug", *draw(braid), *count, *method]
     argv += _flag(draw, "--t-convention", _choice(T_CONVENTIONS))
     argv += ["--no-full-twist"] if draw(st.booleans()) else []
-    return argv + ["--budget", str(draw(budget))]
+    # --budget is a usage error unless the brute force runs.
+    if count and method in ([], ["--method", "brute"]):
+        argv += ["--budget", str(draw(budget))]
+    return argv
 
 
 @given(_cli_args())

@@ -495,31 +495,52 @@ def test_multilinear_product_and_indices_match_dense():
 
 @st.composite
 def hoisting_cases(draw):
-    """Multilinear sums over up to 6 variables, each variable outer, inner
-    or later, some sums marked as tests; and a prime q."""
+    """Multilinear sums over up to 6 variables, some marked as tests; each
+    variable outer, enumerated or solved, the levels in a drawn order; and
+    a prime q.  A solved variable v gets a sum a + b v of its own, a and b
+    over the outer variables and those of earlier levels; without a
+    constant term, b vanishes where they all do."""
     nv = draw(st.integers(1, 6))
-    roles = draw(st.lists(st.sampled_from("oil"), min_size=nv, max_size=nv))
-    maps = st.dictionaries(st.integers(0, 2**nv - 1), st.integers(-3, 3).filter(bool), max_size=6)
-    sums = [
-        ([(coeff, mask_indices(mask, nv)) for mask, coeff in terms.items()], test)
-        for terms, test in draw(st.lists(st.tuples(maps, st.booleans()), max_size=5))
-    ]
-    return nv, roles, sums, draw(st.sampled_from([2, 3, 5]))
+    roles = draw(st.lists(st.sampled_from("oes"), min_size=nv, max_size=nv))
+    order = draw(st.permutations([i for i in range(nv) if roles[i] != "o"]))
+    coeffs = st.integers(-3, 3).filter(bool)
+
+    def terms(masks):
+        drawn = draw(st.dictionaries(masks, coeffs, max_size=6))
+        return [(coeff, mask_indices(mask, nv)) for mask, coeff in drawn.items()]
+
+    tests = draw(st.lists(st.booleans(), max_size=4))
+    sums = [(terms(st.integers(0, 2**nv - 1)), test) for test in tests]
+    levels = []
+    allowed = [i for i in range(nv) if roles[i] == "o"]
+    for v in order:
+        j = None
+        if roles[v] == "s":
+            subsets = st.just(0)
+            if allowed:
+                subsets = st.lists(st.sampled_from(allowed), unique=True).map(
+                    lambda indices: sum(1 << (nv - 1 - i) for i in indices)
+                )
+            a = terms(subsets)
+            b = terms(subsets.filter(bool) if allowed and draw(st.booleans()) else subsets)
+            j = len(sums)
+            sums.append((a + [(c, tuple(sorted(indices + (v,)))) for c, indices in b], False))
+        levels.append((v, j))
+        allowed.append(v)
+    return nv, roles, levels, sums, draw(st.sampled_from([2, 3, 5]))
 
 
 @given(hoisting_cases())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_hoisted_loops_evaluate_every_sum(case):
-    nv, roles, sums, q = case
-    outer, inner, later = ([i for i in range(nv) if roles[i] == r] for r in "oil")
-    lines, pad, rest = hoisted_loops(sums, inner, later, "v", "        ")
-    # A test sum without later variables is tested in the lines; every
-    # other sum is left to the caller, in the coefficients and later ones.
-    tested = [
-        test and not any(i in later for _, indices in terms for i in indices)
-        for terms, test in sums
-    ]
-    assert [r is None for r in rest] == tested
+    nv, roles, levels, sums, q = case
+    outer = [i for i in range(nv) if roles[i] == "o"]
+    solved = {j for _, j in levels if j is not None}
+    lines, pad, rest = hoisted_loops(sums, levels, "v", "        ")
+    # Every test and solved sum holds in the lines; every other sum is
+    # left to the caller, in the coefficients.
+    held = [test or j in solved for j, (_, test) in enumerate(sums)]
+    assert [r is None for r in rest] == held
     names = "".join(f"v{i}, " for i in range(nv))
     source = [
         "def kernel(q, seen):",
@@ -527,9 +548,7 @@ def test_hoisted_loops_evaluate_every_sum(case):
         f"    for {''.join(f'v{i}, ' for i in outer) or '()'} in product(values, "
         f"repeat={len(outer)}):",
         *lines,
-        f"{pad}for {''.join(f'v{i}, ' for i in later) or '()'} in product(values, "
-        f"repeat={len(later)}):",
-        f"{pad}    seen.append((({names}), ({''.join(f'{r}, ' for r in rest if r)})))",
+        f"{pad}seen.append((({names}), ({''.join(f'{r}, ' for r in rest if r)})))",
     ]
     seen = []
     compile_kernel(source)(q, seen)
@@ -539,7 +558,7 @@ def test_hoisted_loops_evaluate_every_sum(case):
 
     expected = []
     for point in itertools.product(range(q), repeat=nv):
-        if any(test and value(terms, point) % q for (terms, _), test in zip(sums, tested)):
+        if any(h and value(terms, point) % q for (terms, _), h in zip(sums, held)):
             continue
         left = tuple(value(terms, point) for (terms, _), r in zip(sums, rest) if r)
         expected.append((point, left))
