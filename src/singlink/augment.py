@@ -32,7 +32,7 @@ time instead of one z at a time.
 
 Every entry of the braid matrix is multilinear, since each z enters
 through one factor only.  So a system stores each equation as a term map
-{bitmask of z's: coefficient} (see :mod:`exactmath`), with the lone t
+{bitmask of z's: coefficient} (see :mod:`fqmath`), with the lone t
 term of the (1,1) equation kept apart: building, printing and compiling
 it take time linear in its terms, not terms times s.  Dense polynomials
 are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
@@ -40,7 +40,7 @@ are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
 
 The brute force runs as one Python function generated per system, with
 every equation unrolled into plain sums of products.  One loop emitter,
-:func:`exactmath.hoisted_loops`, nests a loop over each of the last few
+:func:`fqmath.hoisted_loops`, nests a loop over each of the last few
 free prefix variables, each pinned variable and z_s inside the loop over
 the other free variables, and regroups each sum by its monomials in
 those, so its coefficients are summed once per outer prefix and folded
@@ -56,22 +56,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .exactmath import (
+from .fqmath import (
     INNER_LOOPS,
     BudgetExceededError,
-    Polynomial,
-    PolyMatrix,
-    RingDescriptor,
     compile_kernel,
     hoisted_loops,
     is_prime,
     mask_indices,
-    multilinear_polynomial,
     multilinear_product,
     multilinear_text,
 )
 from .links import BraidWord, braid_invariants, half_twist
+
+if TYPE_CHECKING:
+    from .exactmath import Polynomial, RingDescriptor
 
 BRUTE_FORCE_BUDGET = 10**8
 DP_STATE_BUDGET = 10**6
@@ -85,7 +85,7 @@ TERM_BUDGET = 20_000
 # loops and z_s's loop inside its prefix loop, so product + pins + inner
 # + z_s <= 20 leaves 18 for the pins and the inner loops; the full twist
 # on 6 strands alone offers 26 pins.  Pins come first; up to
-# exactmath.INNER_LOOPS of the rest are inner loops.
+# fqmath.INNER_LOOPS of the rest are inner loops.
 MAX_PINS = 18
 
 T_CONVENTIONS = ("t", "t-inverse")
@@ -102,6 +102,8 @@ def augmentation_variables(s: int) -> tuple[str, ...]:
 
 def augmentation_ring(s: int) -> RingDescriptor:
     """Z[z_1..z_s, t, t^-1], the dense ring of the oracles."""
+    from .exactmath import RingDescriptor
+
     return RingDescriptor(augmentation_variables(s), laurent=frozenset({"t"}))
 
 
@@ -110,7 +112,7 @@ class AugmentationSystem:
     """The n^2 equations cutting out the augmentation variety in C^s x C*.
 
     ``equations`` holds each entry row-major as a multilinear term map
-    (:mod:`exactmath`) in z_1..z_s, z_k at bit s - k.  The (1,1) equation
+    (:mod:`fqmath`) in z_1..z_s, z_k at bit s - k.  The (1,1) equation
     also holds one lone term ``t_coeff`` t^(+-1), kept apart: t for the
     convention "t", t^-1 for "t-inverse".
     """
@@ -139,6 +141,8 @@ class AugmentationSystem:
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         """The equations as dense polynomials of :func:`augmentation_ring`."""
+        from .exactmath import multilinear_polynomial
+
         ring = augmentation_ring(self.z_count)
         dense = [multilinear_polynomial(ring, eq, self.z_count) for eq in self.equations]
         dense[0] = dense[0] + ring.var("t", self.t_exponent) * self.t_coeff
@@ -275,11 +279,11 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     that holds it, fewest terms first; every other constraint is a test.
 
     The free prefix variables run in one ``product`` loop, but for the
-    last ``exactmath.INNER_LOOPS`` of them, which run in nested loops
+    last ``fqmath.INNER_LOOPS`` of them, which run in nested loops
     inside it.  The loops of the pins, in their order, and of z_s nest
     inside those; the pins come first in the shared budget of
     ``MAX_PINS`` loops inside the ``product`` loop and outside z_s's.
-    :func:`exactmath.hoisted_loops` writes every nested loop: it regroups
+    :func:`fqmath.hoisted_loops` writes every nested loop: it regroups
     every sum by its monomials in the loop variables, with coefficients
     summed once per outer prefix and combined one loop variable at a
     time, and tests a constraint at the first loop that binds all its
@@ -610,6 +614,8 @@ def _count_by_cosets(word: BraidWord, q: int) -> int:
 
 def symbolic_determinant(word: BraidWord) -> Polynomial:
     """det B(word) as an exact dense polynomial; equals (-1)^s identically."""
+    from .exactmath import PolyMatrix, multilinear_polynomial
+
     s = len(word)
     ring = augmentation_ring(s)
     rows = [[multilinear_polynomial(ring, entry, s) for entry in row] for row in braid_matrix(word)]

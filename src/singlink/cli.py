@@ -522,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every singlink error is a ValueError
-        from .exactmath import BudgetExceededError
+        from .fqmath import BudgetExceededError
 
         if isinstance(exc, BudgetExceededError):
             print(f"budget exceeded: {exc}", file=sys.stderr)

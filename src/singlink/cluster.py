@@ -19,13 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import (
-    BudgetExceededError,
-    DivisionError,
-    Polynomial,
-    RingDescriptor,
-    divide_exact,
-)
+from .exactmath import DivisionError, Polynomial, RingDescriptor, divide_exact
+from .fqmath import BudgetExceededError
 
 _ASCII = "abcdefg"
 

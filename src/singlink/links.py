@@ -22,11 +22,11 @@ MAX_BRAID = 10**5  # letters, and strands, of a braid word
 def _check_braid_size(strands: int, letters: int) -> None:
     """Reject a braid word over ``MAX_BRAID`` letters or strands before it is built.
 
-    Raises :class:`~singlink.exactmath.BudgetExceededError` (CLI exit code 3).
+    Raises :class:`~singlink.fqmath.BudgetExceededError` (CLI exit code 3).
     """
     for count, what in ((letters, "letters"), (strands, "strands")):
         if count > MAX_BRAID:
-            from .exactmath import BudgetExceededError
+            from .fqmath import BudgetExceededError
 
             raise BudgetExceededError(
                 f"a braid word of {count} {what} exceeds the braid bound {MAX_BRAID}", MAX_BRAID

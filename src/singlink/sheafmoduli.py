@@ -31,23 +31,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .exactmath import (
+from .fqmath import (
     INNER_LOOPS,
     BudgetExceededError,
-    Polynomial,
-    RingDescriptor,
     compile_kernel,
     hoisted_loops,
     is_prime,
     mask_indices,
     multilinear_key,
-    multilinear_polynomial,
     multilinear_product,
     multilinear_text,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .exactmath import Polynomial, RingDescriptor
 
 BRUTE_FORCE_BUDGET = 10**8
 THETA_MAX_N = 1000
@@ -65,6 +64,8 @@ def theta_variables(n: int) -> tuple[str, ...]:
 
 def theta_ring(n: int) -> RingDescriptor:
     """Z[x_1..x_n, a_1..a_n], the dense ring of the oracles."""
+    from .exactmath import RingDescriptor
+
     return RingDescriptor(theta_variables(n))
 
 
@@ -72,7 +73,7 @@ def theta_ring(n: int) -> RingDescriptor:
 class ThetaSystem:
     """n equations in (x_1..x_n, a_1..a_n) describing the sheaf moduli.
 
-    Each equation is a multilinear term map (:mod:`exactmath`) over the 2n
+    Each equation is a multilinear term map (:mod:`fqmath`) over the 2n
     variables: x_i at bit 2n - i, a_i at bit n - i.
     """
 
@@ -85,6 +86,8 @@ class ThetaSystem:
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         """The equations as dense polynomials of :func:`theta_ring`."""
+        from .exactmath import multilinear_polynomial
+
         ring = theta_ring(self.n)
         return tuple(multilinear_polynomial(ring, eq) for eq in self.equations)
 
@@ -161,10 +164,10 @@ def count_theta_points_brute(system: ThetaSystem, q: int) -> int:
     """Oracle: enumerate F_q^(2n) and test every equation.
 
     The loop runs as Python source generated for the system, in the
-    variables v0, .., v{2n-1}: the last ``exactmath.INNER_LOOPS`` in nested
+    variables v0, .., v{2n-1}: the last ``fqmath.INNER_LOOPS`` in nested
     loops inside one ``product`` loop over the others, every equation
     tested, as one plain sum of products, at the first loop that binds all
-    its variables (:func:`exactmath.hoisted_loops`).
+    its variables (:func:`fqmath.hoisted_loops`).
     """
     if not is_prime(q):
         raise ThetaError(f"{q} is not prime")

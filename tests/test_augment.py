@@ -33,14 +33,8 @@ from singlink.augment import (
     symbolic_determinant,
     system_to_json_dict,
 )
-from singlink.exactmath import (
-    PolyMatrix,
-    compile_kernel,
-    is_prime,
-    mask_indices,
-    multilinear_polynomial,
-    parse_polynomial,
-)
+from singlink.exactmath import PolyMatrix, multilinear_polynomial, parse_polynomial
+from singlink.fqmath import compile_kernel, is_prime, mask_indices
 from singlink.links import (
     BraidWord,
     ade_braid,

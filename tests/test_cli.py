@@ -25,7 +25,8 @@ from singlink.cluster import (
     mutate,
 )
 from singlink.dividecatalog import CATALOG_LABELS, divide_catalog
-from singlink.exactmath import MR_EXACT_BOUND, parse_polynomial
+from singlink.exactmath import parse_polynomial
+from singlink.fqmath import MR_EXACT_BOUND
 from singlink.links import MAX_BRAID, braid_from_text
 from singlink.sheafmoduli import (
     THETA_METHODS,

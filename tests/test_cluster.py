@@ -24,7 +24,8 @@ from singlink.cluster import (
     mutate_seed,
     parse_dynkin_type,
 )
-from singlink.exactmath import BudgetExceededError, divide_exact
+from singlink.exactmath import divide_exact
+from singlink.fqmath import BudgetExceededError
 from singlink.links import BraidWord, ade_braid
 
 

@@ -10,24 +10,26 @@ from hypothesis import given, settings, strategies as st
 
 from singlink.exactmath import (
     DivisionError,
-    ExactMathError,
-    MR_EXACT_BOUND,
-    PrimalityBoundError,
     PolyMatrix,
     Polynomial,
     PolynomialParseError,
     RingDescriptor,
     RingMismatchError,
     SubstitutionError,
-    compile_kernel,
     divide_exact,
+    multilinear_polynomial,
+    parse_polynomial,
+)
+from singlink.fqmath import (
+    MR_EXACT_BOUND,
+    ExactMathError,
+    PrimalityBoundError,
+    compile_kernel,
     hoisted_loops,
     is_prime,
     mask_indices,
-    multilinear_polynomial,
     multilinear_product,
     multilinear_text,
-    parse_polynomial,
 )
 
 XY = RingDescriptor(("x", "y"))

@@ -27,6 +27,49 @@ def test_cli_start_up_loads_no_layer():
     assert out.split() == ["singlink", "singlink.cli"]
 
 
+def _run_cli(*argvs) -> tuple[list[int], list[str]]:
+    # One fresh interpreter runs cli.main on each argv: the exit codes,
+    # then the singlink modules it holds at the end.
+    codes, modules = _python(
+        "import contextlib, io, sys, singlink.cli\n"
+        "codes = []\n"
+        f"for argv in {[list(argv) for argv in argvs]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(singlink.cli.main(argv))\n"
+        "print(*codes)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'singlink')))\n"
+    ).splitlines()
+    return [int(code) for code in codes.split()], modules.split()
+
+
+def test_counting_commands_load_no_laurent_algebra():
+    # Counting runs on term maps (fqmath); exactmath serves only the
+    # dense oracles and seed enumeration.  The last input exits 3.
+    codes, loaded = _run_cli(
+        ("theta", "--n", "4", "--count-fq", "5", "--positroid"),
+        ("aug", "--ade", "A4", "--count-fq", "5", "--method", "dp"),
+        ("aug", "--ade", "A4", "--count-fq", "5", "--method", "brute"),
+        ("aug", "--ade", "D4", "--count-fq", "101"),
+    )
+    assert codes == [0, 0, 0, 3]
+    assert loaded == [
+        "singlink",
+        "singlink.augment",
+        "singlink.cli",
+        "singlink.fqmath",
+        "singlink.links",
+        "singlink.sheafmoduli",
+    ]
+
+
+def test_seed_enumeration_loads_no_counting_layer():
+    codes, loaded = _run_cli(("seeds", "--type", "A3", "--summary"))
+    assert codes == [0]
+    assert "singlink.cluster" in loaded
+    assert "singlink.augment" not in loaded
+    assert "singlink.sheafmoduli" not in loaded
+
+
 def test_every_exported_name_resolves():
     out = _python(
         "import importlib, singlink\n"

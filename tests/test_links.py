@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from singlink.augment import count_solutions_dp
-from singlink.exactmath import BudgetExceededError
+from singlink.fqmath import BudgetExceededError
 from singlink.links import (
     MAX_BRAID,
     ADELabel,

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from singlink.augment import count_solutions_dp
-from singlink.exactmath import Polynomial, is_prime, parse_polynomial
+from singlink.exactmath import Polynomial, parse_polynomial
+from singlink.fqmath import is_prime
 from singlink.links import ade_braid, append_full_twist, parse_ade_label
 from singlink.sheafmoduli import (
     THETA_MAX_N,
@@ -365,3 +366,24 @@ def test_chain_count_against_augmentations_of_a_n():
         for q in (2, 3, 5, 7, 11, 13):
             offset = q ** ((n + 1) // 2) if n % 4 == 1 and n >= 5 and q % 2 else 0
             assert count_theta_points_chain(n, q) - count_solutions_dp(word, q) == offset, (n, q)
+
+
+def test_chain_count_at_two_exceeds_the_odd_prime_polynomial():
+    """A finding, not a fix (criterion 9 stays red): the odd-q chain count
+    is a polynomial P_n(q) with integer coefficients, and the count at
+    q = 2 exceeds P_n(2) by exactly 2^((n+1)/2) when n = 3 (mod 4), and
+    matches it otherwise."""
+    odd_primes = [p for p in range(3, 80) if is_prime(p)]
+    for n in range(2, 16):
+        fit_primes, check_prime = odd_primes[: n + 1], odd_primes[n + 1]
+        coeffs = interpolate_integer_polynomial(
+            [(q, count_theta_points_chain(n, q)) for q in fit_primes]
+        )
+        assert coeffs is not None, n
+
+        def value(q):
+            return sum(int(c) * q**k for k, c in enumerate(coeffs))
+
+        assert value(check_prime) == count_theta_points_chain(n, check_prime), n
+        excess = 2 ** ((n + 1) // 2) if n % 4 == 3 else 0
+        assert count_theta_points_chain(n, 2) - value(2) == excess, n
