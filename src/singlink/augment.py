@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .fqmath import (
@@ -69,6 +68,7 @@ from .fqmath import (
     multilinear_text,
 )
 from .links import BraidWord, braid_invariants, half_twist
+from .records import Record
 
 if TYPE_CHECKING:
     from .exactmath import Polynomial, RingDescriptor
@@ -107,8 +107,7 @@ def augmentation_ring(s: int) -> RingDescriptor:
     return RingDescriptor(augmentation_variables(s), laurent=frozenset({"t"}))
 
 
-@dataclass(frozen=True)
-class AugmentationSystem:
+class AugmentationSystem(Record):
     """The n^2 equations cutting out the augmentation variety in C^s x C*.
 
     ``equations`` holds each entry row-major as a multilinear term map
@@ -117,11 +116,21 @@ class AugmentationSystem:
     convention "t", t^-1 for "t-inverse".
     """
 
-    strands: int
-    word: BraidWord
-    equations: tuple[dict[int, int], ...]
-    t_convention: str
-    t_coeff: int = 1
+    __slots__ = ("strands", "word", "equations", "t_convention", "t_coeff")
+
+    def __init__(
+        self,
+        strands: int,
+        word: BraidWord,
+        equations: tuple[dict[int, int], ...],
+        t_convention: str,
+        t_coeff: int = 1,
+    ) -> None:
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "t_convention", t_convention)
+        object.__setattr__(self, "t_coeff", t_coeff)
 
     @property
     def z_count(self) -> int:

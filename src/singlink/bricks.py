@@ -10,32 +10,46 @@ span).  Nested or disjoint spans get no arrow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 from .links import BraidWord
+from .records import Record
 
 
 class BrickError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Brick:
-    """Row index and (1-based, exclusive-interior) letter span of a brick."""
+@functools.total_ordering
+class Brick(Record):
+    """Row index and (1-based, exclusive-interior) letter span of a brick.
 
-    row: int
-    span: tuple[int, int]
+    Bricks order by (row, span).
+    """
 
-    def __post_init__(self) -> None:
-        a, b = self.span
+    __slots__ = ("row", "span")
+
+    def __init__(self, row: int, span: tuple[int, int]) -> None:
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "span", span)
+        a, b = span
         if not a < b:
-            raise BrickError(f"brick span {self.span} must be increasing")
+            raise BrickError(f"brick span {span} must be increasing")
+
+    def __lt__(self, other):
+        if type(other) is not Brick:
+            return NotImplemented
+        return (self.row, self.span) < (other.row, other.span)
 
 
-@dataclass(frozen=True)
-class BrickQuiver:
-    bricks: tuple[Brick, ...]
-    arrows: tuple[tuple[int, int], ...]  # (source index, target index)
+class BrickQuiver(Record):
+    __slots__ = ("bricks", "arrows")
+
+    def __init__(
+        self, bricks: tuple[Brick, ...], arrows: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "bricks", bricks)
+        object.__setattr__(self, "arrows", arrows)  # (source index, target index)
 
     @property
     def rank(self) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import augment, bricks, cluster, dividecatalog, divides, links, sheafmoduli
 from .graphs import dynkin_tree_edges, graphs_isomorphic
@@ -44,12 +43,18 @@ WORKED_EXAMPLE_EQ11 = (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    """One check's outcome; mutable, since :func:`_timed` sets ``seconds``."""
+
+    __slots__ = ("name", "passed", "details", "seconds")
+
+    def __init__(
+        self, name: str, passed: bool, details: dict | None = None, seconds: float = 0.0
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.seconds = seconds
 
     def to_json_dict(self) -> dict:
         # Timings stay out of the emitted report: CLI output is

@@ -16,11 +16,11 @@ import itertools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import DivisionError, Polynomial, RingDescriptor, divide_exact
 from .fqmath import BudgetExceededError
+from .records import Record
 
 _ASCII = "abcdefg"
 
@@ -41,28 +41,29 @@ def check_rank(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(Record):
     """Integer matrix B with positive diagonal symmetrizer D, D*B skew-symmetric."""
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
+    __slots__ = ("n", "entries", "symmetrizer")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.entries) != self.n:
+    def __init__(
+        self, n: int, entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "symmetrizer", symmetrizer)
+        if n < 1 or len(entries) != n:
             raise ClusterError("exchange matrix must be square and non-empty")
-        for row in self.entries:
-            if len(row) != self.n:
+        for row in entries:
+            if len(row) != n:
                 raise ClusterError("exchange matrix must be square")
-        if len(self.symmetrizer) != self.n or any(d < 1 for d in self.symmetrizer):
+        if len(symmetrizer) != n or any(d < 1 for d in symmetrizer):
             raise ClusterError("symmetrizer must be positive integers")
-        d = self.symmetrizer
-        b = self.entries
-        for i in range(self.n):
+        b, d = entries, symmetrizer
+        for i in range(n):
             if b[i][i] != 0:
                 raise ClusterError("diagonal entries must vanish")
-            for j in range(i + 1, self.n):
+            for j in range(i + 1, n):
                 if d[i] * b[i][j] != -d[j] * b[j][i]:
                     raise ClusterError(
                         f"D*B not skew-symmetric at ({i}, {j}): "
@@ -159,10 +160,12 @@ def initial_cluster_ring(n: int) -> RingDescriptor:
     return RingDescriptor(names, laurent=frozenset(names))
 
 
-@dataclass(frozen=True)
-class Seed:
-    matrix: ExchangeMatrix
-    cluster: tuple[Polynomial, ...]
+class Seed(Record):
+    __slots__ = ("matrix", "cluster")
+
+    def __init__(self, matrix: ExchangeMatrix, cluster: tuple[Polynomial, ...]) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "cluster", cluster)
 
 
 def initial_seed(matrix: ExchangeMatrix) -> Seed:
@@ -267,25 +270,24 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
 FINITE_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    family: str
-    rank: int
+class DynkinType(Record):
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        fam = self.family.upper()
+    def __init__(self, family: str, rank: int) -> None:
+        fam = family.upper()
         object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "rank", rank)
         ok = (
-            (fam == "A" and self.rank >= 1)
-            or (fam == "B" and self.rank >= 2)
-            or (fam == "C" and self.rank >= 2)
-            or (fam == "D" and self.rank >= 3)
-            or (fam == "E" and self.rank in (6, 7, 8))
-            or (fam == "F" and self.rank == 4)
-            or (fam == "G" and self.rank == 2)
+            (fam == "A" and rank >= 1)
+            or (fam == "B" and rank >= 2)
+            or (fam == "C" and rank >= 2)
+            or (fam == "D" and rank >= 3)
+            or (fam == "E" and rank in (6, 7, 8))
+            or (fam == "F" and rank == 4)
+            or (fam == "G" and rank == 2)
         )
         if not ok:
-            raise ClusterError(f"({fam}, {self.rank}) is not in the finite-type table")
+            raise ClusterError(f"({fam}, {rank}) is not in the finite-type table")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -21,31 +21,29 @@ a connected rotation system with V - E + F != 2 has positive genus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .records import Record
 
 
 class DivideError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Strand:
-    closed: bool
-    passages: tuple[tuple[int, int], ...]  # (crossing, entry slot)
+class Strand(Record):
+    __slots__ = ("closed", "passages")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "passages", tuple((int(c), int(s)) for c, s in self.passages)
-        )
-        for _, slot in self.passages:
+    def __init__(self, closed: bool, passages: tuple[tuple[int, int], ...]) -> None:
+        passages = tuple((int(c), int(s)) for c, s in passages)  # (crossing, entry slot)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "passages", passages)
+        for _, slot in passages:
             if not 0 <= slot <= 3:
                 raise DivideError(f"slot {slot} out of range 0..3")
-        if self.closed and not self.passages:
+        if closed and not passages:
             raise DivideError("a closed strand must traverse at least one crossing")
 
 
-@dataclass(frozen=True)
-class Divide:
+class Divide(Record):
     """Crossing count, strand walks, and boundary endpoint order.
 
     ``boundary_order`` lists (strand index, end) pairs counterclockwise,
@@ -55,22 +53,26 @@ class Divide:
     open strand.
     """
 
-    crossings: int
-    strands: tuple[Strand, ...]
-    boundary_order: tuple[tuple[int, int], ...]
+    __slots__ = ("crossings", "strands", "boundary_order")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strands", tuple(self.strands))
-        object.__setattr__(
-            self, "boundary_order", tuple((int(s), int(e)) for s, e in self.boundary_order)
-        )
-        if self.crossings < 0:
+    def __init__(
+        self,
+        crossings: int,
+        strands: tuple[Strand, ...],
+        boundary_order: tuple[tuple[int, int], ...],
+    ) -> None:
+        strands = tuple(strands)
+        boundary_order = tuple((int(s), int(e)) for s, e in boundary_order)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "boundary_order", boundary_order)
+        if crossings < 0:
             raise DivideError("negative crossing count")
         slots_used: dict[tuple[int, int], int] = {}
         per_crossing: dict[int, list[int]] = {}
-        for strand in self.strands:
+        for strand in strands:
             for crossing, slot in strand.passages:
-                if not 0 <= crossing < self.crossings:
+                if not 0 <= crossing < crossings:
                     raise DivideError(f"crossing {crossing} out of range")
                 for s in (slot, (slot + 2) % 4):
                     if (crossing, s) in slots_used:
@@ -79,7 +81,7 @@ class Divide:
                         )
                     slots_used[(crossing, s)] = 1
                 per_crossing.setdefault(crossing, []).append(slot)
-        for crossing in range(self.crossings):
+        for crossing in range(crossings):
             slots = per_crossing.get(crossing, [])
             if len(slots) != 2 or {s % 2 for s in slots} != {0, 1}:
                 raise DivideError(
@@ -87,11 +89,11 @@ class Divide:
                 )
         expected = {
             (i, e)
-            for i, strand in enumerate(self.strands)
+            for i, strand in enumerate(strands)
             if not strand.closed
             for e in (0, 1)
         }
-        if set(self.boundary_order) != expected or len(self.boundary_order) != len(expected):
+        if set(boundary_order) != expected or len(boundary_order) != len(expected):
             raise DivideError("boundary order must list each arc endpoint exactly once")
 
     def to_json_dict(self) -> dict:
@@ -133,22 +135,31 @@ def divide_from_json(text: str) -> Divide:
     return Divide(data["crossings"], strands, data["boundary_order"])
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """One complement region: its crossing corners and boundary flag.
 
     A corner (c, s) sits at crossing c between slots s and s+1 (mod 4).
     The unbounded face also records which arc endpoints it touches.
     """
 
-    corners: tuple[tuple[int, int], ...]
-    bounded: bool
-    endpoints: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("corners", "bounded", "endpoints")
+
+    def __init__(
+        self,
+        corners: tuple[tuple[int, int], ...],
+        bounded: bool,
+        endpoints: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "bounded", bounded)
+        object.__setattr__(self, "endpoints", endpoints)
 
 
-@dataclass(frozen=True)
-class DivideFaces:
-    faces: tuple[Face, ...]
+class DivideFaces(Record):
+    __slots__ = ("faces",)
+
+    def __init__(self, faces: tuple[Face, ...]) -> None:
+        object.__setattr__(self, "faces", faces)
 
     @property
     def bounded_faces(self) -> tuple[Face, ...]:
@@ -220,8 +231,7 @@ def milnor_number(divide: Divide) -> int:
     return divide.crossings + len(trace_faces(divide).bounded_faces)
 
 
-@dataclass(frozen=True)
-class AcampoQuiver:
+class AcampoQuiver(Record):
     """Bipartite intersection quiver: crossing vertices and region vertices.
 
     Vertices are indexed 0..crossings-1 (double points p_i) followed by
@@ -229,9 +239,12 @@ class AcampoQuiver:
     runs from a crossing to a region, one per corner incidence.
     """
 
-    crossings: int
-    regions: int
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ("crossings", "regions", "arrows")
+
+    def __init__(self, crossings: int, regions: int, arrows: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "arrows", arrows)
 
     @property
     def rank(self) -> int:

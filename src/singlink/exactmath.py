@@ -18,11 +18,11 @@ from __future__ import annotations
 import heapq
 import operator
 import re
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Iterable, Mapping
 
 from .fqmath import ExactMathError, _terms_text, mask_indices
+from .records import Record
 
 
 class RingMismatchError(ExactMathError):
@@ -52,30 +52,30 @@ def _coeff(value) -> int:
         raise ExactMathError(f"{value!r} is not an integer coefficient") from None
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Record):
     """Ambient ring over Z: ordered variable names and Laurent flags.
 
     The declared variable order is part of the data: it fixes exponent
     vector layout and the graded-lex term order used for printing.
+    ``_index`` maps each name to its position; it is not a field.
     """
 
-    variables: tuple[str, ...]
-    laurent: frozenset[str] = frozenset()
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("variables", "laurent", "_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "laurent", frozenset(self.laurent))
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables: tuple[str, ...], laurent: frozenset[str] = frozenset()) -> None:
+        variables = tuple(variables)
+        laurent = frozenset(laurent)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "laurent", laurent)
+        if len(set(variables)) != len(variables):
             raise ExactMathError("variable names must be unique")
-        for name in self.variables:
+        for name in variables:
             if not _VAR_TOKEN.match(name):
                 raise ExactMathError(f"invalid variable name {name!r}")
-        unknown = self.laurent - set(self.variables)
+        unknown = laurent - set(variables)
         if unknown:
             raise ExactMathError(f"Laurent flags for unknown variables {sorted(unknown)}")
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
 
     @property
     def nvars(self) -> int:

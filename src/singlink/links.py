@@ -9,7 +9,8 @@ closure, all strands coherently oriented).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .records import Record
 
 
 class LinkError(ValueError):
@@ -33,22 +34,22 @@ def _check_braid_size(strands: int, letters: int) -> None:
             )
 
 
-@dataclass(frozen=True)
-class PuiseuxPairs:
+class PuiseuxPairs(Record):
     """Ordered characteristic pairs (n_i, m_i) of a Puiseux expansion.
 
     Requires m_i >= 2 and strictly increasing exponents:
     n_i / (m_1...m_i) > n_{i-1} / (m_1...m_{i-1}), i.e. n_i > n_{i-1} * m_i.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((int(n), int(m)) for n, m in self.pairs))
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        pairs = tuple((int(n), int(m)) for n, m in pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if not pairs:
             raise LinkError("Puiseux data must be nonempty")
         prev_n = 0
-        for n, m in self.pairs:
+        for n, m in pairs:
             if m < 2:
                 raise LinkError(f"Puiseux multiplicity {m} must be >= 2")
             if n < 1:
@@ -61,38 +62,36 @@ class PuiseuxPairs:
             prev_n = n
 
 
-@dataclass(frozen=True)
-class CablePairs:
+class CablePairs(Record):
     """Cable pairs (l_i, m_i) of an iterated torus link, innermost first."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((int(l), int(m)) for l, m in self.pairs))
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        pairs = tuple((int(l), int(m)) for l, m in pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if not pairs:
             raise LinkError("cable data must be nonempty")
-        for l, m in self.pairs:
+        for l, m in pairs:
             if l < 1 or m < 1:
                 raise LinkError(f"cable pair ({l}, {m}) must be positive")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """Positive braid on ``strands`` strands given by Artin generator indices."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self) -> None:
-        _check_braid_size(self.strands, len(self.letters))
-        object.__setattr__(self, "letters", tuple(int(k) for k in self.letters))
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
+        _check_braid_size(strands, len(letters))
+        letters = tuple(int(k) for k in letters)
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+        if strands < 1:
             raise LinkError("braid needs at least one strand")
-        for k in self.letters:
-            if not 1 <= k <= self.strands - 1:
-                raise LinkError(
-                    f"generator index {k} out of range for {self.strands} strands"
-                )
+        for k in letters:
+            if not 1 <= k <= strands - 1:
+                raise LinkError(f"generator index {k} out of range for {strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -125,34 +124,42 @@ def braid_from_text(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, letters)
 
 
-@dataclass(frozen=True)
-class LinkInvariants:
-    components: int
-    euler_characteristic: int
-    first_betti: int
-    tb: int
-    milnor_number: int
+class LinkInvariants(Record):
+    __slots__ = ("components", "euler_characteristic", "first_betti", "tb", "milnor_number")
+
+    def __init__(
+        self,
+        components: int,
+        euler_characteristic: int,
+        first_betti: int,
+        tb: int,
+        milnor_number: int,
+    ) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "euler_characteristic", euler_characteristic)
+        object.__setattr__(self, "first_betti", first_betti)
+        object.__setattr__(self, "tb", tb)
+        object.__setattr__(self, "milnor_number", milnor_number)
 
 
-@dataclass(frozen=True)
-class ADELabel:
-    family: str
-    rank: int
+class ADELabel(Record):
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        fam = self.family.upper()
+    def __init__(self, family: str, rank: int) -> None:
+        fam = family.upper()
         object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "rank", rank)
         if fam == "A":
-            if self.rank < 1:
+            if rank < 1:
                 raise LinkError("A_n needs n >= 1")
         elif fam == "D":
-            if self.rank < 3:
+            if rank < 3:
                 raise LinkError("D_n needs n >= 3")
         elif fam == "E":
-            if self.rank not in (6, 7, 8):
+            if rank not in (6, 7, 8):
                 raise LinkError("E_n exists for n in {6, 7, 8}")
         else:
-            raise LinkError(f"not an ADE family: {self.family!r}")
+            raise LinkError(f"not an ADE family: {fam!r}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

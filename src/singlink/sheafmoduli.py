@@ -28,7 +28,6 @@ counted in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .fqmath import (
@@ -42,6 +41,7 @@ from .fqmath import (
     multilinear_product,
     multilinear_text,
 )
+from .records import Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -69,16 +69,18 @@ def theta_ring(n: int) -> RingDescriptor:
     return RingDescriptor(theta_variables(n))
 
 
-@dataclass(frozen=True)
-class ThetaSystem:
+class ThetaSystem(Record):
     """n equations in (x_1..x_n, a_1..a_n) describing the sheaf moduli.
 
     Each equation is a multilinear term map (:mod:`fqmath`) over the 2n
     variables: x_i at bit 2n - i, a_i at bit n - i.
     """
 
-    n: int
-    equations: tuple[dict[int, int], ...]
+    __slots__ = ("n", "equations")
+
+    def __init__(self, n: int, equations: tuple[dict[int, int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "equations", equations)
 
     @property
     def variables(self) -> tuple[str, ...]:

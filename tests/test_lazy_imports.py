@@ -29,7 +29,7 @@ def test_cli_start_up_loads_no_layer():
 
 def _run_cli(*argvs) -> tuple[list[int], list[str]]:
     # One fresh interpreter runs cli.main on each argv: the exit codes,
-    # then the singlink modules it holds at the end.
+    # then every module it holds at the end.
     codes, modules = _python(
         "import contextlib, io, sys, singlink.cli\n"
         "codes = []\n"
@@ -37,9 +37,13 @@ def _run_cli(*argvs) -> tuple[list[int], list[str]]:
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        codes.append(singlink.cli.main(argv))\n"
         "print(*codes)\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'singlink')))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     ).splitlines()
     return [int(code) for code in codes.split()], modules.split()
+
+
+def _singlink(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.split(".")[0] == "singlink"]
 
 
 def test_counting_commands_load_no_laurent_algebra():
@@ -52,12 +56,13 @@ def test_counting_commands_load_no_laurent_algebra():
         ("aug", "--ade", "D4", "--count-fq", "101"),
     )
     assert codes == [0, 0, 0, 3]
-    assert loaded == [
+    assert _singlink(loaded) == [
         "singlink",
         "singlink.augment",
         "singlink.cli",
         "singlink.fqmath",
         "singlink.links",
+        "singlink.records",
         "singlink.sheafmoduli",
     ]
 
@@ -68,6 +73,26 @@ def test_seed_enumeration_loads_no_counting_layer():
     assert "singlink.cluster" in loaded
     assert "singlink.augment" not in loaded
     assert "singlink.sheafmoduli" not in loaded
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # Value classes derive from records.Record: importing dataclasses
+    # would load inspect (ast, dis, tokenize) in every fresh process.
+    codes, loaded = _run_cli(
+        ("link", "--ade", "E6", "--pipeline"),
+        ("link", "--puiseux", "3,2 7,2"),
+        ("quiver", "--divide-label", "E6"),
+        ("classify", "--ade", "D5"),
+        ("mutate", "--ade", "D4", "--at", "1"),
+        ("seeds", "--type", "A3", "--summary"),
+        ("aug", "--ade", "A4", "--count-fq", "5"),
+        ("theta", "--n", "4", "--count-fq", "5"),
+        ("check", "--fast"),
+    )
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 1]  # check --fast: criterion 9 is red
+    assert "singlink.checks" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 def test_every_exported_name_resolves():
