@@ -17,7 +17,7 @@ import sys
 # this module and building its parser) loads no other singlink module.
 
 
-PIPELINE_ENUMERATE_CAP = 2000  # seeds the pipeline enumerates at most
+PIPELINE_ENUMERATE_CAP = 2000  # seeds the pipeline counts at most
 
 
 class UsageError(ValueError):
@@ -155,7 +155,7 @@ def build_pipeline_report(
     expected = cluster.expected_seed_count(dynkin)
     report["classification"] = {"type": str(dynkin), "finite": True, "seeds": expected}
     if expected <= PIPELINE_ENUMERATE_CAP:
-        enumerated = len(cluster.enumerate_seeds(matrix, cap=PIPELINE_ENUMERATE_CAP))
+        enumerated = cluster.count_seeds(matrix, cap=PIPELINE_ENUMERATE_CAP)
         report["seed_count"] = {"enumerated": enumerated, "expected": expected}
         if enumerated != expected:
             raise cluster.ClusterError(

@@ -5,8 +5,13 @@ Seeds carry exact Laurent cluster variables in the initial variables
 u1..un; mutation divides the exchange binomial by the outgoing variable,
 which is exact whenever the Laurent phenomenon holds (asserted).  A seed
 of a finite-type algebra is determined by its cluster (Fomin-Zelevinsky,
-Cluster algebras II; Gekhtman-Shapiro-Vainshtein), so seed identity is
-the unordered set of cluster variables and enumeration counts clusters.
+Cluster algebras II; Gekhtman-Shapiro-Vainshtein), and equally by the
+set of its c-vectors (Nakanishi-Zelevinsky tropical duality).  Two
+searches reach the same seeds: :func:`enumerate_seeds` keys a seed by
+its unordered set of cluster variables and returns the Laurent seeds
+(the ``seeds`` command and the seed-count check), and :func:`count_seeds`
+keys it by its set of c-vectors and mutates only integer matrices (the
+pipeline's seed count).
 """
 
 from __future__ import annotations
@@ -129,12 +134,20 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     n = matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation index {k} out of range 1..{n}")
-    kk = k - 1
-    row_k = matrix.entries[kk]
+    mutated = object.__new__(ExchangeMatrix)
+    object.__setattr__(mutated, "n", n)
+    object.__setattr__(mutated, "entries", _mutated_rows(matrix.entries, k - 1))
+    object.__setattr__(mutated, "symmetrizer", matrix.symmetrizer)
+    return mutated
+
+
+def _mutated_rows(rows: tuple[tuple[int, ...], ...], kk: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of :func:`mutate` at direction kk (0-based), unchecked."""
+    row_k = rows[kk]
     positive = [max(x, 0) for x in row_k]
     negative = [min(x, 0) for x in row_k]
     new_rows = []
-    for i, row in enumerate(matrix.entries):
+    for i, row in enumerate(rows):
         bik = row[kk]
         if i == kk:
             row = tuple(map(operator.neg, row))
@@ -145,11 +158,7 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
             new[kk] = -bik
             row = tuple(new)
         new_rows.append(row)
-    mutated = object.__new__(ExchangeMatrix)
-    object.__setattr__(mutated, "n", n)
-    object.__setattr__(mutated, "entries", tuple(new_rows))
-    object.__setattr__(mutated, "symmetrizer", matrix.symmetrizer)
-    return mutated
+    return tuple(new_rows)
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -214,23 +223,14 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     return Seed(mutate(seed.matrix, k), cluster)
 
 
-def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, ...]:
-    """All seeds reachable from the initial seed, deduplicated by cluster.
+def _check_seed_budget(matrix: ExchangeMatrix, cap: int) -> None:
+    """The pre-check of both seed searches.
 
-    Breadth-first closure under the n mutation directions.  Before the
-    search, each connected component of the diagram is classified
+    Each connected component of the diagram is classified
     (:func:`is_finite_type`): the seeds of B are the products of the seeds
     of its components, so an infinite component, or a product of
     component seed counts above ``cap``, raises
     :class:`BudgetExceededError` at once instead of after ``cap`` seeds.
-
-    Cluster variables are hash-consed into a pool that lives as long as
-    the search, so a pooled variable's ``id`` stands for the variable.  A
-    cluster is keyed by the frozenset of its ids, and an exchange result
-    is memoized on ``(id of x_k, frozenset of (id of x_i, b_ik) with
-    b_ik != 0)``, a local configuration that the larger frontiers (E7,
-    E8) revisit constantly.  The matrix of a neighbour is mutated only
-    when its cluster is new.
     """
     if cap < 1:
         raise ClusterError("cap must be at least 1")
@@ -241,6 +241,79 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
             count *= expected_seed_count(dynkin)
         if dynkin is None or count > cap:
             raise BudgetExceededError(f"more than {cap} seeds reached", cap)
+
+
+# Bits per packed c-vector entry: see count_seeds.
+_C_DIGIT_BITS = 16
+
+
+def count_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> int:
+    """The number of seeds reachable from the initial seed, with no Laurent
+    polynomial: the length of :func:`enumerate_seeds`, after the same
+    pre-check (:func:`_check_seed_budget`) and with the same errors.
+
+    Breadth-first search over the pairs (B, C), from C = I, where C holds
+    the c-vectors as columns.  Mutation at k is the Fomin-Zelevinsky rule
+    on the extended matrix [B; C]; since every c-vector is sign-coherent
+    (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), with e the sign of
+    c_k it reads c'_k = -c_k and c'_j = c_j + [e b_kj]_+ c_k for j != k.
+    A seed is keyed by the set of its c-vectors, which determines it
+    (Nakanishi-Zelevinsky tropical duality, arXiv:1101.3736), and B is
+    mutated only when a key is new.
+
+    Each c-vector is packed into one integer sum_i c_i 2^(16 i), so that a
+    column update is one integer addition and the sign of the integer is
+    e.  The packing is exact while every |c_i| < 2^15.  The pre-check lets
+    only finite types through, and there the c-vectors are positive or
+    negative roots: from an acyclic initial seed, roots in the basis of
+    simple roots, whose entries are at most 6 in absolute value (the
+    highest root of E8).  The tests find no larger entry from mutated
+    initial seeds either.
+    """
+    _check_seed_budget(matrix, cap)
+    return len(_c_vector_seed_keys(matrix, cap))
+
+
+def _c_vector_seed_keys(matrix: ExchangeMatrix, cap: int) -> set[frozenset[int]]:
+    """The packed c-vector sets of the seeds that :func:`count_seeds` counts."""
+    start = tuple(1 << (_C_DIGIT_BITS * i) for i in range(matrix.n))
+    seen = {frozenset(start)}
+    queue = deque([(matrix.entries, start)])
+    while queue:
+        rows, c = queue.popleft()
+        for kk, row in enumerate(rows):
+            ck = c[kk]
+            if ck > 0:
+                new = [cj + b * ck if b > 0 else cj for cj, b in zip(c, row)]
+            else:
+                new = [cj - b * ck if b < 0 else cj for cj, b in zip(c, row)]
+            new[kk] = -ck
+            key = frozenset(new)
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise BudgetExceededError(f"more than {cap} seeds reached", cap)
+                seen.add(key)
+                queue.append((_mutated_rows(rows, kk), new))
+    return seen
+
+
+def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, ...]:
+    """All seeds reachable from the initial seed, deduplicated by cluster.
+
+    Breadth-first closure under the n mutation directions, after the
+    pre-check :func:`_check_seed_budget`.  This is the Laurent search: the
+    ``seeds`` command and the seed-count check use it, and
+    :func:`count_seeds` counts the same seeds by c-vectors alone.
+
+    Cluster variables are hash-consed into a pool that lives as long as
+    the search, so a pooled variable's ``id`` stands for the variable.  A
+    cluster is keyed by the frozenset of its ids, and an exchange result
+    is memoized on ``(id of x_k, frozenset of (id of x_i, b_ik) with
+    b_ik != 0)``, a local configuration that the larger frontiers (E7,
+    E8) revisit constantly.  The matrix of a neighbour is mutated only
+    when its cluster is new.
+    """
+    _check_seed_budget(matrix, cap)
     start = initial_seed(matrix)
     pool: dict = {var: var for var in start.cluster}
     exchange_memo: dict = {}

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import contextlib
+import hashlib
 import math
 import os
 import pathlib
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlink import cli
@@ -308,6 +310,36 @@ def test_link_pipeline_report():
     assert data["classification"] == {"type": "A3", "finite": True, "seeds": 14}
     assert data["seed_count"] == {"enumerated": 14, "expected": 14}
     assert data["divide"]["milnor_number"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("link", "--ade", "E6", "--pipeline"),
+            "d895d7ecd6f8f39bce778e7f0b342e996f6da4f4872b14e437f07df1383b0053",
+        ),
+        (
+            ("link", "--torus", "3", "4", "--pipeline"),
+            "3bd162e32d8338dd4c1e8d718b7daa3b63047d09e3b699fa967362b3a070c948",
+        ),
+    ],
+)
+def test_pipeline_counts_seeds_without_laurent_algebra(monkeypatch, argv, digest):
+    # The pipeline's seed count comes from the integer c-vector search: with
+    # the Laurent search and its division disabled, the output is still the
+    # one recorded (stdout sha256, as in bench/expected.json).
+    from singlink import cluster
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline must not run the Laurent seed search")
+
+    monkeypatch.setattr(cluster, "enumerate_seeds", refuse)
+    monkeypatch.setattr(cluster, "divide_exact", refuse)
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed_count"] == {"enumerated": 833, "expected": 833}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_link_pipeline_with_an_empty_brick_quiver():
@@ -623,6 +655,15 @@ def test_seeds_cap_budget_exit():
     code, _, err = run_cli("seeds", "--type", "E6", "--cap", "10")
     assert code == 3
     assert "budget" in err
+
+
+def test_seeds_cap_errors_and_exit_codes():
+    # The pre-check that both seed searches share: its messages and codes.
+    for summary in (["--summary"], []):
+        code, out, err = run_cli("seeds", "--type", "A2", "--cap", "0", *summary)
+        assert (code, out, err) == (2, "", "error: cap must be at least 1\n")
+        code, out, err = run_cli("seeds", "--type", "E6", "--cap", "832", *summary)
+        assert (code, out, err) == (3, "", "budget exceeded: more than 832 seeds reached\n")
 
 
 def test_seeds_of_infinite_type_exit_at_once():

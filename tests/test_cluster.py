@@ -15,6 +15,7 @@ from singlink.cluster import (
     ExchangeMatrix,
     Seed,
     canonical_form,
+    count_seeds,
     enumerate_seeds,
     expected_seed_count,
     initial_matrix,
@@ -26,7 +27,7 @@ from singlink.cluster import (
 )
 from singlink.exactmath import divide_exact
 from singlink.fqmath import BudgetExceededError
-from singlink.links import BraidWord, ade_braid
+from singlink.links import BraidWord, ade_braid, torus_braid
 
 
 def M(rows, sym=None):
@@ -375,6 +376,169 @@ def test_enumerate_seeds_mutates_each_new_seed_once_and_divides_as_before(monkey
     # One matrix mutation per seed past the first; 770 Laurent divisions,
     # the exchange memo's count on E6.
     assert calls == {"mutate": 832, "divide_exact": 770}
+
+
+# -- the c-vector seed counter -------------------------------------------------
+
+
+def _torus_brick_matrix(a: int, b: int) -> ExchangeMatrix:
+    return to_exchange_matrix(brick_quiver(torus_braid(a, b)))
+
+
+def _outcome(search, matrix, cap):
+    try:
+        return ("count", search(matrix, cap))
+    except (ClusterError, BudgetExceededError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize(
+    "matrix,cap,want",
+    [
+        pytest.param(
+            M([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]), 2000,
+            ("BudgetExceededError", "more than 2000 seeds reached"), id="markov",
+        ),
+        pytest.param(
+            _torus_brick_matrix(4, 5), 2000,
+            ("BudgetExceededError", "more than 2000 seeds reached"), id="T(4,5)",
+        ),
+        pytest.param(M([[0, 0, 0], [0, 0, 1], [0, -1, 0]]), 10, ("count", 10), id="A1xA2"),
+        pytest.param(
+            M([[0, 0, 0], [0, 0, 1], [0, -1, 0]]), 9,
+            ("BudgetExceededError", "more than 9 seeds reached"), id="A1xA2-over-cap",
+        ),
+        pytest.param(
+            M([[0, 2, 0], [-2, 0, 0], [0, 0, 0]]), 2000,
+            ("BudgetExceededError", "more than 2000 seeds reached"), id="Kronecker-x-A1",
+        ),
+        pytest.param(
+            initial_matrix(DynkinType("E", 6)), 832,
+            ("BudgetExceededError", "more than 832 seeds reached"), id="E6-over-cap",
+        ),
+        pytest.param(M([[0, 1], [-1, 0]]), 0, ("ClusterError", "cap must be at least 1"), id="cap0"),
+    ],
+)
+def test_both_seed_searches_share_the_pre_check(matrix, cap, want):
+    def laurent(m, c):
+        return len(enumerate_seeds(m, cap=c))
+
+    assert _outcome(laurent, matrix, cap) == want
+    assert _outcome(count_seeds, matrix, cap) == want
+
+
+@pytest.mark.parametrize(
+    "type_text",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B3", "C3", "D4", "D5", "D6", "E6", "F4", "G2"],
+)
+def test_count_seeds_equals_the_laurent_search_on_initial_matrices(type_text):
+    matrix = initial_matrix(parse_dynkin_type(type_text))
+    assert count_seeds(matrix) == len(enumerate_seeds(matrix))
+
+
+def _small_brick_matrices():
+    for family, ranks in (("A", range(1, 8)), ("D", range(3, 7)), ("E", (6,))):
+        for rank in ranks:
+            yield pytest.param(
+                to_exchange_matrix(brick_quiver(ade_braid(f"{family}{rank}"))),
+                id=f"{family}{rank}",
+            )
+    yield pytest.param(_torus_brick_matrix(3, 4), id="T(3,4)")
+    for b in range(2, 10):
+        yield pytest.param(_torus_brick_matrix(2, b), id=f"T(2,{b})")
+
+
+@pytest.mark.parametrize("matrix", _small_brick_matrices())
+def test_count_seeds_equals_the_laurent_search_on_brick_quivers(matrix):
+    assert count_seeds(matrix) == len(enumerate_seeds(matrix))
+
+
+def test_count_seeds_equals_the_laurent_search_after_random_mutations():
+    rng = random.Random(24)
+    for text in ("E6", "D5", "F4"):
+        for _ in range(3):
+            matrix = initial_matrix(parse_dynkin_type(text))
+            for _ in range(rng.randint(3, 15)):
+                matrix = mutate(matrix, rng.randint(1, matrix.n))
+            assert count_seeds(matrix) == len(enumerate_seeds(matrix)), matrix.entries
+
+
+@pytest.mark.parametrize("type_text", ["E7", "D8", "E8"])
+def test_count_seeds_reaches_the_closed_form_beyond_the_laurent_search(type_text):
+    t = parse_dynkin_type(type_text)
+    assert count_seeds(initial_matrix(t)) == expected_seed_count(t)
+
+
+def _c_vector_reference_walk(matrix: ExchangeMatrix) -> set:
+    """Every seed's set of c-vectors, as tuples, by the general rule on the
+    extended matrix [B; C]: c'_k = -c_k and, for j != k, each entry
+    c'_ij = c_ij + sgn(c_ik) [c_ik b_kj]_+, with no sign-coherence assumed.
+    Asserts that every c-vector met is >= 0 or <= 0."""
+    n = matrix.n
+    start = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    seen = {frozenset(start)}
+    queue = deque([(matrix, start)])
+    while queue:
+        m, c = queue.popleft()
+        for kk in range(n):
+            ck = c[kk]
+            new = [
+                tuple(
+                    x + (1 if y > 0 else -1) * max(y * m.entries[kk][j], 0)
+                    for x, y in zip(c[j], ck)
+                )
+                for j in range(n)
+            ]
+            new[kk] = tuple(-y for y in ck)
+            for vector in new:
+                assert min(vector) >= 0 or max(vector) <= 0, vector
+            key = frozenset(new)
+            if key not in seen:
+                seen.add(key)
+                queue.append((mutate(m, kk + 1), tuple(new)))
+    return seen
+
+
+def _unpack_c_vector(packed: int, n: int) -> tuple[int, ...]:
+    """The entries of a c-vector packed as sum_i c_i 2^(16 i)."""
+    width = 1 << cluster_module._C_DIGIT_BITS
+    entries = []
+    for _ in range(n):
+        digit = packed % width
+        if digit >= width // 2:
+            digit -= width
+        entries.append(digit)
+        packed = (packed - digit) >> cluster_module._C_DIGIT_BITS
+    assert packed == 0
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("type_text", ["E6", "F4", "G2", "B3", "C3"])
+def test_c_vectors_are_sign_coherent_and_unpack_to_the_reference_walk(type_text):
+    matrix = initial_matrix(parse_dynkin_type(type_text))
+    reference = _c_vector_reference_walk(matrix)
+    assert len(reference) == expected_seed_count(parse_dynkin_type(type_text))
+    packed = cluster_module._c_vector_seed_keys(matrix, cap=len(reference))
+    unpacked = {frozenset(_unpack_c_vector(x, matrix.n) for x in key) for key in packed}
+    assert unpacked == reference
+    # The sign of a packed c-vector is the sign of its entries.
+    for key in packed:
+        for x in key:
+            entries = _unpack_c_vector(x, matrix.n)
+            assert (x > 0) == (max(entries) > 0)
+
+
+def test_packed_c_vector_entries_stay_far_inside_the_digit_width():
+    types = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)]
+    types += ["E6", "E7", "E8", "B3", "B5", "C3", "C5", "F4", "G2"]
+    largest = 0
+    for text in types:
+        matrix = initial_matrix(parse_dynkin_type(text))
+        vectors = set().union(*cluster_module._c_vector_seed_keys(matrix, cap=25080))
+        for x in vectors:
+            largest = max(largest, max(map(abs, _unpack_c_vector(x, matrix.n))))
+    # The highest root of E8 has a coefficient 6; the packing holds |c_i| < 2^15.
+    assert largest == 6
 
 
 def test_expected_seed_count_closed_forms():
