@@ -137,11 +137,11 @@ def build_pipeline_report(
         return report
     if ade_label is not None and f"{ade_label}" in dividecatalog.CATALOG_LABELS:
         divide = dividecatalog.divide_catalog(ade_label)
-        faces = divides.trace_faces(divide)
+        regions = len(divides.trace_faces(divide).bounded_faces)
         report["divide"] = {
             "crossings": divide.crossings,
-            "bounded_regions": len(faces.bounded_faces),
-            "milnor_number": divides.milnor_number(divide),
+            "bounded_regions": regions,
+            "milnor_number": divide.crossings + regions,  # as divides.milnor_number
         }
     matrix = bricks.to_exchange_matrix(quiver)
     try:

@@ -11,7 +11,8 @@ searches reach the same seeds: :func:`enumerate_seeds` keys a seed by
 its unordered set of cluster variables and returns the Laurent seeds
 (the ``seeds`` command and the seed-count check), and :func:`count_seeds`
 keys it by its set of c-vectors and mutates only integer matrices (the
-pipeline's seed count).
+pipeline's seed count), with B held as sparse rows of nonzeros so that a
+mutation touches only direction k and its neighbours.
 """
 
 from __future__ import annotations
@@ -134,20 +135,12 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     n = matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation index {k} out of range 1..{n}")
-    mutated = object.__new__(ExchangeMatrix)
-    object.__setattr__(mutated, "n", n)
-    object.__setattr__(mutated, "entries", _mutated_rows(matrix.entries, k - 1))
-    object.__setattr__(mutated, "symmetrizer", matrix.symmetrizer)
-    return mutated
-
-
-def _mutated_rows(rows: tuple[tuple[int, ...], ...], kk: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of :func:`mutate` at direction kk (0-based), unchecked."""
-    row_k = rows[kk]
+    kk = k - 1
+    row_k = matrix.entries[kk]
     positive = [max(x, 0) for x in row_k]
     negative = [min(x, 0) for x in row_k]
     new_rows = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(matrix.entries):
         bik = row[kk]
         if i == kk:
             row = tuple(map(operator.neg, row))
@@ -158,7 +151,11 @@ def _mutated_rows(rows: tuple[tuple[int, ...], ...], kk: int) -> tuple[tuple[int
             new[kk] = -bik
             row = tuple(new)
         new_rows.append(row)
-    return tuple(new_rows)
+    mutated = object.__new__(ExchangeMatrix)
+    object.__setattr__(mutated, "n", n)
+    object.__setattr__(mutated, "entries", tuple(new_rows))
+    object.__setattr__(mutated, "symmetrizer", matrix.symmetrizer)
+    return mutated
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -261,6 +258,12 @@ def count_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> int:
     (Nakanishi-Zelevinsky tropical duality, arXiv:1101.3736), and B is
     mutated only when a key is new.
 
+    B is held as one dict ``{j: b_ij}`` of nonzero entries per row, so an
+    edge at k updates only the c_j with [e b_kj]_+ != 0, and a new seed
+    rebuilds only row k and the rows of its neighbours
+    (:func:`_mutated_sparse_rows`) and shares the others with its parent.
+    Mutation is an involution, so the edge back to the parent is skipped.
+
     Each c-vector is packed into one integer sum_i c_i 2^(16 i), so that a
     column update is one integer addition and the sign of the integer is
     e.  The packing is exact while every |c_i| < 2^15.  The pre-check lets
@@ -276,25 +279,64 @@ def count_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> int:
 
 def _c_vector_seed_keys(matrix: ExchangeMatrix, cap: int) -> set[frozenset[int]]:
     """The packed c-vector sets of the seeds that :func:`count_seeds` counts."""
-    start = tuple(1 << (_C_DIGIT_BITS * i) for i in range(matrix.n))
+    n = matrix.n
+    start = [1 << (_C_DIGIT_BITS * i) for i in range(n)]
     seen = {frozenset(start)}
-    queue = deque([(matrix.entries, start)])
+    rows = tuple({j: b for j, b in enumerate(row) if b} for row in matrix.entries)
+    queue = deque([(rows, start, -1)])
     while queue:
-        rows, c = queue.popleft()
-        for kk, row in enumerate(rows):
+        rows, c, parent = queue.popleft()
+        for kk in range(n):
+            if kk == parent:
+                continue  # mutation at kk is an involution
+            row_k = rows[kk]
             ck = c[kk]
-            if ck > 0:
-                new = [cj + b * ck if b > 0 else cj for cj, b in zip(c, row)]
-            else:
-                new = [cj - b * ck if b < 0 else cj for cj, b in zip(c, row)]
+            new = c.copy()
             new[kk] = -ck
+            if ck > 0:
+                for j, b in row_k.items():
+                    if b > 0:
+                        new[j] += b * ck
+            else:
+                for j, b in row_k.items():
+                    if b < 0:
+                        new[j] -= b * ck
             key = frozenset(new)
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise BudgetExceededError(f"more than {cap} seeds reached", cap)
-                seen.add(key)
-                queue.append((_mutated_rows(rows, kk), new))
+            if key in seen:
+                continue
+            if len(seen) >= cap:
+                raise BudgetExceededError(f"more than {cap} seeds reached", cap)
+            seen.add(key)
+            queue.append((_mutated_sparse_rows(rows, kk), new, kk))
     return seen
+
+
+def _mutated_sparse_rows(
+    rows: tuple[dict[int, int], ...], kk: int
+) -> tuple[dict[int, int], ...]:
+    """:func:`mutate` at kk (0-based) on rows of nonzeros ``{j: b_ij}``.
+
+    Only row kk and the rows i with b_ik != 0 change, and the other rows
+    are shared.  Row i gains |b_ik| b_kj at each j with b_ik b_kj > 0,
+    which is never j = i since b_ik and b_ki have opposite signs.
+    """
+    row_k = rows[kk]
+    positive = [(j, b) for j, b in row_k.items() if b > 0]
+    negative = [(j, b) for j, b in row_k.items() if b < 0]
+    new_rows = list(rows)
+    new_rows[kk] = {j: -b for j, b in row_k.items()}
+    for i in row_k:
+        row = new_rows[i] = rows[i].copy()
+        bik = row[kk]
+        row[kk] = -bik
+        scale = abs(bik)
+        for j, bkj in positive if bik > 0 else negative:
+            bij = row.get(j, 0) + scale * bkj
+            if bij:
+                row[j] = bij
+            else:
+                del row[j]
+    return tuple(new_rows)
 
 
 def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, ...]:

@@ -1,6 +1,6 @@
 """Divide construction from exact polyline drawings, and the ADE catalog.
 
-Catalog divides are authored as rational polylines: the builder finds the
+Catalog divides are authored as integer polylines: the builder finds the
 transversal self-intersections exactly, assigns counterclockwise slot
 numbers from the branch directions, and reads the boundary order from the
 endpoint angles around the origin.  The snake family drives A_n (and the
@@ -27,19 +27,8 @@ from fractions import Fraction
 from .divides import Divide, DivideError, Strand
 from .links import ADELabel, parse_ade_label
 
-Point = tuple[Fraction, Fraction]
-
-
-def _pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
-def _cross(a: Point, b: Point) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
+# Catalog points are int pairs; the builder also takes Fraction coordinates.
+Point = tuple[int | Fraction, int | Fraction]
 
 
 def _ccw_key(v: Point):
@@ -62,47 +51,52 @@ def divide_from_polylines(polylines: list[list[Point]]) -> Divide:
     the endpoint angle order equals the disk boundary order (violations
     surface through the planarity check downstream).  Coordinates may be
     ints or Fractions; all arithmetic is exact.
+
+    Segment p1 + t d1 meets segment p2 + u d2 where t = (e x d2) / (d1 x d2)
+    and u = (e x d1) / (d1 x d2), with e = p2 - p1.  The pair test compares
+    the numerators with 0 and the denominator, made positive, so a
+    Fraction is built only for a crossing point.
     """
-    segments = []  # (strand, seg index, p, q)
+    segments = []  # (strand, seg index, p, q - p)
     for sid, pts in enumerate(polylines):
         if len(pts) < 2:
             raise DivideError("polyline strands need at least two points")
         for j, (p, q) in enumerate(zip(pts, pts[1:])):
             if p == q:
                 raise DivideError("zero-length polyline segment")
-            segments.append((sid, j, p, q))
+            segments.append((sid, j, p, (q[0] - p[0], q[1] - p[1])))
 
     hits: dict[Point, list[tuple[int, int, Fraction, Point]]] = {}
-    for i in range(len(segments)):
-        s1, j1, p1, q1 = segments[i]
-        d1 = _sub(q1, p1)
-        for k in range(i + 1, len(segments)):
-            s2, j2, p2, q2 = segments[k]
+    for i, (s1, j1, p1, d1) in enumerate(segments):
+        (x1, y1), (dx1, dy1) = p1, d1
+        for s2, j2, (x2, y2), d2 in segments[i + 1 :]:
             if s1 == s2 and abs(j1 - j2) == 1:
                 continue  # consecutive segments share a waypoint only
-            d2 = _sub(q2, p2)
-            denom = _cross(d1, d2)
-            diff = _sub(p2, p1)
+            dx2, dy2 = d2
+            ex, ey = x2 - x1, y2 - y1
+            denom = dx1 * dy2 - dy1 * dx2
+            t_num = ex * dy2 - ey * dx2
+            u_num = ex * dy1 - ey * dx1
             if denom == 0:
-                if _cross(diff, d1) == 0:
+                if u_num == 0:
                     # Same line: only disjoint parameter intervals are fine.
-                    dd = d1[0] * d1[0] + d1[1] * d1[1]
-                    t2a = Fraction(diff[0] * d1[0] + diff[1] * d1[1], dd)
-                    diff_q = _sub(q2, p1)
-                    t2b = Fraction(diff_q[0] * d1[0] + diff_q[1] * d1[1], dd)
-                    lo, hi = min(t2a, t2b), max(t2a, t2b)
-                    if hi >= 0 and lo <= 1:
+                    # p2 and q2 sit at t = a/dd and b/dd along segment 1.
+                    dd = dx1 * dx1 + dy1 * dy1
+                    a = ex * dx1 + ey * dy1
+                    b = a + dx2 * dx1 + dy2 * dy1
+                    if max(a, b) >= 0 and min(a, b) <= dd:
                         raise DivideError("collinear overlapping segments in drawing")
                 continue
-            t = Fraction(_cross(diff, d2), denom)
-            u = Fraction(_cross(diff, d1), denom)
-            if t <= 0 or t >= 1 or u <= 0 or u >= 1:
-                if 0 <= t <= 1 and 0 <= u <= 1:
+            if denom < 0:
+                denom, t_num, u_num = -denom, -t_num, -u_num
+            if t_num <= 0 or t_num >= denom or u_num <= 0 or u_num >= denom:
+                if 0 <= t_num <= denom and 0 <= u_num <= denom:
                     raise DivideError("segments touch at an endpoint")
                 continue
-            point = (p1[0] + t * d1[0], p1[1] + t * d1[1])
+            t = Fraction(t_num, denom)
+            point = (x1 + t * dx1, y1 + t * dy1)
             hits.setdefault(point, []).append((s1, j1, t, d1))
-            hits[point].append((s2, j2, u, d2))
+            hits[point].append((s2, j2, Fraction(u_num, denom), d2))
 
     for point, records in hits.items():
         if len(records) != 2:
@@ -138,53 +132,53 @@ def divide_from_polylines(polylines: list[list[Point]]) -> Divide:
 
 def _snake_even(m: int) -> list[list[Point]]:
     """Single strand, m nodes on the axis, turn at the east end."""
-    pts = [_pt(-2, 7)]
+    pts = [(-2, 7)]
     for i in range(1, m + 1):
         eps = 1 if i % 2 == 1 else -1
-        pts += [_pt(3 * i - 1, eps), _pt(3 * i + 1, -eps)]
-    pts.append(_pt(3 * m + 3, 0))
+        pts += [(3 * i - 1, eps), (3 * i + 1, -eps)]
+    pts.append((3 * m + 3, 0))
     for i in range(m, 0, -1):
         eps = 1 if i % 2 == 1 else -1
-        pts += [_pt(3 * i + 1, eps), _pt(3 * i - 1, -eps)]
-    pts.append(_pt(-2, -7))
+        pts += [(3 * i + 1, eps), (3 * i - 1, -eps)]
+    pts.append((-2, -7))
     return [pts]
 
 
 def _snake_odd(m: int) -> list[list[Point]]:
     """Two mirror strands crossing at m+1 nodes."""
     k = m + 1
-    upper = [_pt(-2, 7)]
-    lower = [_pt(-2, -7)]
+    upper = [(-2, 7)]
+    lower = [(-2, -7)]
     for i in range(1, k + 1):
         eps = 1 if i % 2 == 1 else -1
-        upper += [_pt(3 * i - 1, eps), _pt(3 * i + 1, -eps)]
-        lower += [_pt(3 * i - 1, -eps), _pt(3 * i + 1, eps)]
+        upper += [(3 * i - 1, eps), (3 * i + 1, -eps)]
+        lower += [(3 * i - 1, -eps), (3 * i + 1, eps)]
     eps_k = 1 if k % 2 == 1 else -1
-    upper.append(_pt(3 * k + 5, -7 * eps_k))
-    lower.append(_pt(3 * k + 5, 7 * eps_k))
+    upper.append((3 * k + 5, -7 * eps_k))
+    lower.append((3 * k + 5, 7 * eps_k))
     return [upper, lower]
 
 
 def _crossed_chords() -> list[list[Point]]:
     return [
-        [_pt(-8, 6), _pt(8, -6)],
-        [_pt(-8, -6), _pt(8, 6)],
+        [(-8, 6), (8, -6)],
+        [(-8, -6), (8, 6)],
     ]
 
 
 # -- triangle family (D and E types) -------------------------------------------
 
 _TRIANGLE = {
-    "A": _pt(0, 4),
-    "B": _pt(-4, -2),
-    "C": _pt(4, -2),
+    "A": (0, 4),
+    "B": (-4, -2),
+    "C": (4, -2),
 }
 _CHORDS = (("A", "B"), ("B", "C"), ("C", "A"))
 # Outward extension directions of each chord at each of its vertices.
 _OUTWARD = {
-    ("A", "B"): {"A": _pt(2, 3), "B": _pt(-2, -3)},
-    ("B", "C"): {"B": _pt(-3, 0), "C": _pt(3, 0)},
-    ("C", "A"): {"C": _pt(2, -3), "A": _pt(-2, 3)},
+    ("A", "B"): {"A": (2, 3), "B": (-2, -3)},
+    ("B", "C"): {"B": (-3, 0), "C": (3, 0)},
+    ("C", "A"): {"C": (2, -3), "A": (-2, 3)},
 }
 
 _MERGING_KINDS = ("loop", "bead_loop")

@@ -129,12 +129,12 @@ def test_criterion_10_unknot_augmentation():
 def test_check_machinery_detects_injected_fault(monkeypatch):
     """A corrupted D4 divide (3 crossings, 0 regions) must be flagged."""
     from singlink import dividecatalog
-    from singlink.dividecatalog import _pt, divide_from_polylines
+    from singlink.dividecatalog import divide_from_polylines
 
     strands = []
     for cx in (-10, 0, 10):
-        strands.append([_pt(cx - 2, 3), _pt(cx + 2, -3)])
-        strands.append([_pt(cx - 2, -3), _pt(cx + 2, 3)])
+        strands.append([(cx - 2, 3), (cx + 2, -3)])
+        strands.append([(cx - 2, -3), (cx + 2, 3)])
     corrupted = divide_from_polylines(strands)
     assert corrupted.crossings == 3
     assert divides.milnor_number(corrupted) == 3  # rank of D4 is 4

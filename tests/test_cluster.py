@@ -454,8 +454,9 @@ def test_count_seeds_equals_the_laurent_search_on_brick_quivers(matrix):
 
 
 def test_count_seeds_equals_the_laurent_search_after_random_mutations():
+    # B3, C3 and G2 have |b_ik| != |b_ki|, which the sparse row update scales.
     rng = random.Random(24)
-    for text in ("E6", "D5", "F4"):
+    for text in ("E6", "D5", "F4", "B3", "C3", "G2"):
         for _ in range(3):
             matrix = initial_matrix(parse_dynkin_type(text))
             for _ in range(rng.randint(3, 15)):

@@ -2,17 +2,18 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from singlink import dividecatalog
 from singlink.bricks import to_exchange_matrix
 from singlink.dividecatalog import (
     CATALOG_LABELS,
     divide_catalog,
     divide_from_polylines,
     _ccw_key,
-    _pt,
 )
 from singlink.divides import (
     Divide,
@@ -128,8 +129,8 @@ def test_closed_polyline_rejected_as_open_strand():
     # Drawing a closed loop as an open polyline that returns to its start
     # leaves two coincident endpoints, which is rejected; closed strands
     # enter through the combinatorial constructor instead.
-    chord = [_pt(-9, 0), _pt(9, 0)]
-    loop = [_pt(-3, 2), _pt(-3, -2), _pt(3, -2), _pt(3, 2)]
+    chord = [(-9, 0), (9, 0)]
+    loop = [(-3, 2), (-3, -2), (3, -2), (3, 2)]
     with pytest.raises(DivideError):
         divide_from_polylines([chord, loop + [loop[0]]])
 
@@ -217,24 +218,49 @@ def test_quiver_dot_output():
     assert '"p0" -> "q0"' in dot
 
 
+def _in_fractions(polylines):
+    return [[(Fraction(x), Fraction(y)) for x, y in pts] for pts in polylines]
+
+
 def test_polyline_builder_rejects_bad_drawings():
-    with pytest.raises(DivideError):
-        divide_from_polylines([[_pt(0, 1)]])  # too short
-    with pytest.raises(DivideError):
+    origin = (Fraction(0), Fraction(0))
+    bad = [
+        ([[(0, 1)]], "polyline strands need at least two points"),
         # Three concurrent chords through the origin.
-        divide_from_polylines(
-            [
-                [_pt(-5, -5), _pt(5, 5)],
-                [_pt(-5, 5), _pt(5, -5)],
-                [_pt(-7, 0), _pt(7, 0)],
-            ]
-        )
-    with pytest.raises(DivideError):
+        (
+            [[(-5, -5), (5, 5)], [(-5, 5), (5, -5)], [(-7, 0), (7, 0)]],
+            f"more than two branches meet at {origin}",
+        ),
         # Second chord ends exactly on the first.
-        divide_from_polylines([[_pt(-5, 0), _pt(5, 0)], [_pt(0, 0), _pt(0, 5)]])
-    with pytest.raises(DivideError):
+        ([[(-5, 0), (5, 0)], [(0, 0), (0, 5)]], "segments touch at an endpoint"),
         # Overlapping collinear segments.
-        divide_from_polylines([[_pt(-5, 0), _pt(5, 0)], [_pt(-1, 0), _pt(1, 0)]])
+        (
+            [[(-5, 0), (5, 0)], [(-1, 0), (1, 0)]],
+            "collinear overlapping segments in drawing",
+        ),
+    ]
+    for polylines, message in bad:
+        for drawing in (polylines, _in_fractions(polylines)):
+            with pytest.raises(DivideError) as caught:
+                divide_from_polylines(drawing)
+            assert str(caught.value) == message
+
+
+def test_catalog_divides_equal_their_fraction_coordinate_builds(monkeypatch):
+    # The catalog draws in ints; the same drawing in Fraction coordinates
+    # must build an equal divide.
+    drawn = []
+    monkeypatch.setattr(
+        dividecatalog,
+        "divide_from_polylines",
+        lambda polylines: drawn.append(polylines) or divide_from_polylines(polylines),
+    )
+    for label in CATALOG_LABELS:
+        drawn.clear()
+        divide = dividecatalog.divide_catalog(label)
+        [polylines] = drawn
+        assert {type(v) for pts in polylines for p in pts for v in p} == {int}
+        assert divide_from_polylines(_in_fractions(polylines)) == divide, label
 
 
 def test_random_chord_arrangements_are_planar():
@@ -242,7 +268,6 @@ def test_random_chord_arrangements_are_planar():
     # face tracing must always satisfy the Euler check, conserve corners,
     # and produce a bipartite quiver.
     import random
-    from fractions import Fraction
 
     rng = random.Random(91)
 
