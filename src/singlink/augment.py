@@ -32,11 +32,11 @@ time instead of one z at a time.
 
 Every entry of the braid matrix is multilinear, since each z enters
 through one factor only.  So a system stores each equation as a term map
-{bitmask of z's: coefficient} (see :mod:`fqmath`), with the lone t
-term of the (1,1) equation kept apart: building, printing and compiling
-it take time linear in its terms, not terms times s.  Dense polynomials
-are built only for the oracles (:meth:`AugmentationSystem.polynomials`,
-:func:`symbolic_determinant`).
+{bitmask of z's: coefficient} (see :mod:`fqmath`), and leaves out the
+lone term t^(+-1) of the (1,1) equation: building, printing and
+compiling it take time linear in its terms, not terms times s.  Dense
+polynomials are built only for the oracles
+(:meth:`AugmentationSystem.polynomials`, :func:`symbolic_determinant`).
 
 The brute force runs as one Python function generated per system, with
 every equation unrolled into plain sums of products.  One loop emitter,
@@ -47,8 +47,8 @@ those, so its coefficients are summed once per outer prefix and folded
 in one variable at a time.  Its work guard, q^(s-1) prefixes times the
 terms, bounds the work from above: each pinned variable divides the
 prefixes actually visited by about q.  The tests keep an interpreted
-loop over term tuples as an oracle, next to a count over every point
-(z, t) of the dense equations.
+loop over the stored term maps as an oracle, next to a count over every
+point (z, t) of the dense equations.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class AugmentationSystem(Record):
 
     ``equations`` holds each entry row-major as a multilinear term map
     (:mod:`fqmath`) in z_1..z_s, z_k at bit s - k.  The (1,1) equation
-    also holds one lone term ``t_coeff`` t^(+-1), kept apart: t for the
-    convention "t", t^-1 for "t-inverse".
+    also holds the lone term t^(+-1), not stored: t for the convention
+    "t", t^-1 for "t-inverse".
     """
 
-    __slots__ = ("strands", "word", "equations", "t_convention", "t_coeff")
+    __slots__ = ("strands", "word", "equations", "t_convention")
 
     def __init__(
         self,
@@ -124,13 +124,11 @@ class AugmentationSystem(Record):
         word: BraidWord,
         equations: tuple[dict[int, int], ...],
         t_convention: str,
-        t_coeff: int = 1,
     ) -> None:
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "equations", equations)
         object.__setattr__(self, "t_convention", t_convention)
-        object.__setattr__(self, "t_coeff", t_coeff)
 
     @property
     def z_count(self) -> int:
@@ -154,7 +152,7 @@ class AugmentationSystem(Record):
 
         ring = augmentation_ring(self.z_count)
         dense = [multilinear_polynomial(ring, eq, self.z_count) for eq in self.equations]
-        dense[0] = dense[0] + ring.var("t", self.t_exponent) * self.t_coeff
+        dense[0] = dense[0] + ring.var("t", self.t_exponent)
         return tuple(dense)
 
 
@@ -212,43 +210,25 @@ def augmentation_equations(word: BraidWord, t_convention: str = "t") -> Augmenta
     )
 
 
-def _split_last(terms: dict[int, int], s: int):
-    """Terms of alpha(z') + beta(z') z_s, z' = (z_1..z_{s-1}): (alpha, beta).
-
-    z_s is bit 0 of a mask; each part is (coeff, z-index tuple) terms.
-    """
-    alpha, beta = [], []
-    for mask, coeff in terms.items():
-        if mask & 1:
-            beta.append((coeff, mask_indices(mask ^ 1, s)))
-        else:
-            alpha.append((coeff, mask_indices(mask, s)))
-    return tuple(alpha), tuple(beta)
-
-
 def _compile_system(system: AugmentationSystem):
-    """The stored equations, split for solving in z_s and t.
+    """The stored equations as the sums of :func:`_bruteforce_kernel`.
 
-    Returns (c, e, entry, constraints): the (1,1) equation is
-    c t^e + alpha(z') + beta(z') z_s with entry = (alpha, beta), and c
-    must be 1 or -1; constraints holds the (alpha, beta) of every other
-    equation, fewest terms first.  Every part is a tuple, so the parts
-    key :func:`_bruteforce_kernel`'s cache.
+    Returns (entry, constraints).  Each equation becomes one tuple of
+    (coeff, z-index tuple) terms, z_s at index s - 1, with the terms that
+    lack z_s first.  entry is the (1,1) equation without its t term, and
+    constraints holds every other equation, fewest terms first.  Every
+    part is a tuple, so the parts key :func:`_bruteforce_kernel`'s cache.
     """
     s = len(system.word)
-    if system.t_coeff not in (1, -1):
-        raise AugmentError("t must occur as a lone term +-t^(+-1) of the (1,1) equation")
-    entry = _split_last(system.equations[0], s)
-    constraints = tuple(
-        sorted(
-            (_split_last(eq, s) for eq in system.equations[1:]),
-            key=lambda split: len(split[0]) + len(split[1]),
-        )
-    )
-    return system.t_coeff, system.t_exponent, entry, constraints
+
+    def terms(equation: dict[int, int]):
+        ordered = sorted(equation.items(), key=lambda term: term[0] & 1)  # z_s is bit 0
+        return tuple((coeff, mask_indices(mask, s)) for mask, coeff in ordered)
+
+    return terms(system.equations[0]), tuple(sorted(map(terms, system.equations[1:]), key=len))
 
 
-def _choose_pins(constraints):
+def _choose_pins(constraints, s: int):
     """The z_s-free constraints that each solve one prefix variable.
 
     Walks ``constraints`` in order (fewest terms first) and gives a
@@ -259,12 +239,10 @@ def _choose_pins(constraints):
     index: v}, in that order, at most ``MAX_PINS`` of them.
     """
     pins, blocked = {}, set()
-    for index, (alpha, beta) in enumerate(constraints):
-        if beta:
-            continue
-        variables = {i for _, indices in alpha for i in indices}
+    for index, terms in enumerate(constraints):
+        variables = {i for _, indices in terms for i in indices}
         candidates = variables - blocked
-        if not candidates:
+        if s - 1 in variables or not candidates:
             continue
         pins[index] = max(candidates)
         blocked |= variables
@@ -274,7 +252,7 @@ def _choose_pins(constraints):
 
 
 @functools.lru_cache(maxsize=32)
-def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
+def _bruteforce_kernel(entry, constraints, s: int):
     """kernel(q, check) -> count: the prefix loop, generated for one system.
 
     Takes the parts :func:`_compile_system` returns.  The kernel does not
@@ -286,6 +264,9 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     k pins leave about q^(s-1-k) prefixes, and a pinned constraint holds
     by construction.  z_s is solved the same way by the first constraint
     that holds it, fewest terms first; every other constraint is a test.
+    Only a hand-built system lacks such a constraint, and then z_s runs
+    over F_q like a free variable: the last letter sigma_k of a braid puts
+    z_s in column k + 1 >= 2, so some t-free equation holds it.
 
     The free prefix variables run in one ``product`` loop, but for the
     last ``fqmath.INNER_LOOPS`` of them, which run in nested loops
@@ -296,28 +277,18 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
     every sum by its monomials in the loop variables, with coefficients
     summed once per outer prefix and combined one loop variable at a
     time, and tests a constraint at the first loop that binds all its
-    variables.  The body solves the (1,1) entry for t^(+-1) and calls
-    ``check`` on every value counted.  If no constraint holds z_s, z_s is
-    free: q - 1 solutions with distinct t where the entry's z_s
-    coefficient is nonzero, and q (or none) where it is zero.
+    variables.  The body solves the (1,1) entry for t^(+-1), one solution
+    per nonzero value, and calls ``check`` on every value counted.
     """
-    pins = _choose_pins(constraints)
+    pins = _choose_pins(constraints, s)
     free = [i for i in range(s - 1) if i not in pins.values()]
     cut = len(free) - min(INNER_LOOPS, len(free), MAX_PINS - len(pins))
     levels = [(v, None) for v in free[cut:]] + [(v, index) for index, v in pins.items()]
-    solver = next((index for index, (_, beta) in enumerate(constraints) if beta), None)
-    if solver is not None:
+    holds_zs = [any(s - 1 in indices for _, indices in terms) for terms in constraints]
+    solver = holds_zs.index(True) if True in holds_zs else None
+    if s:  # the unknot (s = 0) has no z_s
         levels.append((s - 1, solver))
-
-    def joined(alpha, beta):  # alpha + beta z_s as one sum
-        return alpha + tuple((coeff, indices + (s - 1,)) for coeff, indices in beta)
-
-    sums = [
-        (joined(*parts), index not in pins and index != solver)
-        for index, parts in enumerate(constraints)
-    ]
-    free_zs = s and solver is None  # the unknot (s = 0) has no z_s
-    sums += [(entry[0], False), (entry[1], False)] if free_zs else [(joined(*entry), False)]
+    sums = [(terms, i not in pins and i != solver) for i, terms in enumerate(constraints)]
     lines = [
         "def kernel(q, check):",
         "    found = 0",
@@ -325,24 +296,8 @@ def _bruteforce_kernel(t_coeff: int, entry, constraints, s: int):
         f"    for {''.join(f'z{i}, ' for i in free[:cut]) or '()'} in product(values, "
         f"repeat={cut}):",
     ]
-    hoisted, pad, rest = hoisted_loops(sums, levels, "z", "        ")
-    # t^(+-1) = -c (alpha + beta z_s); with z_s free and beta != 0 it takes
-    # every value of F_q once: q - 1 solutions with distinct t.
-    sign = "-" if t_coeff == 1 else ""
-    if free_zs:
-        body = [
-            f"if ({rest[-1]}) % q:",
-            "    check(1)",
-            "    check(q - 1)",
-            "    found += q - 1",
-            "else:",
-            f"    u = {sign}({rest[-2]}) % q",
-            "    if u:",
-            "        check(u)",
-            "        found += q",
-        ]
-    else:  # one solution per nonzero value
-        body = [f"u = {sign}({rest[-1]}) % q", "if u:", "    check(u)", "    found += 1"]
+    hoisted, pad, rest = hoisted_loops(sums + [(entry, False)], levels, "z", "        ")
+    body = [f"u = -({rest[-1]}) % q", "if u:", "    check(u)", "    found += 1"]
     lines += hoisted + [pad + line for line in body]
     lines.append("    return found")
     return compile_kernel(lines)
@@ -355,18 +310,17 @@ def count_solutions_bruteforce(
 ) -> int:
     """Exact number of (z, t) in F_q^s x F_q^* solving every equation.
 
-    Every stored equation is alpha(z') + beta(z') z_s in the last crossing
-    variable, z' = (z_1..z_{s-1}), and t occurs only as one lone term
-    c t^(+-1) of the (1,1) equation.  Every equation is multilinear, so a
-    z_s-free one, a + b z_v, solves one prefix variable z_v: up to
-    ``MAX_PINS`` such pins leave about q^(s-1-k) of the q^(s-1) prefixes
-    to enumerate.  The t-free equation with the fewest terms that holds
-    z_s solves it, each other t-free equation is tested, and the (1,1)
-    equation gives t^(+-1) for each solution; a nonzero value is one
-    solution.  The work guard, q^(s-1) times the number of terms, is an
-    upper bound on the work; within the budget the loop runs as Python
-    source generated for the system (:func:`_bruteforce_kernel`).  Every
-    solution found is checked against the sign law t = (-1)^(n+s).
+    t occurs only as the lone term t^(+-1) of the (1,1) equation.  Every
+    equation is multilinear, so a z_s-free one, a + b z_v, solves one
+    prefix variable z_v of z' = (z_1..z_{s-1}): up to ``MAX_PINS`` such
+    pins leave about q^(s-1-k) of the q^(s-1) prefixes to enumerate.  The
+    t-free equation with the fewest terms that holds z_s solves it, each
+    other t-free equation is tested, and the (1,1) equation gives t^(+-1)
+    for each solution; a nonzero value is one solution.  The work guard,
+    q^(s-1) times the number of terms, is an upper bound on the work;
+    within the budget the loop runs as Python source generated for the
+    system (:func:`_bruteforce_kernel`).  Every solution found is checked
+    against the sign law t = (-1)^(n+s).
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
@@ -377,8 +331,8 @@ def count_solutions_bruteforce(
         raise BudgetExceededError(
             f"q^(s-1) x terms = {q}^{prefix_length} x {terms} exceeds the work budget {budget}"
         )
-    t_coeff, t_exp, entry, constraints = _compile_system(system)
     expected_t = (-1) ** (system.strands + s) % q
+    t_exp = system.t_exponent
 
     def check_sign_law(u: int) -> None:
         t_val = u if t_exp == 1 else pow(u, -1, q)
@@ -387,7 +341,7 @@ def count_solutions_bruteforce(
                 f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
             )
 
-    return _bruteforce_kernel(t_coeff, entry, constraints, s)(q, check_sign_law)
+    return _bruteforce_kernel(*_compile_system(system), s)(q, check_sign_law)
 
 
 def count_solutions_dp(word: BraidWord, q: int) -> int:
@@ -634,7 +588,7 @@ def symbolic_determinant(word: BraidWord) -> Polynomial:
 def system_to_json_dict(system: AugmentationSystem) -> dict:
     names = system.variables
     t_power = system.t_exponent
-    lone = (system.t_coeff, t_power, "t" if t_power == 1 else "t^-1")
+    lone = (1, t_power, "t" if t_power == 1 else "t^-1")
     return {
         "strands": system.strands,
         "word": list(system.word.letters),

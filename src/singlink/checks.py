@@ -44,7 +44,7 @@ WORKED_EXAMPLE_EQ11 = (
 
 
 class CheckResult:
-    """One check's outcome; mutable, since :func:`_timed` sets ``seconds``."""
+    """One check's outcome; mutable, since :func:`run_all_checks` sets ``seconds``."""
 
     __slots__ = ("name", "passed", "details", "seconds")
 
@@ -66,19 +66,6 @@ class CheckResult:
         }
 
 
-def _timed(func):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        start = time.perf_counter()
-        result = func(*args, **kwargs)
-        result.seconds = time.perf_counter() - start
-        return result
-
-    wrapper.__name__ = func.__name__
-    wrapper.__doc__ = func.__doc__
-    return wrapper
-
-
-@_timed
 def check_cable_pair_regressions() -> CheckResult:
     cases = [
         (((3, 2), (7, 2)), ((2, 3), (2, 13))),
@@ -92,7 +79,6 @@ def check_cable_pair_regressions() -> CheckResult:
     return CheckResult("cable_pair_regressions", passed, {"cases": outcomes})
 
 
-@_timed
 def check_ade_quiver_shapes() -> CheckResult:
     failures = []
     for text in dividecatalog.CATALOG_LABELS:
@@ -113,7 +99,6 @@ def check_ade_quiver_shapes() -> CheckResult:
     )
 
 
-@_timed
 def check_divide_cross_check() -> CheckResult:
     """Catalog divides: mu = rank and intersection quiver = brick quiver shape."""
     rows = []
@@ -145,7 +130,6 @@ def check_divide_cross_check() -> CheckResult:
     )
 
 
-@_timed
 def check_seed_counts(deep: bool = False) -> CheckResult:
     targets = dict(SEED_COUNT_TARGETS)
     if deep:
@@ -167,7 +151,6 @@ def check_seed_counts(deep: bool = False) -> CheckResult:
     return CheckResult("seed_counts", all(r["ok"] for r in rows), {"types": rows})
 
 
-@_timed
 def check_mutation_properties(instances: int = 10_000, walks: int = 1_000) -> CheckResult:
     rng = random.Random(RANDOM_SEED)
     involution_ok = equivariance_ok = True
@@ -219,7 +202,6 @@ def check_mutation_properties(instances: int = 10_000, walks: int = 1_000) -> Ch
     )
 
 
-@_timed
 def check_worked_example() -> CheckResult:
     word = links.append_full_twist(WORKED_EXAMPLE_BRAID)
     system = augment.augmentation_equations(word, t_convention="t-inverse")
@@ -240,7 +222,6 @@ def check_worked_example() -> CheckResult:
     )
 
 
-@_timed
 def check_augmentation_oracles(words: int = 50) -> CheckResult:
     rng = random.Random(RANDOM_SEED)
     mismatches = []
@@ -266,7 +247,6 @@ def check_augmentation_oracles(words: int = 50) -> CheckResult:
     )
 
 
-@_timed
 def check_theta_equivalence() -> CheckResult:
     equiv_ok = all(
         sheafmoduli.theta_equations_recursion(n).equations
@@ -291,7 +271,6 @@ def check_theta_equivalence() -> CheckResult:
     )
 
 
-@_timed
 def check_theta_polynomiality() -> CheckResult:
     rows = []
     for n in THETA_POLYNOMIALITY_NS:
@@ -312,7 +291,6 @@ def check_theta_polynomiality() -> CheckResult:
     )
 
 
-@_timed
 def check_unknot_augmentation() -> CheckResult:
     word = links.BraidWord(1, ())
     system = augment.augmentation_equations(word)
@@ -325,19 +303,27 @@ def check_unknot_augmentation() -> CheckResult:
 
 
 def run_all_checks(deep: bool = False, fast: bool = False) -> list[CheckResult]:
-    """The full suite; ``fast`` shrinks randomized instance counts."""
+    """The full suite, each result with its ``seconds``; ``fast`` shrinks
+    randomized instance counts."""
     instances = 500 if fast else 10_000
     walks = 120 if fast else 1_000
     words = 12 if fast else 50
-    return [
-        check_cable_pair_regressions(),
-        check_ade_quiver_shapes(),
-        check_divide_cross_check(),
-        check_seed_counts(deep=deep),
-        check_mutation_properties(instances=instances, walks=walks),
-        check_worked_example(),
-        check_augmentation_oracles(words=words),
-        check_theta_equivalence(),
-        check_theta_polynomiality(),
-        check_unknot_augmentation(),
-    ]
+    suite = (
+        check_cable_pair_regressions,
+        check_ade_quiver_shapes,
+        check_divide_cross_check,
+        lambda: check_seed_counts(deep=deep),
+        lambda: check_mutation_properties(instances=instances, walks=walks),
+        check_worked_example,
+        lambda: check_augmentation_oracles(words=words),
+        check_theta_equivalence,
+        check_theta_polynomiality,
+        check_unknot_augmentation,
+    )
+    results = []
+    for run in suite:
+        start = time.perf_counter()
+        result = run()
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results

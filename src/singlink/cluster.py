@@ -547,14 +547,10 @@ def canonical_form(matrix: ExchangeMatrix) -> tuple:
         groups.setdefault(inv, []).append(i)
     ordered_groups = [groups[key] for key in sorted(groups)]
 
-    slots: list[list[int]] = []
-    for grp in ordered_groups:
-        slots.append(grp)
-
     best: tuple | None = None
     # Assign target positions group by group; total work is the product of
     # factorials of group sizes, small for the sparse matrices used here.
-    group_perms = [list(itertools.permutations(grp)) for grp in slots]
+    group_perms = [list(itertools.permutations(grp)) for grp in ordered_groups]
     for choice in itertools.product(*group_perms):
         order = [v for grp in choice for v in grp]
         perm = [0] * n

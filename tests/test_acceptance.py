@@ -8,7 +8,9 @@ asserts the criterion as stated and therefore fails; see README and the
 test body for the analysis.
 """
 
+import itertools
 import time
+import types
 
 import pytest
 
@@ -148,3 +150,13 @@ def test_check_machinery_detects_injected_fault(monkeypatch):
     assert not result.passed
     flagged = [row for row in result.details["labels"] if not row["ok"]]
     assert [row["label"] for row in flagged] == ["D4"]
+
+
+def test_run_all_checks_times_each_check_once(monkeypatch):
+    # A clock that ticks once per reading: one reading before and one
+    # after each check give every result seconds == 1.
+    ticks = itertools.count()
+    monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    results = checks.run_all_checks(fast=True)
+    assert [result.seconds for result in results] == [1] * 10
+    assert len({result.name for result in results}) == 10

@@ -119,22 +119,32 @@ def count_by_points_and_t(system: AugmentationSystem, q: int) -> int:
 
 def count_by_prefixes(system: AugmentationSystem, q: int) -> int:
     """Oracle: the interpreted loop that the generated kernel of
-    count_solutions_bruteforce unrolls.  For each prefix z', every
-    constraint's alpha and beta are summed term tuple by term tuple."""
+    count_solutions_bruteforce unrolls, read from the stored term maps.
+    For each prefix z', every equation is summed term by term as
+    alpha + beta z_s.  z_s is solved from the first constraint with
+    beta != 0 there, and runs over F_q if none has one."""
     s = len(system.word)
-    t_coeff, t_exp, (entry_alpha, entry_beta), constraints = _compile_system(system)
     expected_t = (-1) ** (system.strands + s) % q
+    # Per equation and term: (coeff, prefix indices, 1 if it holds z_s);
+    # z_k is bit s - k of a mask, so z_s is bit 0.
+    entry, *constraints = [
+        [(coeff, [s - 1 - bit for bit in range(1, s) if mask >> bit & 1], mask & 1)
+         for mask, coeff in terms.items()]
+        for terms in system.equations
+    ]
+    constraints.sort(key=len)  # short ones rule most prefixes out cheaply
 
-    def evaluate(terms, zs) -> int:
-        total = 0
-        for coeff, idx in terms:
-            for i in idx:
-                coeff *= zs[i]
-            total += coeff
-        return total
+    def split(terms, prefix) -> tuple[int, int]:
+        # (alpha, beta mod q) of alpha + beta z_s at the prefix.
+        parts = [0, 0]
+        for coeff, indices, holds_zs in terms:
+            for i in indices:
+                coeff *= prefix[i]
+            parts[holds_zs] += coeff
+        return parts[0], parts[1] % q
 
     def check_sign_law(u: int) -> None:
-        t_val = u if t_exp == 1 else pow(u, -1, q)
+        t_val = u if system.t_exponent == 1 else pow(u, -1, q)
         if t_val != expected_t:
             raise AugmentError(
                 f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
@@ -143,9 +153,8 @@ def count_by_prefixes(system: AugmentationSystem, q: int) -> int:
     found = 0
     for prefix in itertools.product(range(q), repeat=max(s - 1, 0)):
         pinned = None if s else 0
-        for alpha_terms, beta_terms in constraints:
-            alpha = evaluate(alpha_terms, prefix)
-            beta = evaluate(beta_terms, prefix) % q
+        for terms in constraints:
+            alpha, beta = split(terms, prefix)
             if pinned is not None:
                 if (alpha + beta * pinned) % q:
                     break
@@ -154,22 +163,12 @@ def count_by_prefixes(system: AugmentationSystem, q: int) -> int:
             elif alpha % q:
                 break
         else:
-            alpha = evaluate(entry_alpha, prefix)
-            beta = evaluate(entry_beta, prefix) % q
-            if pinned is not None:
-                u = -t_coeff * (alpha + beta * pinned) % q
+            alpha, beta = split(entry, prefix)
+            for z in range(q) if pinned is None else (pinned,):
+                u = -(alpha + beta * z) % q  # t^(+-1) + alpha + beta z_s = 0
                 if u:
                     check_sign_law(u)
                     found += 1
-            elif beta:
-                check_sign_law(1)
-                check_sign_law(q - 1)
-                found += q - 1
-            else:
-                u = -t_coeff * alpha % q
-                if u:
-                    check_sign_law(u)
-                    found += q
     return found
 
 
@@ -605,8 +604,8 @@ def test_bruteforce_matches_point_oracle_on_random_words():
 
 
 def _hand_built(word: BraidWord, texts: list[str]) -> AugmentationSystem:
-    """A system from equation texts, with t at most as one lone term
-    c t^(+-1) of the first equation (c = 0 without t)."""
+    """A system from equation texts, with t as one lone term +-t^(+-1) of
+    the first equation; written with -t, that equation is negated."""
     s = len(word)
     ring = augmentation_ring(s)
     equations, t_terms = [], []
@@ -618,22 +617,11 @@ def _hand_built(word: BraidWord, texts: list[str]) -> AugmentationSystem:
             else:
                 terms[sum(1 << (s - 1 - i) for i, e in enumerate(exp[:s]) if e)] = coeff
         equations.append(terms)
-    t_coeff, convention = 0, "t"
-    if t_terms:
-        [(index, exp, t_coeff)] = t_terms
-        assert index == 0 and not any(exp[:s]) and exp[s] in (1, -1), texts
-        convention = "t" if exp[s] == 1 else "t-inverse"
-    return AugmentationSystem(word.strands, word, tuple(equations), convention, t_coeff)
-
-
-def test_bruteforce_rejects_t_outside_the_lone_first_term():
-    # A system holds t only as one lone term c t^(+-1) of the (1,1)
-    # equation, so t in a second equation, t^2 or z1*t cannot be stated.
-    # A coefficient c other than +-1, or c = 0 (no t), is rejected.
-    word = BraidWord(2, (1,))
-    for texts in (["z1 + 2*t", "0", "0", "0"], ["z1 - 3*t^-1", "0", "0", "0"], ["z1", "0", "0", "0"]):
-        system = _hand_built(word, texts)
-        assert raised(count_solutions_bruteforce, system, 5) == raised(count_by_prefixes, system, 5)
+    [(index, exp, t_coeff)] = t_terms
+    assert index == 0 and not any(exp[:s]) and exp[s] in (1, -1) and t_coeff in (1, -1), texts
+    equations[0] = {mask: t_coeff * coeff for mask, coeff in equations[0].items()}
+    convention = "t" if exp[s] == 1 else "t-inverse"
+    return AugmentationSystem(word.strands, word, tuple(equations), convention)
 
 
 def test_bruteforce_enforces_the_sign_law():
@@ -668,6 +656,30 @@ def test_bruteforce_with_last_variable_left_free():
             assert message == raised(count_by_prefixes, system, q)
 
 
+@st.composite
+def short_words(draw):
+    """A word on at most 5 strands with at most 12 letters, the full
+    twist appended half the time."""
+    n = draw(st.integers(1, 5))
+    letters = st.integers(1, max(n - 1, 1))
+    word = BraidWord(n, tuple(draw(st.lists(letters, max_size=12 if n > 1 else 0))))
+    return append_full_twist(word) if draw(st.booleans()) else word
+
+
+@given(short_words(), st.sampled_from(T_CONVENTIONS))
+@settings(max_examples=200, deadline=None)
+def test_a_t_free_equation_holds_the_last_variable(word, convention):
+    # The last letter sigma_k puts z_s (bit 0) in column k + 1 >= 2 only.
+    # So a t-free equation holds z_s and the (1,1) equation does not:
+    # the brute force never meets a built system that leaves z_s free.
+    system = augmentation_equations(word, convention)
+    if not system.z_count:
+        return
+    holders = [i for i, eq in enumerate(system.equations) if any(mask & 1 for mask in eq)]
+    assert holders and 0 not in holders
+    assert {i % word.strands for i in holders} == {word.letters[-1]}
+
+
 def test_bruteforce_with_negative_and_large_coefficients():
     # n = 2, s = 2: the sign law asks for t = 1.  The (1,1) equation is
     # t - 1 plus a multiple of another equation, so every solution obeys it.
@@ -695,8 +707,7 @@ def test_bruteforce_kernel_compiles_at_the_term_budget():
     # this many terms exceeds the compiler's recursion limit.
     system = augmentation_equations(BraidWord(2, (1,) * 19))
     assert sum(map(len, system.equations)) + 1 == 17711 + 2  # and the lone t term
-    t_coeff, _, entry, constraints = _compile_system(system)
-    assert callable(_bruteforce_kernel(t_coeff, entry, constraints, 19))
+    assert callable(_bruteforce_kernel(*_compile_system(system), 19))
 
 
 def test_bruteforce_kernel_is_compiled_once_per_system(monkeypatch):

@@ -48,7 +48,7 @@ RECORDS = [
     (RingDescriptor, {"variables": ("x", "t"), "laurent": frozenset({"t"})},
      {"laurent": frozenset()}),
     (AugmentationSystem, {"strands": 2, "word": WORD, "equations": ({1: 1}, {0: 1}),
-                          "t_convention": "t", "t_coeff": -1}, {"t_coeff": 1}),
+                          "t_convention": "t"}, {"t_convention": "t-inverse"}),
     (ThetaSystem, {"n": 1, "equations": ({3: 1},)}, {"equations": ({3: 2},)}),
 ]
 # Term-map systems hold dicts, so they compare but do not hash.
@@ -109,7 +109,6 @@ def test_constructors_normalize_their_fields():
 
 
 def test_defaults():
-    assert AugmentationSystem(2, WORD, (), "t").t_coeff == 1
     assert Face(((0, 0),), True).endpoints == ()
     assert RingDescriptor(("x",)).laurent == frozenset()
     assert RingDescriptor(("x",)) == RingDescriptor(("x",), frozenset())
