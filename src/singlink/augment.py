@@ -118,18 +118,6 @@ class AugmentationSystem(Record):
 
     __slots__ = ("strands", "word", "equations", "t_convention")
 
-    def __init__(
-        self,
-        strands: int,
-        word: BraidWord,
-        equations: tuple[dict[int, int], ...],
-        t_convention: str,
-    ) -> None:
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "t_convention", t_convention)
-
     @property
     def z_count(self) -> int:
         return len(self.word)

@@ -30,8 +30,7 @@ class Brick(Record):
     __slots__ = ("row", "span")
 
     def __init__(self, row: int, span: tuple[int, int]) -> None:
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "span", span)
+        super().__init__(row, span)
         a, b = span
         if not a < b:
             raise BrickError(f"brick span {span} must be increasing")
@@ -43,13 +42,7 @@ class Brick(Record):
 
 
 class BrickQuiver(Record):
-    __slots__ = ("bricks", "arrows")
-
-    def __init__(
-        self, bricks: tuple[Brick, ...], arrows: tuple[tuple[int, int], ...]
-    ) -> None:
-        object.__setattr__(self, "bricks", bricks)
-        object.__setattr__(self, "arrows", arrows)  # (source index, target index)
+    __slots__ = ("bricks", "arrows")  # arrows: (source index, target index)
 
     @property
     def rank(self) -> int:
@@ -83,33 +76,23 @@ def brick_quiver(braid: BraidWord) -> BrickQuiver:
     for pos, k in enumerate(braid.letters, start=1):
         positions.setdefault(k, []).append(pos)
 
+    spans = {row: list(zip(occ, occ[1:])) for row, occ in sorted(positions.items())}
     bricks: list[Brick] = []
-    for row in sorted(positions):
-        occ = positions[row]
-        bricks.extend(Brick(row, (a, b)) for a, b in zip(occ, occ[1:]))
-    index = {brick: i for i, brick in enumerate(bricks)}
-
     arrows: list[tuple[int, int]] = []
-    for row in sorted(positions):
-        occ = positions[row]
-        row_bricks = [Brick(row, (a, b)) for a, b in zip(occ, occ[1:])]
+    for row, row_spans in spans.items():
+        # The row's bricks are the vertices start, start + 1, ...
+        start = len(bricks)
+        bricks.extend(Brick(row, span) for span in row_spans)
         # Same row: arrows point left.
-        for left, right in zip(row_bricks, row_bricks[1:]):
-            arrows.append((index[right], index[left]))
-        # Adjacent row above: one arrow per interleaved pair, from the
-        # earlier-starting span.
-        upper = row + 1
-        if upper not in positions:
-            continue
-        occ_up = positions[upper]
-        for brick in row_bricks:
-            a, b = brick.span
-            for c, d in zip(occ_up, occ_up[1:]):
-                other = Brick(upper, (c, d))
+        arrows.extend((v + 1, v) for v in range(start, len(bricks) - 1))
+        # Adjacent row above, whose bricks come next: one arrow per
+        # interleaved pair, from the earlier-starting span.
+        for v, (a, b) in enumerate(row_spans, start):
+            for w, (c, d) in enumerate(spans.get(row + 1, ()), len(bricks)):
                 if a < c < b < d:
-                    arrows.append((index[brick], index[other]))
+                    arrows.append((v, w))
                 elif c < a < d < b:
-                    arrows.append((index[other], index[brick]))
+                    arrows.append((w, v))
     return BrickQuiver(tuple(bricks), tuple(arrows))
 
 

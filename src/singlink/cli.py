@@ -124,7 +124,7 @@ def build_pipeline_report(
     A braid with no letters, or whose brick quiver has no vertices, has
     no exchange matrix, so its report stops before the classification.
     """
-    from . import bricks, cluster, dividecatalog, divides
+    from . import bricks, cluster
 
     if ade_label is not None:
         cluster.check_rank(ade_label.rank)  # the rank of its brick quiver
@@ -135,14 +135,17 @@ def build_pipeline_report(
     report["brick_quiver"] = quiver.to_json_dict()
     if not quiver.rank:
         return report
-    if ade_label is not None and f"{ade_label}" in dividecatalog.CATALOG_LABELS:
-        divide = dividecatalog.divide_catalog(ade_label)
-        regions = len(divides.trace_faces(divide).bounded_faces)
-        report["divide"] = {
-            "crossings": divide.crossings,
-            "bounded_regions": regions,
-            "milnor_number": divide.crossings + regions,  # as divides.milnor_number
-        }
+    if ade_label is not None:
+        from . import dividecatalog, divides
+
+        if f"{ade_label}" in dividecatalog.CATALOG_LABELS:
+            divide = dividecatalog.divide_catalog(ade_label)
+            regions = len(divides.trace_faces(divide).bounded_faces)
+            report["divide"] = {
+                "crossings": divide.crossings,
+                "bounded_regions": regions,
+                "milnor_number": divide.crossings + regions,  # as divides.milnor_number
+            }
     matrix = bricks.to_exchange_matrix(quiver)
     try:
         dynkin = cluster.is_finite_type(matrix)

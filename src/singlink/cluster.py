@@ -22,7 +22,6 @@ import itertools
 import math
 import operator
 from collections import deque
-from fractions import Fraction
 
 from .exactmath import DivisionError, Polynomial, RingDescriptor, divide_exact
 from .fqmath import BudgetExceededError
@@ -55,9 +54,7 @@ class ExchangeMatrix(Record):
     def __init__(
         self, n: int, entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "symmetrizer", symmetrizer)
+        super().__init__(n, entries, symmetrizer)
         if n < 1 or len(entries) != n:
             raise ClusterError("exchange matrix must be square and non-empty")
         for row in entries:
@@ -168,10 +165,6 @@ def initial_cluster_ring(n: int) -> RingDescriptor:
 
 class Seed(Record):
     __slots__ = ("matrix", "cluster")
-
-    def __init__(self, matrix: ExchangeMatrix, cluster: tuple[Polynomial, ...]) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "cluster", cluster)
 
 
 def initial_seed(matrix: ExchangeMatrix) -> Seed:
@@ -389,9 +382,8 @@ class DynkinType(Record):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int) -> None:
-        fam = family.upper()
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(family.upper(), rank)
+        fam = self.family
         ok = (
             (fam == "A" and rank >= 1)
             or (fam == "B" and rank >= 2)
@@ -440,12 +432,11 @@ def exponents_and_coxeter(t: DynkinType) -> tuple[tuple[int, ...], int]:
 def expected_seed_count(t: DynkinType) -> int:
     """N(X_n) = prod_i (e_i + h + 1) / (e_i + 1), exactly."""
     exps, h = exponents_and_coxeter(t)
-    total = Fraction(1)
-    for e in exps:
-        total *= Fraction(e + h + 1, e + 1)
-    if total.denominator != 1:
-        raise ClusterError(f"seed count for {t} is not an integer: {total}")
-    return int(total)
+    top, bottom = math.prod(e + h + 1 for e in exps), math.prod(e + 1 for e in exps)
+    count, rest = divmod(top, bottom)
+    if rest:
+        raise ClusterError(f"seed count for {t} is not an integer: {top}/{bottom}")
+    return count
 
 
 def initial_matrix(t: DynkinType) -> ExchangeMatrix:
@@ -498,22 +489,24 @@ def initial_matrix(t: DynkinType) -> ExchangeMatrix:
 
 
 def _symmetrizer_for(rows) -> tuple[int, ...]:
-    """Positive integer diagonal D with D*B skew-symmetric (B tree-shaped)."""
+    """The least positive integer diagonal D with D*B skew-symmetric (B tree-shaped)."""
     n = len(rows)
-    d = [Fraction(0)] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     pending = [0]
     while pending:
         i = pending.pop()
         for j in range(n):
             if rows[i][j] != 0 and d[j] == 0:
-                # d_i b_ij = -d_j b_ji
-                d[j] = Fraction(-d[i] * rows[i][j], rows[j][i])
+                # d_i b_ij = -d_j b_ji; scale D by the least factor that makes d_j an integer
+                top, bottom = -d[i] * rows[i][j], rows[j][i]
+                scale = abs(bottom) // math.gcd(top, bottom)
+                d = [x * scale for x in d]
+                d[j] = top * scale // bottom
                 pending.append(j)
     if any(x == 0 for x in d):
         raise ClusterError("symmetrizer construction needs a connected matrix")
-    lcm = math.lcm(*(x.denominator for x in d))
-    return tuple(int(x * lcm) for x in d)
+    return tuple(d)
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -614,14 +607,15 @@ def _chordless_cycles_through(adj: list[set[int]], v: int):
                     stack.append(path + (w,))
 
 
-def _dynkin_type_of_companion(n: int, det: Fraction, d: tuple[int, ...]) -> DynkinType:
+def _dynkin_type_of_companion(n: int, det: int, d: tuple[int, ...]) -> DynkinType:
     """Name a positive quasi-Cartan companion by rank, det A and symmetrizer.
 
     det A is n+1 for A_n, 4 for D_n, 3/2/1 for E6/E7/E8, 2 for B_n and C_n,
     and 1 for F4 and G2.  B_n has exactly one vertex with the largest
     symmetrizer entry (the initial_matrix convention), C_n has n-1.
     """
-    ratio = Fraction(max(d), min(d))
+    whole, rest = divmod(max(d), min(d))
+    ratio = 0 if rest else whole
     family = None
     if ratio == 1:
         if det == n + 1:
@@ -659,7 +653,8 @@ def is_finite_type(matrix: ExchangeMatrix) -> DynkinType | None:
     row of fraction-free (Bareiss) elimination.  The first failure
     returns None; a prefix of a finite-type matrix is of finite type, so
     cycles are only ever enumerated in a finite-type graph.  The type is
-    read from the rank, det A = det(D*A) / prod(D) and the symmetrizer.
+    read from the rank, det A = det(D*A) / prod(D) (exact: A is an
+    integer matrix) and the symmetrizer.
 
     Raises :class:`ClusterError` for disconnected input (a product of
     types has no single Dynkin label).
@@ -722,4 +717,4 @@ def is_finite_type(matrix: ExchangeMatrix) -> DynkinType | None:
             return None  # D*A is not positive definite
         pivots.append(row[v])
         upper.append([row[v]])
-    return _dynkin_type_of_companion(n, Fraction(pivots[-1], math.prod(d)), d)
+    return _dynkin_type_of_companion(n, pivots[-1] // math.prod(d), d)

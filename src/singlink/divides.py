@@ -30,16 +30,14 @@ class DivideError(ValueError):
 
 
 class Strand(Record):
-    __slots__ = ("closed", "passages")
+    __slots__ = ("closed", "passages")  # passages: (crossing, entry slot) pairs
 
     def __init__(self, closed: bool, passages: tuple[tuple[int, int], ...]) -> None:
-        passages = tuple((int(c), int(s)) for c, s in passages)  # (crossing, entry slot)
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "passages", passages)
-        for _, slot in passages:
+        super().__init__(closed, tuple((int(c), int(s)) for c, s in passages))
+        for _, slot in self.passages:
             if not 0 <= slot <= 3:
                 raise DivideError(f"slot {slot} out of range 0..3")
-        if closed and not passages:
+        if closed and not self.passages:
             raise DivideError("a closed strand must traverse at least one crossing")
 
 
@@ -61,11 +59,10 @@ class Divide(Record):
         strands: tuple[Strand, ...],
         boundary_order: tuple[tuple[int, int], ...],
     ) -> None:
-        strands = tuple(strands)
-        boundary_order = tuple((int(s), int(e)) for s, e in boundary_order)
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "boundary_order", boundary_order)
+        super().__init__(
+            crossings, tuple(strands), tuple((int(s), int(e)) for s, e in boundary_order)
+        )
+        strands, boundary_order = self.strands, self.boundary_order
         if crossings < 0:
             raise DivideError("negative crossing count")
         slots_used: dict[tuple[int, int], int] = {}
@@ -150,16 +147,11 @@ class Face(Record):
         bounded: bool,
         endpoints: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "bounded", bounded)
-        object.__setattr__(self, "endpoints", endpoints)
+        super().__init__(corners, bounded, endpoints)
 
 
 class DivideFaces(Record):
     __slots__ = ("faces",)
-
-    def __init__(self, faces: tuple[Face, ...]) -> None:
-        object.__setattr__(self, "faces", faces)
 
     @property
     def bounded_faces(self) -> tuple[Face, ...]:
@@ -240,11 +232,6 @@ class AcampoQuiver(Record):
     """
 
     __slots__ = ("crossings", "regions", "arrows")
-
-    def __init__(self, crossings: int, regions: int, arrows: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "arrows", arrows)
 
     @property
     def rank(self) -> int:

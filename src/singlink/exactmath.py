@@ -63,16 +63,14 @@ class RingDescriptor(Record):
     __slots__ = ("variables", "laurent", "_index")
 
     def __init__(self, variables: tuple[str, ...], laurent: frozenset[str] = frozenset()) -> None:
-        variables = tuple(variables)
-        laurent = frozenset(laurent)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "laurent", laurent)
+        super().__init__(tuple(variables), frozenset(laurent))
+        variables = self.variables
         if len(set(variables)) != len(variables):
             raise ExactMathError("variable names must be unique")
         for name in variables:
             if not _VAR_TOKEN.match(name):
                 raise ExactMathError(f"invalid variable name {name!r}")
-        unknown = laurent - set(variables)
+        unknown = self.laurent - set(variables)
         if unknown:
             raise ExactMathError(f"Laurent flags for unknown variables {sorted(unknown)}")
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})

@@ -44,12 +44,11 @@ class PuiseuxPairs(Record):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        pairs = tuple((int(n), int(m)) for n, m in pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
+        super().__init__(tuple((int(n), int(m)) for n, m in pairs))
+        if not self.pairs:
             raise LinkError("Puiseux data must be nonempty")
         prev_n = 0
-        for n, m in pairs:
+        for n, m in self.pairs:
             if m < 2:
                 raise LinkError(f"Puiseux multiplicity {m} must be >= 2")
             if n < 1:
@@ -68,11 +67,10 @@ class CablePairs(Record):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        pairs = tuple((int(l), int(m)) for l, m in pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
+        super().__init__(tuple((int(l), int(m)) for l, m in pairs))
+        if not self.pairs:
             raise LinkError("cable data must be nonempty")
-        for l, m in pairs:
+        for l, m in self.pairs:
             if l < 1 or m < 1:
                 raise LinkError(f"cable pair ({l}, {m}) must be positive")
 
@@ -84,12 +82,10 @@ class BraidWord(Record):
 
     def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
         _check_braid_size(strands, len(letters))
-        letters = tuple(int(k) for k in letters)
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        super().__init__(strands, tuple(int(k) for k in letters))
         if strands < 1:
             raise LinkError("braid needs at least one strand")
-        for k in letters:
+        for k in self.letters:
             if not 1 <= k <= strands - 1:
                 raise LinkError(f"generator index {k} out of range for {strands} strands")
 
@@ -127,28 +123,13 @@ def braid_from_text(text: str, strands: int | None = None) -> BraidWord:
 class LinkInvariants(Record):
     __slots__ = ("components", "euler_characteristic", "first_betti", "tb", "milnor_number")
 
-    def __init__(
-        self,
-        components: int,
-        euler_characteristic: int,
-        first_betti: int,
-        tb: int,
-        milnor_number: int,
-    ) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "euler_characteristic", euler_characteristic)
-        object.__setattr__(self, "first_betti", first_betti)
-        object.__setattr__(self, "tb", tb)
-        object.__setattr__(self, "milnor_number", milnor_number)
-
 
 class ADELabel(Record):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int) -> None:
-        fam = family.upper()
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(family.upper(), rank)
+        fam = self.family
         if fam == "A":
             if rank < 1:
                 raise LinkError("A_n needs n >= 1")

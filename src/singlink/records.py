@@ -1,8 +1,10 @@
 """The base of every immutable value class.
 
 A record lists its fields in ``__slots__`` (a slot named with a leading
-underscore is a cache, not a field) and writes its own ``__init__``,
-which stores each field once with ``object.__setattr__``.  The base
+underscore is a cache, not a field).  The base ``__init__`` binds its
+arguments to the fields, positional values first, and stores each once
+with ``object.__setattr__``; a class writes its own ``__init__`` only to
+normalise, validate or default, and calls the base's once.  The base
 compares and hashes the fields as a tuple, prints them as
 ``Name(field=value, ...)`` and refuses assignment.  Unlike the standard
 library's record decorator, it imports no ``inspect`` and ``exec``s no
@@ -21,6 +23,28 @@ class Record:
         # ``_values(record)`` is the tuple of fields; a bare attrgetter,
         # not a method, is the fastest call for two or more fields.
         cls._values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values = self._bind(values, named)
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """The field values in order, or a TypeError that names the fields."""
+        fields = cls._fields
+        takes = f"{cls.__name__}({', '.join(fields)})"
+        if len(values) > len(fields):
+            raise TypeError(f"{takes} takes {len(fields)} values, got {len(values)}")
+        unknown = [name for name in named if name not in fields]
+        twice = [name for name in fields[: len(values)] if name in named]
+        missing = [name for name in fields[len(values) :] if name not in named]
+        for problem, names in (("unknown", unknown), ("repeated", twice), ("missing", missing)):
+            if names:
+                raise TypeError(f"{takes}: {problem} field(s) {', '.join(names)}")
+        return values + tuple(named[name] for name in fields[len(values) :])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")

@@ -44,8 +44,6 @@ from .fqmath import (
 from .records import Record
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .exactmath import Polynomial, RingDescriptor
 
 BRUTE_FORCE_BUDGET = 10**8
@@ -77,10 +75,6 @@ class ThetaSystem(Record):
     """
 
     __slots__ = ("n", "equations")
-
-    def __init__(self, n: int, equations: tuple[dict[int, int], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "equations", equations)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -253,42 +247,35 @@ def eliminate_x2(system: ThetaSystem) -> Polynomial:
     return -result if result and result.leading_term()[1] < 0 else result
 
 
-def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[Fraction] | None:
-    """Coefficients (ascending degree) of the poly through the given points.
+def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[int] | None:
+    """Coefficients (ascending degree) of the poly through the given points,
+    or None when it has a coefficient that is not an integer.
 
-    Newton's divided differences over exact rationals; returns None when
-    any coefficient fails to be an integer.
+    Newton's divided differences in integers: the Newton basis is monic
+    over Z, so the coefficients are integers exactly when every divided
+    difference is, and the first inexact division returns None.
     """
-    from fractions import Fraction
-
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    xs = [x for x, _ in points]
     m = len(points)
-    table = list(ys)
+    table = [y for _, y in points]
     newton = []
     for level in range(m):
         newton.append(table[0])
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + 1 + level] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-    # Expand Newton form into monomial coefficients.
-    coeffs = [Fraction(0)] * m
-    basis = [Fraction(1)] + [Fraction(0)] * (m - 1)
-    for level in range(m):
-        for i, c in enumerate(basis):
-            coeffs[i] += newton[level] * c
-        # basis *= (x - xs[level])
-        new_basis = [Fraction(0)] * m
-        for i, c in enumerate(basis):
-            if c == 0:
-                continue
-            if i + 1 < m:
-                new_basis[i + 1] += c
-            new_basis[i] -= c * xs[level]
-        basis = new_basis
-    if any(c.denominator != 1 for c in coeffs):
-        return None
+        next_table = []
+        for i in range(len(table) - 1):
+            quotient, rest = divmod(table[i + 1] - table[i], xs[i + 1 + level] - xs[i])
+            if rest:
+                return None
+            next_table.append(quotient)
+        table = next_table
+    # Expand the Newton form from the inside out:
+    # coeffs = newton[level] + (x - xs[level]) * coeffs.
+    coeffs: list[int] = []
+    for level in reversed(range(m)):
+        shifted = [newton[level], *coeffs]
+        for i, c in enumerate(coeffs):
+            shifted[i] -= xs[level] * c
+        coeffs = shifted
     return coeffs
 
 
@@ -301,8 +288,6 @@ def check_point_count_polynomiality(n: int) -> dict:
     The interpolation degree is n (the dimension of the chain system);
     returns the counts, integer coefficients, and verification outcome.
     """
-    from fractions import Fraction
-
     counts = [(q, count_theta_points_chain(n, q)) for q in POLYNOMIALITY_PRIMES]
     need = n + 1
     if len(counts) < need:
@@ -319,12 +304,9 @@ def check_point_count_polynomiality(n: int) -> dict:
         return result
 
     def value(q: int) -> int:
-        total = Fraction(0)
-        for i, c in enumerate(coeffs):
-            total += c * q**i
-        return int(total)
+        return sum(c * q**i for i, c in enumerate(coeffs))
 
-    result["coefficients"] = [int(c) for c in coeffs]
+    result["coefficients"] = coeffs
     result["verified"] = all(value(q) == count for q, count in counts[need:])
     return result
 

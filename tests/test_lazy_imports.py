@@ -95,6 +95,21 @@ def test_no_command_loads_dataclasses_or_inspect():
     assert "inspect" not in loaded
 
 
+def test_integer_commands_load_no_fractions():
+    # Classification, seed counts and the pipeline run on ints; fractions
+    # would also load decimal.
+    codes, loaded = _run_cli(
+        ("classify", "--type", "E6"),
+        ("mutate", "--ade", "D4", "--at", "1"),
+        ("seeds", "--type", "B3", "--summary"),
+        ("link", "--torus", "3", "4", "--pipeline"),
+    )
+    assert codes == [0, 0, 0, 0]
+    assert "singlink.cluster" in loaded
+    assert "fractions" not in loaded
+    assert "decimal" not in loaded
+
+
 def test_every_exported_name_resolves():
     out = _python(
         "import importlib, singlink\n"

@@ -1,12 +1,16 @@
 """Value semantics of every record class: field-wise equality and hashing,
-no assignment, a dataclass-style repr, the defaults, Brick ordering and
-the mutable CheckResult."""
+no assignment, a dataclass-style repr, the defaults, the base
+constructor's argument errors, Brick ordering and the mutable
+CheckResult."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import singlink
 from singlink.augment import AugmentationSystem
 from singlink.bricks import Brick, BrickQuiver
 from singlink.checks import CheckResult
@@ -14,6 +18,7 @@ from singlink.cluster import DynkinType, ExchangeMatrix, Seed, initial_seed
 from singlink.divides import AcampoQuiver, Divide, DivideFaces, Face, Strand
 from singlink.exactmath import RingDescriptor
 from singlink.links import ADELabel, BraidWord, CablePairs, LinkInvariants, PuiseuxPairs
+from singlink.records import Record
 from singlink.sheafmoduli import ThetaSystem
 
 B2 = ExchangeMatrix(2, ((0, 1), (-1, 0)), (1, 1))
@@ -86,6 +91,39 @@ def test_records_refuse_assignment(cls, fields, changed):
         assert getattr(record, name) == value
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_every_record_class_is_listed():
+    for module in pkgutil.iter_modules(singlink.__path__):
+        importlib.import_module(f"singlink.{module.name}")
+    classes = set()
+    pending = [Record]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            if cls.__module__.startswith("singlink.") and cls not in classes:
+                classes.add(cls)
+                pending.append(cls)
+    assert classes == {cls for cls, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, problem",
+    [
+        ((1, 1, 1), {}, "missing field(s) tb, milnor_number"),
+        ((1, 1), {"first_betti": 1, "tb": 1}, "missing field(s) milnor_number"),
+        ((1, 1, 1, 1, 1), {"genus": 0}, "unknown field(s) genus"),
+        ((1, 1, 1, 1), {"tb": 1, "milnor_number": 1}, "repeated field(s) tb"),
+        ((1, 1, 1, 1, 1, 1), {}, "takes 5 values, got 6"),
+    ],
+)
+def test_base_constructor_names_the_fields_on_bad_arguments(args, kwargs, problem):
+    with pytest.raises(TypeError) as error:
+        LinkInvariants(*args, **kwargs)
+    message = str(error.value)
+    assert problem in message
+    assert message.startswith(
+        "LinkInvariants(components, euler_characteristic, first_betti, tb, milnor_number)"
+    )
 
 
 def test_same_fields_in_different_classes_differ():
