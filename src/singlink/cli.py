@@ -317,10 +317,14 @@ def cmd_seeds(args) -> int:
         "initial_matrix": matrix.to_json_dict(),
     }
     if not args.summary:
+        # The search pools equal cluster variables into one object, so each
+        # distinct variable is rendered once.
+        variables = {id(var): var for seed in seeds for var in seed.cluster}
+        texts = {key: var.to_text() for key, var in variables.items()}
         payload["seeds"] = [
             {
                 "matrix": seed.matrix.to_json_dict(),
-                "cluster": [var.to_text() for var in seed.cluster],
+                "cluster": [texts[id(var)] for var in seed.cluster],
             }
             for seed in seeds
         ]

@@ -12,7 +12,8 @@ its unordered set of cluster variables and returns the Laurent seeds
 (the ``seeds`` command and the seed-count check), and :func:`count_seeds`
 keys it by its set of c-vectors and mutates only integer matrices (the
 pipeline's seed count), with B held as sparse rows of nonzeros so that a
-mutation touches only direction k and its neighbours.
+mutation touches only direction k and its neighbours.  Mutation is an
+involution, so both searches skip the edge back to a seed's BFS parent.
 """
 
 from __future__ import annotations
@@ -346,18 +347,23 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
     is memoized on ``(id of x_k, frozenset of (id of x_i, b_ik) with
     b_ik != 0)``, a local configuration that the larger frontiers (E7,
     E8) revisit constantly.  The matrix of a neighbour is mutated only
-    when its cluster is new.
+    when its cluster is new.  Each seed is queued with the direction that
+    reached it, and that direction is skipped when the seed is popped:
+    mutation is an involution, so the exchange would only return the
+    parent.
     """
     _check_seed_budget(matrix, cap)
     start = initial_seed(matrix)
     pool: dict = {var: var for var in start.cluster}
     exchange_memo: dict = {}
     seen: dict[frozenset, Seed] = {frozenset(map(id, start.cluster)): start}
-    queue: deque[Seed] = deque([start])
+    queue: deque[tuple[Seed, int]] = deque([(start, -1)])
     while queue:
-        seed = queue.popleft()
+        seed, parent = queue.popleft()
         ids = tuple(map(id, seed.cluster))
         for kk, column in enumerate(zip(*seed.matrix.entries)):
+            if kk == parent:
+                continue  # mutation at kk is an involution
             memo_key = (ids[kk], frozenset(itertools.compress(zip(ids, column), column)))
             new_var = exchange_memo.get(memo_key)
             if new_var is None:
@@ -369,7 +375,7 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
                     raise BudgetExceededError(f"more than {cap} seeds reached", cap)
                 cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]
                 seen[key] = neighbor = Seed(mutate(seed.matrix, kk + 1), cluster)
-                queue.append(neighbor)
+                queue.append((neighbor, kk))
     return tuple(seen.values())
 
 

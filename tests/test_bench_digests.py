@@ -18,9 +18,6 @@ from singlink import cli
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
-# Tasks too slow for the default suite (seconds each).
-DEEP_TASKS = {"seeds --type E7 --summary --cap 5000"}
-
 
 def _load_workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
@@ -35,9 +32,7 @@ EXPECTED = workloads.load_expected()
 
 def _params():
     for task in workloads.all_fixed_tasks():
-        name = workloads.task_id(task)
-        marks = [pytest.mark.deep] if name in DEEP_TASKS else []
-        yield pytest.param(task, id=name, marks=marks)
+        yield pytest.param(task, id=workloads.task_id(task))
 
 
 def _run(task: dict) -> tuple[int, str]:
@@ -52,11 +47,6 @@ def _run(task: dict) -> tuple[int, str]:
     finally:
         sys.stdin = saved_stdin
     return code, out.getvalue()
-
-
-def test_deep_tasks_exist():
-    names = {workloads.task_id(task) for task in workloads.all_fixed_tasks()}
-    assert DEEP_TASKS <= names
 
 
 @pytest.mark.parametrize("task", _params())

@@ -651,6 +651,38 @@ def test_seeds_full_dump_parses():
             parse_polynomial(text, ring)  # must round-trip
 
 
+def test_seeds_dump_renders_each_cluster_variable_once(monkeypatch):
+    from singlink.cluster import enumerate_seeds
+    from singlink.exactmath import Polynomial
+
+    matrix = initial_matrix(DynkinType("A", 3))
+    expected = {
+        "count": 14,
+        "initial_matrix": matrix.to_json_dict(),
+        "seeds": [
+            {
+                "matrix": seed.matrix.to_json_dict(),
+                "cluster": [var.to_text() for var in seed.cluster],
+            }
+            for seed in enumerate_seeds(matrix)
+        ],
+    }
+    calls = []
+    original = Polynomial.to_text
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "to_text", counted)
+    code, out, _ = run_cli("seeds", "--type", "A3")
+    assert code == 0
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    # A3 has 9 cluster variables (3 initial, 6 more) in 14 seeds of 3.
+    assert len(calls) == 9
+    assert len(set(map(original, calls))) == 9
+
+
 def test_seeds_cap_budget_exit():
     code, _, err = run_cli("seeds", "--type", "E6", "--cap", "10")
     assert code == 3

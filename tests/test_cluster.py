@@ -347,10 +347,23 @@ def _enumerate_seeds_plainly(matrix: ExchangeMatrix, cap: int) -> tuple[Seed, ..
     return tuple(seen.values())
 
 
-@pytest.mark.parametrize("type_text", ["A5", "B3", "C3", "G2", "D5", "F4", "D6", "A1xA2"])
+# Initial seeds other than initial_matrix's trees: a disconnected one, and
+# two with oriented cycles, so that the parent-edge skip is also checked
+# away from acyclic seeds.
+_NAMED_MATRICES = {
+    "A1xA2": M([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+    "D4-mutated-at-centre": mutate(initial_matrix(DynkinType("D", 4)), 2),
+    "A3-oriented-3-cycle": M([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "type_text",
+    ["A5", "B3", "C3", "G2", "D5", "F4", "D6", *_NAMED_MATRICES],
+)
 def test_enumerate_seeds_matches_a_plain_breadth_first_search(type_text):
-    if type_text == "A1xA2":
-        matrix = M([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    if type_text in _NAMED_MATRICES:
+        matrix = _NAMED_MATRICES[type_text]
     else:
         matrix = initial_matrix(parse_dynkin_type(type_text))
     seeds = enumerate_seeds(matrix, cap=1000)
@@ -373,9 +386,11 @@ def test_enumerate_seeds_mutates_each_new_seed_once_and_divides_as_before(monkey
         monkeypatch.setattr(cluster_module, name, counted)
     seeds = enumerate_seeds(initial_matrix(DynkinType("E", 6)), cap=1000)
     assert len(seeds) == 833
-    # One matrix mutation per seed past the first; 770 Laurent divisions,
-    # the exchange memo's count on E6.
-    assert calls == {"mutate": 832, "divide_exact": 770}
+    # One matrix mutation per seed past the first; 654 Laurent divisions,
+    # the exchange memo's count on E6.  The edge back to a seed's parent is
+    # never exchanged: mutation is an involution, so it only returns the
+    # parent.
+    assert calls == {"mutate": 832, "divide_exact": 654}
 
 
 # -- the c-vector seed counter -------------------------------------------------
