@@ -35,8 +35,9 @@ through one factor only.  So a system stores each equation as a term map
 {bitmask of z's: coefficient} (see :mod:`fqmath`), and leaves out the
 lone term t^(+-1) of the (1,1) equation: building, printing and
 compiling it take time linear in its terms, not terms times s.  Dense
-polynomials are built only for the oracles
-(:meth:`AugmentationSystem.polynomials`, :func:`symbolic_determinant`).
+polynomials are built only for the oracles, which live in :mod:`checks`
+(``augmentation_polynomials``, ``symbolic_determinant``), so that a
+counting process compiles none of them.
 
 The brute force runs as one Python function generated per system, with
 every equation unrolled into plain sums of products.  One loop emitter,
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .fqmath import (
     INNER_LOOPS,
@@ -69,9 +69,6 @@ from .fqmath import (
 )
 from .links import BraidWord, braid_invariants, half_twist
 from .records import Record
-
-if TYPE_CHECKING:
-    from .exactmath import Polynomial, RingDescriptor
 
 BRUTE_FORCE_BUDGET = 10**8
 DP_STATE_BUDGET = 10**6
@@ -100,13 +97,6 @@ def augmentation_variables(s: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(1, s + 1)) + ("t",)
 
 
-def augmentation_ring(s: int) -> RingDescriptor:
-    """Z[z_1..z_s, t, t^-1], the dense ring of the oracles."""
-    from .exactmath import RingDescriptor
-
-    return RingDescriptor(augmentation_variables(s), laurent=frozenset({"t"}))
-
-
 class AugmentationSystem(Record):
     """The n^2 equations cutting out the augmentation variety in C^s x C*.
 
@@ -133,15 +123,6 @@ class AugmentationSystem(Record):
     def equation(self, i: int, j: int) -> dict[int, int]:
         """Row-major access, 1-based; the lone t term is not in the map."""
         return self.equations[(i - 1) * self.strands + (j - 1)]
-
-    def polynomials(self) -> tuple[Polynomial, ...]:
-        """The equations as dense polynomials of :func:`augmentation_ring`."""
-        from .exactmath import multilinear_polynomial
-
-        ring = augmentation_ring(self.z_count)
-        dense = [multilinear_polynomial(ring, eq, self.z_count) for eq in self.equations]
-        dense[0] = dense[0] + ring.var("t", self.t_exponent)
-        return tuple(dense)
 
 
 def braid_matrix(word: BraidWord) -> tuple[tuple[dict[int, int], ...], ...]:
@@ -241,7 +222,7 @@ def _choose_pins(constraints, s: int):
 
 @functools.lru_cache(maxsize=32)
 def _bruteforce_kernel(entry, constraints, s: int):
-    """kernel(q, check) -> count: the prefix loop, generated for one system.
+    """kernel(q, e, check) -> count: the prefix loop, generated for one system.
 
     Takes the parts :func:`_compile_system` returns.  The kernel does not
     depend on q, so a system counted at several primes is compiled once
@@ -265,8 +246,9 @@ def _bruteforce_kernel(entry, constraints, s: int):
     every sum by its monomials in the loop variables, with coefficients
     summed once per outer prefix and combined one loop variable at a
     time, and tests a constraint at the first loop that binds all its
-    variables.  The body solves the (1,1) entry for t^(+-1), one solution
-    per nonzero value, and calls ``check`` on every value counted.
+    variables.  A solved level takes b^-1 from one :class:`fqmath.Inverses`
+    per call.  The body solves the (1,1) entry for u = t^(+-1) and counts
+    u == e; it calls ``check`` on any other nonzero u.
     """
     pins = _choose_pins(constraints, s)
     free = [i for i in range(s - 1) if i not in pins.values()]
@@ -278,14 +260,15 @@ def _bruteforce_kernel(entry, constraints, s: int):
         levels.append((s - 1, solver))
     sums = [(terms, i not in pins and i != solver) for i, terms in enumerate(constraints)]
     lines = [
-        "def kernel(q, check):",
+        "def kernel(q, e, check):",
         "    found = 0",
         "    values = range(q)",
+        "    inverse = Inverses(q)",
         f"    for {''.join(f'z{i}, ' for i in free[:cut]) or '()'} in product(values, "
         f"repeat={cut}):",
     ]
     hoisted, pad, rest = hoisted_loops(sums + [(entry, False)], levels, "z", "        ")
-    body = [f"u = -({rest[-1]}) % q", "if u:", "    check(u)", "    found += 1"]
+    body = [f"u = -({rest[-1]}) % q", "if u == e:", "    found += 1", "elif u:", "    check(u)"]
     lines += hoisted + [pad + line for line in body]
     lines.append("    return found")
     return compile_kernel(lines)
@@ -308,7 +291,10 @@ def count_solutions_bruteforce(
     q^(s-1) times the number of terms, is an upper bound on the work;
     within the budget the loop runs as Python source generated for the
     system (:func:`_bruteforce_kernel`).  Every solution found is checked
-    against the sign law t = (-1)^(n+s).
+    against the sign law t = (-1)^(n+s): e = (-1)^(n+s) mod q is the one
+    value of t^(+-1) it allows in either t convention, as (+-1)^-1 = +-1,
+    so the kernel counts u == e and calls the law only on any other
+    nonzero u, where it raises.
     """
     if not is_prime(q):
         raise AugmentError(f"{q} is not prime")
@@ -329,7 +315,7 @@ def count_solutions_bruteforce(
                 f"solution with t = {t_val} violates t = (-1)^(n+s) = {expected_t}"
             )
 
-    return _bruteforce_kernel(*_compile_system(system), s)(q, check_sign_law)
+    return _bruteforce_kernel(*_compile_system(system), s)(q, expected_t, check_sign_law)
 
 
 def count_solutions_dp(word: BraidWord, q: int) -> int:
@@ -561,16 +547,6 @@ def _count_by_cosets(word: BraidWord, q: int) -> int:
         )
         total += dist.get(target, 0)
     return total
-
-
-def symbolic_determinant(word: BraidWord) -> Polynomial:
-    """det B(word) as an exact dense polynomial; equals (-1)^s identically."""
-    from .exactmath import PolyMatrix, multilinear_polynomial
-
-    s = len(word)
-    ring = augmentation_ring(s)
-    rows = [[multilinear_polynomial(ring, entry, s) for entry in row] for row in braid_matrix(word)]
-    return PolyMatrix(ring, rows).det()
 
 
 def system_to_json_dict(system: AugmentationSystem) -> dict:

@@ -8,6 +8,13 @@ Known red check: ``theta_polynomiality`` fails for n = 3 because the
 chain system's F_2 point count (11) is incompatible with the polynomial
 q^3 - 1 interpolating the odd-prime counts; see the README discussion.
 The check is implemented as stated and reports the failure honestly.
+
+The dense oracles live here, not in the counting modules, so that a
+counting process compiles none of them: the augmentation and chain
+systems as dense polynomials of :mod:`exactmath`, the symbolic braid
+determinant, the elimination of x_2, the chain-system brute force over
+F_q^(2n) and the integer interpolation of the polynomiality check.  The
+tests use them too.
 """
 
 from __future__ import annotations
@@ -16,6 +23,21 @@ import random
 import time
 
 from . import augment, bricks, cluster, dividecatalog, divides, links, sheafmoduli
+from .exactmath import (
+    PolyMatrix,
+    Polynomial,
+    RingDescriptor,
+    multilinear_polynomial,
+    parse_polynomial,
+)
+from .fqmath import (
+    INNER_LOOPS,
+    BudgetExceededError,
+    compile_kernel,
+    hoisted_loops,
+    is_prime,
+    mask_indices,
+)
 from .graphs import dynkin_tree_edges, graphs_isomorphic
 
 RANDOM_SEED = 20_240_817  # of the randomized instances of every check
@@ -29,6 +51,8 @@ SEED_COUNT_TARGETS = {
 DEEP_SEED_COUNT_TARGETS = {"E7": 4160, "E8": 25080}
 SEED_COUNT_CAP = 30_000
 THETA_POLYNOMIALITY_NS = (2, 3, 4)
+POLYNOMIALITY_PRIMES = (2, 3, 5, 7, 11)
+THETA_BRUTE_FORCE_BUDGET = 10**8  # points of F_q^(2n)
 UNKNOT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 WORKED_EXAMPLE_BRAID = links.BraidWord(
@@ -41,6 +65,153 @@ WORKED_EXAMPLE_EQ11 = (
     " + z9*z14*z19*z23 + z11*z15*z19*z23 + z9*z12*z15*z19*z23"
     " + z23 + t^-1"
 )
+
+
+# -- dense oracles -------------------------------------------------------------
+
+
+def augmentation_ring(s: int) -> RingDescriptor:
+    """Z[z_1..z_s, t, t^-1], the dense ring of the augmentation oracles."""
+    return RingDescriptor(augment.augmentation_variables(s), laurent=frozenset({"t"}))
+
+
+def augmentation_polynomials(system: augment.AugmentationSystem) -> tuple[Polynomial, ...]:
+    """The equations as dense polynomials of :func:`augmentation_ring`."""
+    ring = augmentation_ring(system.z_count)
+    dense = [multilinear_polynomial(ring, eq, system.z_count) for eq in system.equations]
+    dense[0] = dense[0] + ring.var("t", system.t_exponent)
+    return tuple(dense)
+
+
+def symbolic_determinant(word: links.BraidWord) -> Polynomial:
+    """det B(word) as an exact dense polynomial; equals (-1)^s identically."""
+    s = len(word)
+    ring = augmentation_ring(s)
+    rows = [
+        [multilinear_polynomial(ring, entry, s) for entry in row]
+        for row in augment.braid_matrix(word)
+    ]
+    return PolyMatrix(ring, rows).det()
+
+
+def theta_ring(n: int) -> RingDescriptor:
+    """Z[x_1..x_n, a_1..a_n], the dense ring of the chain-system oracles."""
+    return RingDescriptor(sheafmoduli.theta_variables(n))
+
+
+def theta_polynomials(system: sheafmoduli.ThetaSystem) -> tuple[Polynomial, ...]:
+    """The equations as dense polynomials of :func:`theta_ring`."""
+    ring = theta_ring(system.n)
+    return tuple(multilinear_polynomial(ring, eq) for eq in system.equations)
+
+
+def count_theta_points_brute(system: sheafmoduli.ThetaSystem, q: int) -> int:
+    """Oracle: enumerate F_q^(2n) and test every equation.
+
+    The loop runs as Python source generated for the system, in the
+    variables v0, .., v{2n-1}: the last ``fqmath.INNER_LOOPS`` in nested
+    loops inside one ``product`` loop over the others, every equation
+    tested, as one plain sum of products, at the first loop that binds all
+    its variables (:func:`fqmath.hoisted_loops`).
+    """
+    if not is_prime(q):
+        raise sheafmoduli.ThetaError(f"{q} is not prime")
+    nvars = 2 * system.n
+    if q**nvars > THETA_BRUTE_FORCE_BUDGET:
+        raise BudgetExceededError(f"q^(2n) = {q}^{nvars} exceeds the enumeration budget")
+    cut = max(nvars - INNER_LOOPS, 0)
+    sums = [
+        ([(coeff, mask_indices(mask, nvars)) for mask, coeff in eq.items()], True)
+        for eq in system.equations
+    ]
+    levels = [(v, None) for v in range(cut, nvars)]
+    hoisted, pad, _ = hoisted_loops(sums, levels, "v", "        ")
+    outer = "".join(f"v{i}, " for i in range(cut)) or "()"
+    lines = [
+        "def kernel(q):",
+        "    count = 0",
+        "    values = range(q)",
+        f"    for {outer} in product(values, repeat={cut}):",
+        *hoisted,
+        f"{pad}count += 1",
+        "    return count",
+    ]
+    return compile_kernel(lines)(q)
+
+
+def eliminate_x2(system: sheafmoduli.ThetaSystem) -> Polynomial:
+    """For n = 2: substitute x_2 = -1 - x_1 a_1 into the second equation.
+
+    The sign-normalized result equals x*y*z + x - z - 1 under the variable
+    relabeling (x, y, z) = (a_2, x_1, a_1).
+    """
+    if system.n != 2:
+        raise sheafmoduli.ThetaError("elimination shortcut is defined for n = 2")
+    ring = theta_ring(2)
+    replacement = -ring.one() - ring.var("x1") * ring.var("a1")
+    result = theta_polynomials(system)[1].substitute("x2", replacement)
+    return -result if result and result.leading_term()[1] < 0 else result
+
+
+def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[int] | None:
+    """Coefficients (ascending degree) of the poly through the given points,
+    or None when it has a coefficient that is not an integer.
+
+    Newton's divided differences in integers: the Newton basis is monic
+    over Z, so the coefficients are integers exactly when every divided
+    difference is, and the first inexact division returns None.
+    """
+    xs = [x for x, _ in points]
+    m = len(points)
+    table = [y for _, y in points]
+    newton = []
+    for level in range(m):
+        newton.append(table[0])
+        next_table = []
+        for i in range(len(table) - 1):
+            quotient, rest = divmod(table[i + 1] - table[i], xs[i + 1 + level] - xs[i])
+            if rest:
+                return None
+            next_table.append(quotient)
+        table = next_table
+    # Expand the Newton form from the inside out:
+    # coeffs = newton[level] + (x - xs[level]) * coeffs.
+    coeffs: list[int] = []
+    for level in reversed(range(m)):
+        shifted = [newton[level], *coeffs]
+        for i, c in enumerate(coeffs):
+            shifted[i] -= xs[level] * c
+        coeffs = shifted
+    return coeffs
+
+
+def check_point_count_polynomiality(n: int) -> dict:
+    """Fit counts over the first deg+1 of ``POLYNOMIALITY_PRIMES``; verify on the rest.
+
+    The interpolation degree is n (the dimension of the chain system);
+    returns the counts, integer coefficients, and verification outcome.
+    """
+    counts = [(q, sheafmoduli.count_theta_points_chain(n, q)) for q in POLYNOMIALITY_PRIMES]
+    need = n + 1
+    if len(counts) < need:
+        raise sheafmoduli.ThetaError(f"need at least {need} primes to interpolate degree {n}")
+    coeffs = interpolate_integer_polynomial(counts[:need])
+    result = {
+        "n": n,
+        "counts": counts,
+        "degree": n,
+        "integer_coefficients": coeffs is not None,
+        "verified": False,
+    }
+    if coeffs is None:
+        return result
+
+    def value(q: int) -> int:
+        return sum(c * q**i for i, c in enumerate(coeffs))
+
+    result["coefficients"] = coeffs
+    result["verified"] = all(value(q) == count for q, count in counts[need:])
+    return result
 
 
 class CheckResult:
@@ -205,10 +376,8 @@ def check_mutation_properties(instances: int = 10_000, walks: int = 1_000) -> Ch
 def check_worked_example() -> CheckResult:
     word = links.append_full_twist(WORKED_EXAMPLE_BRAID)
     system = augment.augmentation_equations(word, t_convention="t-inverse")
-    from .exactmath import parse_polynomial
-
     # Canonical texts are equal exactly when the polynomials are.
-    expected = parse_polynomial(WORKED_EXAMPLE_EQ11, augment.augmentation_ring(len(word)))
+    expected = parse_polynomial(WORKED_EXAMPLE_EQ11, augmentation_ring(len(word)))
     structure_ok = len(word) == 31 and len(system.equations) == 16
     eq_ok = augment.system_to_json_dict(system)["equations"][0] == expected.to_text()
     return CheckResult(
@@ -237,7 +406,7 @@ def check_augmentation_oracles(words: int = 50) -> CheckResult:
             dp = augment.count_solutions_dp(word, q)
             if brute != dp:
                 mismatches.append({"word": letters, "strands": n, "q": q, "brute": brute, "dp": dp})
-        det = augment.symbolic_determinant(word)
+        det = symbolic_determinant(word)
         if det != det.ring.const((-1) ** s):
             det_failures.append({"word": letters, "strands": n})
     return CheckResult(
@@ -254,14 +423,10 @@ def check_theta_equivalence() -> CheckResult:
         for n in range(2, 9)
     )
     system = sheafmoduli.theta_equations_recursion(2)
-    from .exactmath import parse_polynomial
-
-    elim_ok = sheafmoduli.eliminate_x2(system) == parse_polynomial(
-        "x1*a1*a2 + a2 - a1 - 1", sheafmoduli.theta_ring(2)
-    )
+    elim_ok = eliminate_x2(system) == parse_polynomial("x1*a1*a2 + a2 - a1 - 1", theta_ring(2))
     counts = {
         "chain": sheafmoduli.count_theta_points_chain(2, 2),
-        "brute": sheafmoduli.count_theta_points_brute(system, 2),
+        "brute": count_theta_points_brute(system, 2),
     }
     count_ok = counts["chain"] == counts["brute"] == 5
     return CheckResult(
@@ -274,7 +439,7 @@ def check_theta_equivalence() -> CheckResult:
 def check_theta_polynomiality() -> CheckResult:
     rows = []
     for n in THETA_POLYNOMIALITY_NS:
-        report = sheafmoduli.check_point_count_polynomiality(n)
+        report = check_point_count_polynomiality(n)
         rows.append(
             {
                 "n": n,

@@ -115,21 +115,18 @@ def multilinear_key(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
-def _mask_bits(mask: int):
-    # The set bits of mask, highest (first variable) first.
-    while mask:
-        bit = mask.bit_length() - 1
-        yield bit
-        mask ^= 1 << bit
-
-
 def mask_indices(mask: int, width: int) -> tuple[int, ...]:
     """The variables of a mask over ``width`` variables, in increasing order.
 
-    These are the index tuples :func:`sum_source` takes.
+    These are the index tuples :func:`hoisted_loops` takes.
     """
+    indices = []
     top = width - 1
-    return tuple(top - bit for bit in _mask_bits(mask))
+    while mask:  # the highest set bit is the first variable
+        bit = mask.bit_length() - 1
+        indices.append(top - bit)
+        mask ^= 1 << bit
+    return tuple(indices)
 
 
 def multilinear_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
@@ -154,10 +151,10 @@ def multilinear_text(
     of degree >= its own and before the rest.  Zero coefficients print
     nothing, as the polynomial does not store them.
     """
-    top = len(names) - 1
+    width = len(names)
     ordered = sorted(terms, key=multilinear_key, reverse=True)
     pairs = [
-        (terms[mask], "*".join([names[top - bit] for bit in _mask_bits(mask)]))
+        (terms[mask], "*".join([names[i] for i in mask_indices(mask, width)]))
         for mask in ordered
     ]
     if lone is not None:
@@ -179,18 +176,30 @@ SUM_CHUNK = 64
 # of an A6 augmentation kernel about twice as long and slower to compile
 # than it saved.
 INNER_LOOPS = 3
+# Inverses a kernel's :class:`Inverses` holds before it starts over, so that
+# it stays small when q is a huge prime (a tiny system counted at q ~ 10^9).
+INVERSE_CACHE = 4096
 
 
-def sum_source(terms: Iterable[tuple[int, Iterable[int]]], name: str) -> str:
-    """Python source of the sum of coeff * name<i> * name<j> * .. over terms.
+class Inverses(dict):
+    """b -> b^-1 mod q for b != 0, each computed on first use.
 
-    Each term is (coeff, variable indices), an index repeated once per power.
-    The source holds only integer literals, the names ``name<i>``, ``*``,
-    ``+``, ``-`` and parentheses; the empty sum is ``0``.
+    A generated kernel binds one per call as ``inverse`` and solves a
+    level by a lookup instead of ``pow(b, -1, q)`` on every iteration.
+    It holds at most ``INVERSE_CACHE`` entries, all of them for
+    q <= ``INVERSE_CACHE``; past that it is emptied and refilled.
     """
-    return _join_sum(
-        [_scaled(f"{coeff:d}", "*".join([f"{name}{i}" for i in indices])) for coeff, indices in terms]
-    )
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int) -> None:
+        self.q = q
+
+    def __missing__(self, b: int) -> int:
+        if len(self) >= INVERSE_CACHE:
+            self.clear()
+        inverse = self[b] = pow(b, -1, self.q)
+        return inverse
 
 
 def _scaled(coeff: str, factors: str) -> str:
@@ -215,15 +224,17 @@ def _join_sum(parts: list[str]) -> str:
 def hoisted_loops(sums, levels, name: str, pad: str):
     """Nested loops over ``levels``, with the sums of ``sums`` hoisted out of them.
 
-    ``sums`` holds (terms, test) pairs, the terms as :func:`sum_source`
-    takes them, each variable ``name<i>`` at most once per term.  The
-    outer variables, every one not in ``levels``, are bound before these
+    ``sums`` holds (terms, test) pairs, each term (coeff, variable
+    indices) with each variable ``name<i>`` at most once.  The outer
+    variables, every one not in ``levels``, are bound before these
     lines.  ``levels`` holds (v, j) pairs, one nested loop each, in
     order: with j None, ``for name<v> in values:``; otherwise v runs over
     the solutions of sum j, which must read a + b v with a and b bound
     before the loop (and must not be a test).  Where b != 0 that is
     -a/b, where b = 0 != a the loop is skipped by ``continue``, and where
-    a = b = 0 v runs over all of ``values``.
+    a = b = 0 v runs over all of ``values``.  The lines read ``q``,
+    ``values`` (``range(q)``) and, for a solved level, ``inverse`` (an
+    :class:`Inverses` of q), which the caller binds before them.
 
     Each sum is regrouped by its monomials m in the level variables:
     every coefficient c_m is one sum over the outer variables, assigned
@@ -237,7 +248,9 @@ def hoisted_loops(sums, levels, name: str, pad: str):
     inside the last loop, and per sum the source of its value there, in
     the coefficients, or None for a test or solved sum.
     """
-    bound = {v for v, _ in levels}
+    # A monomial in the level variables is keyed by a mask with bit d for
+    # the variable of level d.
+    bit_of = {v: 1 << d for d, (v, _) in enumerate(levels)}
     blocks = [[] for _ in range(len(levels) + 1)]
     named: dict[str, str] = {}
 
@@ -260,50 +273,51 @@ def hoisted_loops(sums, levels, name: str, pad: str):
     for j, (terms, is_test) in enumerate(sums):
         if is_test and not terms:
             continue
-        grouped: dict[tuple[int, ...], list] = {}
+        grouped: dict[int, list[str]] = {}
         for coeff, indices in terms:
-            key = tuple(i for i in indices if i in bound)
-            outer = tuple(i for i in indices if i not in bound)
-            grouped.setdefault(key, []).append((coeff, outer))
-        if is_test and list(grouped) == [()]:
-            test(sum_source(terms, name), 0)  # tested before any coefficient
+            key, outer = 0, []
+            for i in indices:
+                if i in bit_of:
+                    key |= bit_of[i]
+                else:
+                    outer.append(f"{name}{i}")
+            grouped.setdefault(key, []).append(_scaled(f"{coeff:d}", "*".join(outer)))
+        if is_test and list(grouped) == [0]:
+            test(_join_sum(grouped[0]), 0)  # tested before any coefficient
         else:
             pending.append((j, grouped))
     for j, grouped in pending:
-        states[j] = {key: atom(sum_source(group, name), 0) for key, group in grouped.items()}
+        states[j] = {key: atom(_join_sum(group), 0) for key, group in grouped.items()}
     for depth, (v, solved) in enumerate(levels, start=1):
+        bit = bit_of[v]
         if solved is not None:
             state = states.pop(solved)
-            a = state.get((), "0")
+            a = state.get(0, "0")
             blocks[depth - 1] += [
-                f"b = ({state.get((v,), '0')}) % q",
-                "if b:",
-                f"    values{v} = (-{a} * pow(b, -1, q) % q,)",
-                f"elif {a} % q:",
+                f"if not (b := ({state.get(bit, '0')}) % q) and {a} % q:",
                 "    continue",
-                "else:",
-                f"    values{v} = values",
+                f"values{v} = (-{a} * inverse[b] % q,) if b else values",
             ]
         combined = {}
         for j, state in states.items():
-            if not any(v in key for key in state):
+            if not any(key & bit for key in state):
                 continue
-            parts: dict[tuple[int, ...], list[str]] = {}
+            parts: dict[int, list[str]] = {}
             for key, coeff in state.items():
-                if v in key:
-                    key = tuple(i for i in key if i != v)
+                if key & bit:
+                    key ^= bit
                     coeff = _scaled(coeff, f"{name}{v}")
                 parts.setdefault(key, []).append(coeff)
             combined[j] = parts
         for j, parts in list(combined.items()):
-            if sums[j][1] and list(parts) == [()]:
-                test(" + ".join(parts[()]), depth)
+            if sums[j][1] and list(parts) == [0]:
+                test(" + ".join(parts[0]), depth)
                 del combined[j], states[j]
         for j, parts in combined.items():
             states[j] = {key: atom(" + ".join(part), depth) for key, part in parts.items()}
     rest: list[str | None] = [None] * len(sums)
     for j, state in states.items():
-        rest[j] = state.get((), "0")
+        rest[j] = state.get(0, "0")
     lines = []
     for depth, (v, solved) in enumerate(levels):
         lines += [pad + line for line in blocks[depth]]
@@ -316,10 +330,11 @@ def hoisted_loops(sums, levels, name: str, pad: str):
 def compile_kernel(lines: list[str]):
     """The function ``kernel`` that the generated source lines define.
 
-    Its only global is ``product`` (``itertools.product``); callers build
-    the lines from :func:`sum_source`, :func:`hoisted_loops` and fixed
-    text, never from input text.
+    Its only globals are ``product`` (``itertools.product``) and
+    :class:`Inverses`; callers build the lines from :func:`hoisted_loops`
+    and fixed text, never from input text.  The emitted sums hold only
+    integer literals, names, ``*``, ``+``, ``-`` and parentheses.
     """
-    namespace = {"product": product}
+    namespace = {"product": product, "Inverses": Inverses}
     exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
     return namespace["kernel"]

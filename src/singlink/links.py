@@ -8,6 +8,7 @@ closure, all strands coherently oriented).
 
 from __future__ import annotations
 
+import math
 import re
 
 from .records import Record
@@ -37,8 +38,10 @@ def _check_braid_size(strands: int, letters: int) -> None:
 class PuiseuxPairs(Record):
     """Ordered characteristic pairs (n_i, m_i) of a Puiseux expansion.
 
-    Requires m_i >= 2 and strictly increasing exponents:
+    Requires m_i >= 2, gcd(n_i, m_i) = 1 and strictly increasing exponents:
     n_i / (m_1...m_i) > n_{i-1} / (m_1...m_{i-1}), i.e. n_i > n_{i-1} * m_i.
+    A pair with a common factor is not characteristic: (4, 2) is the
+    exponent 4/2 = 2 of the smooth branch y = x^2.
     """
 
     __slots__ = ("pairs",)
@@ -57,6 +60,11 @@ class PuiseuxPairs(Record):
                 raise LinkError(
                     "Puiseux exponents must strictly increase: "
                     f"need n_i > n_(i-1)*m_i, got {n} <= {prev_n}*{m}"
+                )
+            common = math.gcd(n, m)
+            if common > 1:
+                raise LinkError(
+                    f"Puiseux pair ({n}, {m}) is not characteristic: gcd = {common} > 1"
                 )
             prev_n = n
 

@@ -20,33 +20,27 @@ Point counting over F_q: the chain count walks the equations left to
 right with state (a_j, x_{j+1}).  Its q^2 states lump exactly into six
 classes (seven with the unreachable (0, 0)), so the count is a linear
 recurrence on six integers: O(n) work for every prime q, with its own
-two-class branch in characteristic 2, where 1 = -1.  A budget-guarded
-brute force over F_q^(2n) is the independent oracle.  The cyclic open
+two-class branch in characteristic 2, where 1 = -1.  The cyclic open
 positroid stratum of Gr(2, n+3), reported alongside for comparison, is
 counted in closed form.
+
+The oracles live in :mod:`checks`: the dense polynomials of a system
+(``theta_polynomials``), the elimination of x_2 for n = 2, a
+budget-guarded brute force over F_q^(2n) and the integer interpolation
+of the polynomiality check.  So a counting process compiles none of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .fqmath import (
-    INNER_LOOPS,
     BudgetExceededError,
-    compile_kernel,
-    hoisted_loops,
     is_prime,
-    mask_indices,
     multilinear_key,
     multilinear_product,
     multilinear_text,
 )
 from .records import Record
 
-if TYPE_CHECKING:
-    from .exactmath import Polynomial, RingDescriptor
-
-BRUTE_FORCE_BUDGET = 10**8
 THETA_MAX_N = 1000
 
 THETA_METHODS = ("recursion", "wedge")
@@ -58,13 +52,6 @@ class ThetaError(ValueError):
 
 def theta_variables(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"a{i}" for i in range(1, n + 1))
-
-
-def theta_ring(n: int) -> RingDescriptor:
-    """Z[x_1..x_n, a_1..a_n], the dense ring of the oracles."""
-    from .exactmath import RingDescriptor
-
-    return RingDescriptor(theta_variables(n))
 
 
 class ThetaSystem(Record):
@@ -79,13 +66,6 @@ class ThetaSystem(Record):
     @property
     def variables(self) -> tuple[str, ...]:
         return theta_variables(self.n)
-
-    def polynomials(self) -> tuple[Polynomial, ...]:
-        """The equations as dense polynomials of :func:`theta_ring`."""
-        from .exactmath import multilinear_polynomial
-
-        ring = theta_ring(self.n)
-        return tuple(multilinear_polynomial(ring, eq) for eq in self.equations)
 
 
 def _theta_masks(n: int) -> tuple[list[int], list[int]]:
@@ -156,40 +136,6 @@ def theta_system(n: int, method: str = "recursion") -> ThetaSystem:
     return theta_equations_recursion(n) if method == "recursion" else theta_equations_wedge(n)
 
 
-def count_theta_points_brute(system: ThetaSystem, q: int) -> int:
-    """Oracle: enumerate F_q^(2n) and test every equation.
-
-    The loop runs as Python source generated for the system, in the
-    variables v0, .., v{2n-1}: the last ``fqmath.INNER_LOOPS`` in nested
-    loops inside one ``product`` loop over the others, every equation
-    tested, as one plain sum of products, at the first loop that binds all
-    its variables (:func:`fqmath.hoisted_loops`).
-    """
-    if not is_prime(q):
-        raise ThetaError(f"{q} is not prime")
-    nvars = 2 * system.n
-    if q**nvars > BRUTE_FORCE_BUDGET:
-        raise BudgetExceededError(f"q^(2n) = {q}^{nvars} exceeds the enumeration budget")
-    cut = max(nvars - INNER_LOOPS, 0)
-    sums = [
-        ([(coeff, mask_indices(mask, nvars)) for mask, coeff in eq.items()], True)
-        for eq in system.equations
-    ]
-    levels = [(v, None) for v in range(cut, nvars)]
-    hoisted, pad, _ = hoisted_loops(sums, levels, "v", "        ")
-    outer = "".join(f"v{i}, " for i in range(cut)) or "()"
-    lines = [
-        "def kernel(q):",
-        "    count = 0",
-        "    values = range(q)",
-        f"    for {outer} in product(values, repeat={cut}):",
-        *hoisted,
-        f"{pad}count += 1",
-        "    return count",
-    ]
-    return compile_kernel(lines)(q)
-
-
 def count_theta_points_chain(n: int, q: int) -> int:
     """Exact count via the chain structure of the equations.
 
@@ -231,84 +177,6 @@ def count_theta_points_chain(n: int, q: int) -> int:
         s = x1 + xm + xr
         p, m, r, x1, xm, xr = xm, x1, xr, s + q * p, s + q * m, o * s + q * r
     return x1 + xm + xr + q * m
-
-
-def eliminate_x2(system: ThetaSystem) -> Polynomial:
-    """For n = 2: substitute x_2 = -1 - x_1 a_1 into the second equation.
-
-    The sign-normalized result equals x*y*z + x - z - 1 under the variable
-    relabeling (x, y, z) = (a_2, x_1, a_1).
-    """
-    if system.n != 2:
-        raise ThetaError("elimination shortcut is defined for n = 2")
-    ring = theta_ring(2)
-    replacement = -ring.one() - ring.var("x1") * ring.var("a1")
-    result = system.polynomials()[1].substitute("x2", replacement)
-    return -result if result and result.leading_term()[1] < 0 else result
-
-
-def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[int] | None:
-    """Coefficients (ascending degree) of the poly through the given points,
-    or None when it has a coefficient that is not an integer.
-
-    Newton's divided differences in integers: the Newton basis is monic
-    over Z, so the coefficients are integers exactly when every divided
-    difference is, and the first inexact division returns None.
-    """
-    xs = [x for x, _ in points]
-    m = len(points)
-    table = [y for _, y in points]
-    newton = []
-    for level in range(m):
-        newton.append(table[0])
-        next_table = []
-        for i in range(len(table) - 1):
-            quotient, rest = divmod(table[i + 1] - table[i], xs[i + 1 + level] - xs[i])
-            if rest:
-                return None
-            next_table.append(quotient)
-        table = next_table
-    # Expand the Newton form from the inside out:
-    # coeffs = newton[level] + (x - xs[level]) * coeffs.
-    coeffs: list[int] = []
-    for level in reversed(range(m)):
-        shifted = [newton[level], *coeffs]
-        for i, c in enumerate(coeffs):
-            shifted[i] -= xs[level] * c
-        coeffs = shifted
-    return coeffs
-
-
-POLYNOMIALITY_PRIMES = (2, 3, 5, 7, 11)
-
-
-def check_point_count_polynomiality(n: int) -> dict:
-    """Fit counts over the first deg+1 of ``POLYNOMIALITY_PRIMES``; verify on the rest.
-
-    The interpolation degree is n (the dimension of the chain system);
-    returns the counts, integer coefficients, and verification outcome.
-    """
-    counts = [(q, count_theta_points_chain(n, q)) for q in POLYNOMIALITY_PRIMES]
-    need = n + 1
-    if len(counts) < need:
-        raise ThetaError(f"need at least {need} primes to interpolate degree {n}")
-    coeffs = interpolate_integer_polynomial(counts[:need])
-    result = {
-        "n": n,
-        "counts": counts,
-        "degree": n,
-        "integer_coefficients": coeffs is not None,
-        "verified": False,
-    }
-    if coeffs is None:
-        return result
-
-    def value(q: int) -> int:
-        return sum(c * q**i for i, c in enumerate(coeffs))
-
-    result["coefficients"] = coeffs
-    result["verified"] = all(value(q) == count for q, count in counts[need:])
-    return result
 
 
 # -- exploratory positroid comparison ----------------------------------------

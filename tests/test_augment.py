@@ -26,15 +26,19 @@ from singlink.augment import (
     _count_twisted_link,
     _torus_cells,
     augmentation_equations,
-    augmentation_ring,
     braid_matrix,
     count_solutions_bruteforce,
     count_solutions_dp,
-    symbolic_determinant,
     system_to_json_dict,
 )
+from singlink.checks import (
+    augmentation_polynomials,
+    augmentation_ring,
+    interpolate_integer_polynomial,
+    symbolic_determinant,
+)
 from singlink.exactmath import PolyMatrix, multilinear_polynomial, parse_polynomial
-from singlink.fqmath import compile_kernel, is_prime, mask_indices
+from singlink.fqmath import INVERSE_CACHE, compile_kernel, is_prime, mask_indices
 from singlink.links import (
     BraidWord,
     ade_braid,
@@ -42,7 +46,6 @@ from singlink.links import (
     braid_invariants,
     parse_ade_label,
 )
-from singlink.sheafmoduli import interpolate_integer_polynomial
 
 WORKED_BETA = BraidWord(4, (2, 1, 3, 2, 1, 3, 2, 1, 3, 1, 2, 3, 1, 2, 3, 1, 2, 1, 3))
 
@@ -92,7 +95,7 @@ def count_by_points_and_t(system: AugmentationSystem, q: int) -> int:
     s = len(system.word)
     compiled = [
         [(coeff, [(i, e) for i, e in enumerate(exp) if e]) for exp, coeff in p.terms.items()]
-        for p in system.polynomials()
+        for p in augmentation_polynomials(system)
     ]
     expected_t = (-1) ** (system.strands + s) % q
 
@@ -246,7 +249,7 @@ def test_unknot_system():
     system = augmentation_equations(BraidWord(1, ()))
     assert system.equations == ({0: 1},)
     ring = augmentation_ring(0)
-    assert system.polynomials() == (ring.var("t") + 1,)
+    assert augmentation_polynomials(system) == (ring.var("t") + 1,)
 
 
 def test_single_letter_forces_contradiction():
@@ -284,7 +287,7 @@ def test_worked_example_first_equation_monomials():
         " + z9*z14*z19*z23 + z11*z15*z19*z23 + z9*z12*z15*z19*z23"
         " + z23 + t^-1"
     )
-    assert system.polynomials()[0] == parse_polynomial(display, ring)
+    assert augmentation_polynomials(system)[0] == parse_polynomial(display, ring)
 
 
 def test_t_convention_changes_only_t_entry():
@@ -292,8 +295,8 @@ def test_t_convention_changes_only_t_entry():
     plain = augmentation_equations(word, "t")
     inv = augmentation_equations(word, "t-inverse")
     assert plain.equations == inv.equations  # the lone t term is kept apart
-    assert plain.polynomials()[1:] == inv.polynomials()[1:]
-    assert plain.polynomials()[0] != inv.polynomials()[0]
+    assert augmentation_polynomials(plain)[1:] == augmentation_polynomials(inv)[1:]
+    assert augmentation_polynomials(plain)[0] != augmentation_polynomials(inv)[0]
     with pytest.raises(AugmentError):
         augmentation_equations(word, "bogus")
 
@@ -467,7 +470,7 @@ def test_equations_match_the_dense_construction():
                 for j in range(n)
             )
             system = augmentation_equations(word, convention)
-            assert system.polynomials() == dense, (word, convention)
+            assert augmentation_polynomials(system) == dense, (word, convention)
             texts = system_to_json_dict(system)["equations"]
             assert texts == [p.to_text() for p in dense], (word, convention)
 
@@ -497,7 +500,7 @@ def test_json_dict_roundtrip_text():
     assert data["strands"] == 2
     assert data["word"] == [1, 1, 1, 1, 1]
     reparsed = [parse_polynomial(text, augmentation_ring(5)) for text in data["equations"]]
-    assert tuple(reparsed) == system.polynomials()
+    assert tuple(reparsed) == augmentation_polynomials(system)
 
 
 def test_worked_example_diagonal_entry_fingerprints():
@@ -630,6 +633,22 @@ def test_bruteforce_enforces_the_sign_law():
     message = raised(count_solutions_bruteforce, system, 5)
     assert "violates" in message
     assert message == raised(count_by_prefixes, system, 5) == raised(count_by_points_and_t, system, 5)
+
+
+def test_bruteforce_solves_past_the_inverse_cache():
+    # z1*z2 - 1 solves z2 = 1/z1 for each of the q - 1 values z1 != 0, more
+    # inverses than fqmath.INVERSE_CACHE holds at q = 4099, so the kernel's
+    # cache starts over.  n + s = 4: the sign law asks for t = 1 in either
+    # convention, and t = -z2 breaks it at the first prefix.
+    word, q = BraidWord(2, (1, 1)), INVERSE_CACHE + 3
+    for texts in (["t - 1", "z1*z2 - 1", "0", "0"], ["t^-1 - 1", "z1*z2 - 1", "0", "0"]):
+        system = _hand_built(word, texts)
+        assert count_solutions_bruteforce(system, q) == count_by_prefixes(system, q) == q - 1
+    system = _hand_built(word, ["t + z2", "z1*z2 - 1", "0", "0"])
+    message = raised(count_solutions_bruteforce, system, q)
+    assert message == raised(count_by_prefixes, system, q) == (
+        f"solution with t = {q - 1} violates t = (-1)^(n+s) = 1"
+    )
 
 
 def test_bruteforce_with_last_variable_left_free():

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from singlink import cli
 from singlink.augment import T_CONVENTIONS
+from singlink.checks import augmentation_ring, theta_ring
 from singlink.cluster import (
     MAX_RANK,
     DynkinType,
@@ -34,7 +35,6 @@ from singlink.sheafmoduli import (
     THETA_METHODS,
     count_positroid_points,
     count_theta_points_chain,
-    theta_ring,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -97,6 +97,14 @@ def test_link_puiseux_bad_pair_is_usage_error():
     assert out == ""
     assert "'3,2,1'" in err and "N,M" in err
     assert "Traceback" not in err and "unpack" not in err
+
+
+def test_link_puiseux_pair_with_a_common_factor_is_usage_error():
+    # (4, 2) is the exponent 2 of a smooth branch, not a characteristic pair.
+    for text, pair in (("4,2", "(4, 2)"), ("4,2 9,2", "(4, 2)"), ("3,2 8,2", "(8, 2)")):
+        code, out, err = run_cli("link", "--puiseux", text)
+        assert (code, out) == (2, ""), text
+        assert err == f"error: Puiseux pair {pair} is not characteristic: gcd = 2 > 1\n", text
 
 
 def test_aug_threads_flag_is_gone():
@@ -725,8 +733,6 @@ def test_aug_json_schema_and_roundtrip():
     assert data["word"] == [1, 1, 1, 1, 1]
     assert data["variables"][-1] == "t"
     assert len(data["equations"]) == 4
-    from singlink.augment import augmentation_ring
-
     ring = augmentation_ring(5)
     for text in data["equations"]:
         parse_polynomial(text, ring)
@@ -769,6 +775,41 @@ def test_aug_budget_exit_code():
         "--count-fq", "13", "--budget", "1000",
     )
     assert code == 3
+
+
+def test_aug_brute_force_at_a_huge_prime_with_one_crossing():
+    # s = 1 leaves no prefix to enumerate, so q ~ 10^9 costs one solved
+    # level: nothing of length q is built.
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        "aug", "--braid", "1", "--strands", "2", "--no-full-twist", "--count-fq", "1000000007"
+    )
+    assert time.perf_counter() - started < 2.0
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "count": {\n'
+        '    "method": "brute",\n'
+        '    "q": 1000000007,\n'
+        '    "solutions": 0\n'
+        "  },\n"
+        '  "equations": [\n'
+        '    "t",\n'
+        '    "1",\n'
+        '    "1",\n'
+        '    "z1 + 1"\n'
+        "  ],\n"
+        '  "strands": 2,\n'
+        '  "t_convention": "t",\n'
+        '  "variables": [\n'
+        '    "z1",\n'
+        '    "t"\n'
+        "  ],\n"
+        '  "word": [\n'
+        "    1\n"
+        "  ]\n"
+        "}\n"
+    )
 
 
 def test_aug_brute_force_work_budget():
@@ -843,8 +884,6 @@ def test_pipeline_equation_files(tmp_path):
     assert code == 0
     paths = data["equation_files"]
     assert len(paths) == 2  # augmentation system and chain system
-    from singlink.augment import augmentation_ring
-
     aug_data = json.loads(pathlib.Path(paths[0]).read_text())
     assert len(aug_data["equations"]) == 4
     ring = augmentation_ring(5)

@@ -21,8 +21,10 @@ from singlink.exactmath import (
     parse_polynomial,
 )
 from singlink.fqmath import (
+    INVERSE_CACHE,
     MR_EXACT_BOUND,
     ExactMathError,
+    Inverses,
     PrimalityBoundError,
     compile_kernel,
     hoisted_loops,
@@ -547,6 +549,7 @@ def test_hoisted_loops_evaluate_every_sum(case):
     source = [
         "def kernel(q, seen):",
         "    values = range(q)",
+        "    inverse = Inverses(q)",
         f"    for {''.join(f'v{i}, ' for i in outer) or '()'} in product(values, "
         f"repeat={len(outer)}):",
         *lines,
@@ -566,3 +569,19 @@ def test_hoisted_loops_evaluate_every_sum(case):
         expected.append((point, left))
     # The values are exact integers, not residues: regrouping is exact.
     assert sorted(seen) == sorted(expected)
+
+
+def test_inverses_are_exact_and_bounded():
+    # Below the cache size every inverse stays; past it the cache starts
+    # over, so a huge prime costs one entry per lookup, not a table of q.
+    for q in (2, 7, INVERSE_CACHE + 3):  # 4099 is prime
+        inverse = Inverses(q)
+        for b in range(1, q):
+            assert b * inverse[b] % q == 1
+            assert len(inverse) <= INVERSE_CACHE
+    # INVERSE_CACHE + 2 lookups: the cache started over two lookups ago.
+    assert len(inverse) == 2
+    q = 10**9 + 7
+    inverse = Inverses(q)
+    assert [b * inverse[b] % q for b in (2, q - 1, 2)] == [1, 1, 1]
+    assert len(inverse) == 2

@@ -64,6 +64,11 @@ def test_puiseux_validation():
         PuiseuxPairs(((3, 1),))
     with pytest.raises(LinkError):
         PuiseuxPairs(((3, 2), (6, 2)))  # 6 <= 3*2: not increasing
+    # A pair with a common factor is not characteristic: y = x^(4/2) = x^2
+    # is a smooth branch, not the torus link T(2, 4).
+    for pairs in (((4, 2),), ((4, 2), (9, 2)), ((3, 2), (8, 2))):
+        with pytest.raises(LinkError, match="not characteristic"):
+            PuiseuxPairs(pairs)
 
 
 def test_is_algebraic_examples():
@@ -170,7 +175,7 @@ def puiseux_inputs(draw):
     prev_n = 0
     for _ in range(depth):
         m = draw(st.integers(2, 5))
-        n = draw(st.integers(prev_n * m + 1, prev_n * m + 12))
+        n = draw(st.integers(prev_n * m + 1, prev_n * m + 12).filter(lambda n: math.gcd(n, m) == 1))
         pairs.append((n, m))
         prev_n = n
     return PuiseuxPairs(tuple(pairs))

@@ -5,6 +5,14 @@ import itertools
 import pytest
 
 from singlink.augment import count_solutions_dp
+from singlink.checks import (
+    check_point_count_polynomiality,
+    count_theta_points_brute,
+    eliminate_x2,
+    interpolate_integer_polynomial,
+    theta_polynomials,
+    theta_ring,
+)
 from singlink.exactmath import Polynomial, parse_polynomial
 from singlink.fqmath import is_prime
 from singlink.links import ade_braid, append_full_twist, parse_ade_label
@@ -12,16 +20,11 @@ from singlink.sheafmoduli import (
     THETA_MAX_N,
     BudgetExceededError,
     ThetaError,
-    check_point_count_polynomiality,
     count_positroid_points,
-    count_theta_points_brute,
     count_theta_points_chain,
-    eliminate_x2,
-    interpolate_integer_polynomial,
     system_to_json_dict,
     theta_equations_recursion,
     theta_equations_wedge,
-    theta_ring,
     theta_system,
 )
 
@@ -143,7 +146,7 @@ def test_generators_match_dense_oracles():
         assert dense_wedge(n) == dense, n
         for generator in (theta_equations_recursion, theta_equations_wedge):
             system = generator(n)
-            assert system.polynomials() == dense, (generator.__name__, n)
+            assert theta_polynomials(system) == dense, (generator.__name__, n)
             texts = system_to_json_dict(system)["equations"]
             assert texts == [p.to_text() for p in dense], (generator.__name__, n)
 
@@ -151,7 +154,7 @@ def test_generators_match_dense_oracles():
 def test_recursion_n2():
     system = theta_equations_recursion(2)
     ring = theta_ring(2)
-    assert system.polynomials() == (
+    assert theta_polynomials(system) == (
         parse_polynomial("x1*a1 + x2 + 1", ring),
         parse_polynomial("x2*a2 + a1 + 1", ring),
     )
@@ -160,7 +163,7 @@ def test_recursion_n2():
 def test_recursion_n3():
     system = theta_equations_recursion(3)
     ring = theta_ring(3)
-    assert set(system.polynomials()) == {
+    assert set(theta_polynomials(system)) == {
         parse_polynomial("x1*a1 + x2 + 1", ring),
         parse_polynomial("x2*a2 - a1*x3 + 1", ring),
         parse_polynomial("x3*a3 + a2 + 1", ring),
@@ -314,7 +317,7 @@ def test_json_dict():
     assert data["n"] == 2
     assert data["variables"] == ["x1", "x2", "a1", "a2"]
     reparsed = [parse_polynomial(t, theta_ring(2)) for t in data["equations"]]
-    assert tuple(reparsed) == system.polynomials()
+    assert tuple(reparsed) == theta_polynomials(system)
 
 
 def test_chain_matches_brute_for_longer_chains():
