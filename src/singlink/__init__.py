@@ -17,9 +17,9 @@ _EXPORTS = {
         "PolyMatrix", "Polynomial", "RingDescriptor", "divide_exact", "parse_polynomial",
     ),
     "links": (
-        "ADELabel", "BraidWord", "CablePairs", "LinkInvariants", "PuiseuxPairs", "ade_braid",
+        "BraidWord", "CablePairs", "DynkinType", "LinkInvariants", "PuiseuxPairs", "ade_braid",
         "append_full_twist", "braid_from_text", "braid_invariants", "cable_pairs_from_puiseux",
-        "is_algebraic", "parse_ade_label", "torus_braid",
+        "is_algebraic", "parse_ade_label", "parse_dynkin_type", "torus_braid",
     ),
     "divides": (
         "AcampoQuiver", "Divide", "DivideFaces", "Strand", "acampo_quiver", "divide_from_json",
@@ -27,11 +27,10 @@ _EXPORTS = {
     ),
     "dividecatalog": ("CATALOG_LABELS", "divide_catalog", "divide_from_polylines"),
     "bricks": ("Brick", "BrickQuiver", "brick_quiver", "to_exchange_matrix"),
-    "cluster": (
-        "DynkinType", "ExchangeMatrix", "Seed", "enumerate_seeds", "expected_seed_count",
-        "initial_matrix", "initial_seed", "is_finite_type", "mutate", "mutate_seed",
-        "parse_dynkin_type",
+    "quivers": (
+        "ExchangeMatrix", "expected_seed_count", "initial_matrix", "is_finite_type", "mutate",
     ),
+    "cluster": ("Seed", "enumerate_seeds", "initial_seed", "mutate_seed"),
     "augment": (
         "AugmentationSystem", "augmentation_equations", "count_solutions_bruteforce",
         "count_solutions_dp",

@@ -267,7 +267,7 @@ def _bruteforce_kernel(entry, constraints, s: int):
         f"    for {''.join(f'z{i}, ' for i in free[:cut]) or '()'} in product(values, "
         f"repeat={cut}):",
     ]
-    hoisted, pad, rest = hoisted_loops(sums + [(entry, False)], levels, "z", "        ")
+    hoisted, pad, rest = hoisted_loops(sums + [(entry, False)], levels, "z")
     body = [f"u = -({rest[-1]}) % q", "if u == e:", "    found += 1", "elif u:", "    check(u)"]
     lines += hoisted + [pad + line for line in body]
     lines.append("    return found")

@@ -10,8 +10,6 @@ span).  Nested or disjoint spans get no arrow.
 
 from __future__ import annotations
 
-import functools
-
 from .links import BraidWord
 from .records import Record
 
@@ -20,12 +18,8 @@ class BrickError(ValueError):
     pass
 
 
-@functools.total_ordering
 class Brick(Record):
-    """Row index and (1-based, exclusive-interior) letter span of a brick.
-
-    Bricks order by (row, span).
-    """
+    """Row index and (1-based, exclusive-interior) letter span of a brick."""
 
     __slots__ = ("row", "span")
 
@@ -34,11 +28,6 @@ class Brick(Record):
         a, b = span
         if not a < b:
             raise BrickError(f"brick span {span} must be increasing")
-
-    def __lt__(self, other):
-        if type(other) is not Brick:
-            return NotImplemented
-        return (self.row, self.span) < (other.row, other.span)
 
 
 class BrickQuiver(Record):
@@ -110,7 +99,7 @@ def to_exchange_matrix(quiver: BrickQuiver):
     Reads only ``rank`` and ``arrows``, so it serves A'Campo quivers of
     divides as well.
     """
-    from .cluster import ExchangeMatrix, check_rank
+    from .quivers import ExchangeMatrix, check_rank
 
     n = quiver.rank
     check_rank(n)

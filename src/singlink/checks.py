@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 
-from . import augment, bricks, cluster, dividecatalog, divides, links, sheafmoduli
+from . import augment, bricks, cluster, dividecatalog, divides, links, quivers, sheafmoduli
 from .exactmath import (
     PolyMatrix,
     Polynomial,
@@ -38,7 +38,7 @@ from .fqmath import (
     is_prime,
     mask_indices,
 )
-from .graphs import dynkin_tree_edges, graphs_isomorphic
+from .quivers import dynkin_tree_edges, graphs_isomorphic
 
 RANDOM_SEED = 20_240_817  # of the randomized instances of every check
 
@@ -125,7 +125,7 @@ def count_theta_points_brute(system: sheafmoduli.ThetaSystem, q: int) -> int:
         for eq in system.equations
     ]
     levels = [(v, None) for v in range(cut, nvars)]
-    hoisted, pad, _ = hoisted_loops(sums, levels, "v", "        ")
+    hoisted, pad, _ = hoisted_loops(sums, levels, "v")
     outer = "".join(f"v{i}, " for i in range(cut)) or "()"
     lines = [
         "def kernel(q):",
@@ -259,7 +259,7 @@ def check_ade_quiver_shapes() -> CheckResult:
             quiver.rank,
             quiver.arrows,
             label.rank,
-            dynkin_tree_edges(label.family, label.rank),
+            dynkin_tree_edges(label),
         )
         if not ok:
             failures.append(text)
@@ -307,9 +307,9 @@ def check_seed_counts(deep: bool = False) -> CheckResult:
         targets.update(DEEP_SEED_COUNT_TARGETS)
     rows = []
     for text in sorted(targets):
-        dynkin = cluster.parse_dynkin_type(text)
-        expected = cluster.expected_seed_count(dynkin)
-        enumerated = len(cluster.enumerate_seeds(cluster.initial_matrix(dynkin), cap=SEED_COUNT_CAP))
+        dynkin = links.parse_dynkin_type(text)
+        expected = quivers.expected_seed_count(dynkin)
+        enumerated = len(cluster.enumerate_seeds(quivers.initial_matrix(dynkin), cap=SEED_COUNT_CAP))
         rows.append(
             {
                 "type": text,
@@ -333,16 +333,16 @@ def check_mutation_properties(instances: int = 10_000, walks: int = 1_000) -> Ch
                 v = rng.randint(-2, 2)
                 rows[i][j] = v
                 rows[j][i] = -v
-        matrix = cluster.ExchangeMatrix.from_rows(rows)
+        matrix = quivers.ExchangeMatrix.from_rows(rows)
         k = rng.randint(1, n)
-        if cluster.mutate(cluster.mutate(matrix, k), k) != matrix:
+        if quivers.mutate(quivers.mutate(matrix, k), k) != matrix:
             involution_ok = False
             break
         perm = list(range(n))
         rng.shuffle(perm)
         perm = tuple(perm)
-        lhs = cluster.mutate(matrix.permuted(perm), perm[k - 1] + 1)
-        rhs = cluster.mutate(matrix, k).permuted(perm)
+        lhs = quivers.mutate(matrix.permuted(perm), perm[k - 1] + 1)
+        rhs = quivers.mutate(matrix, k).permuted(perm)
         if lhs != rhs:
             equivariance_ok = False
             break
@@ -351,7 +351,7 @@ def check_mutation_properties(instances: int = 10_000, walks: int = 1_000) -> Ch
     walk_types = ("A3", "D4", "B3")
     per_type = walks // len(walk_types)
     for text in walk_types:
-        matrix = cluster.initial_matrix(cluster.parse_dynkin_type(text))
+        matrix = quivers.initial_matrix(links.parse_dynkin_type(text))
         for _ in range(per_type):
             seed_obj = cluster.initial_seed(matrix)
             for _ in range(rng.randint(1, 12)):

@@ -116,7 +116,7 @@ def _link_payload(descriptor: str, braid: links.BraidWord) -> dict:
 def build_pipeline_report(
     descriptor: str,
     braid: links.BraidWord,
-    ade_label: links.ADELabel | None = None,
+    ade_label: links.DynkinType | None = None,
     equations_dir: str | None = None,
 ) -> dict:
     """Full report for one link input: braid data through seed counts.
@@ -124,10 +124,10 @@ def build_pipeline_report(
     A braid with no letters, or whose brick quiver has no vertices, has
     no exchange matrix, so its report stops before the classification.
     """
-    from . import bricks, cluster
+    from . import bricks, quivers
 
     if ade_label is not None:
-        cluster.check_rank(ade_label.rank)  # the rank of its brick quiver
+        quivers.check_rank(ade_label.rank)  # the rank of its brick quiver
     report = _link_payload(descriptor, braid)
     if not braid.letters:
         return report
@@ -148,20 +148,20 @@ def build_pipeline_report(
             }
     matrix = bricks.to_exchange_matrix(quiver)
     try:
-        dynkin = cluster.is_finite_type(matrix)
-    except cluster.ClusterError as exc:
+        dynkin = quivers.is_finite_type(matrix)
+    except quivers.ClusterError as exc:
         report["classification"] = {"type": None, "note": str(exc)}
         return report
     if dynkin is None:
         report["classification"] = {"type": None, "finite": False}
         return report
-    expected = cluster.expected_seed_count(dynkin)
+    expected = quivers.expected_seed_count(dynkin)
     report["classification"] = {"type": str(dynkin), "finite": True, "seeds": expected}
     if expected <= PIPELINE_ENUMERATE_CAP:
-        enumerated = cluster.count_seeds(matrix, cap=PIPELINE_ENUMERATE_CAP)
+        enumerated = quivers.count_seeds(matrix, cap=PIPELINE_ENUMERATE_CAP)
         report["seed_count"] = {"enumerated": enumerated, "expected": expected}
         if enumerated != expected:
-            raise cluster.ClusterError(
+            raise quivers.ClusterError(
                 f"enumerated seed count {enumerated} != expected {expected}"
             )
     if equations_dir is not None:
@@ -175,7 +175,7 @@ def _write_equation_files(
     directory: str,
     descriptor: str,
     braid: links.BraidWord,
-    ade_label: links.ADELabel | None,
+    ade_label: links.DynkinType | None,
 ) -> list:
     """Dump the augmentation system (and the chain system for A_n inputs)."""
     from . import augment, links, sheafmoduli
@@ -264,11 +264,11 @@ def cmd_quiver(args) -> int:
     return 0
 
 
-def _matrix_from_args(args) -> cluster.ExchangeMatrix:
+def _matrix_from_args(args) -> quivers.ExchangeMatrix:
     sources = [bool(args.matrix), bool(getattr(args, "type", None)), bool(getattr(args, "ade", None))]
     if sum(sources) != 1:
         raise UsageError("choose exactly one matrix source (--matrix / --type / --ade)")
-    from . import bricks, cluster, links
+    from . import bricks, links, quivers
 
     if args.matrix:
         if args.matrix == "-":
@@ -276,34 +276,34 @@ def _matrix_from_args(args) -> cluster.ExchangeMatrix:
         else:
             with open(args.matrix) as handle:
                 text = handle.read()
-        return cluster.exchange_matrix_from_json(json.loads(text))
+        return quivers.exchange_matrix_from_json(json.loads(text))
     if getattr(args, "type", None):
-        return cluster.initial_matrix(cluster.parse_dynkin_type(args.type))
+        return quivers.initial_matrix(links.parse_dynkin_type(args.type))
     label = links.parse_ade_label(args.ade)
     braid = links.ade_braid(label)
-    cluster.check_rank(label.rank)  # the rank of its brick quiver
+    quivers.check_rank(label.rank)  # the rank of its brick quiver
     return bricks.to_exchange_matrix(bricks.brick_quiver(braid))
 
 
 def cmd_mutate(args) -> int:
-    from . import cluster
+    from . import quivers
 
     matrix = _matrix_from_args(args)
     for k in args.at:
-        matrix = cluster.mutate(matrix, k)
+        matrix = quivers.mutate(matrix, k)
     _emit(matrix.to_json_dict())
     return 0
 
 
 def cmd_classify(args) -> int:
-    from . import cluster
+    from . import quivers
 
     matrix = _matrix_from_args(args)
-    dynkin = cluster.is_finite_type(matrix)
+    dynkin = quivers.is_finite_type(matrix)
     if dynkin is None:
         _emit({"type": None, "seeds": None})
     else:
-        _emit({"type": str(dynkin), "seeds": cluster.expected_seed_count(dynkin)})
+        _emit({"type": str(dynkin), "seeds": quivers.expected_seed_count(dynkin)})
     return 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .divides import Divide, DivideError, Strand
-from .links import ADELabel, parse_ade_label
+from .links import DynkinType, parse_ade_label
 
 # Catalog points are int pairs; the builder also takes Fraction coordinates.
 Point = tuple[int | Fraction, int | Fraction]
@@ -277,15 +277,14 @@ _E_APPENDAGES = {
 }
 
 
-def divide_catalog(label: ADELabel | str) -> Divide:
+def divide_catalog(label: DynkinType | str) -> Divide:
     """Catalog divide for a simple singularity type.
 
     Supported: A_n for n <= 8, D_n for 3 <= n <= 8 (D_3 reuses the A_3
     two-chord lens), E_6, E_7, E_8.  The Milnor number equals the rank
     and the intersection quiver is the Dynkin tree of the label.
     """
-    if isinstance(label, str):
-        label = parse_ade_label(label)
+    label = parse_ade_label(label)
     n = label.rank
     if label.family == "A":
         if n > 8:

@@ -176,6 +176,9 @@ SUM_CHUNK = 64
 # of an A6 augmentation kernel about twice as long and slower to compile
 # than it saved.
 INNER_LOOPS = 3
+# The indent of the lines :func:`hoisted_loops` writes: the body of a
+# kernel's ``product`` loop, inside its ``def``.
+LOOP_PAD = " " * 8
 # Inverses a kernel's :class:`Inverses` holds before it starts over, so that
 # it stays small when q is a huge prime (a tiny system counted at q ~ 10^9).
 INVERSE_CACHE = 4096
@@ -221,7 +224,7 @@ def _join_sum(parts: list[str]) -> str:
     return " + ".join(parts) or "0"
 
 
-def hoisted_loops(sums, levels, name: str, pad: str):
+def hoisted_loops(sums, levels, name: str):
     """Nested loops over ``levels``, with the sums of ``sums`` hoisted out of them.
 
     ``sums`` holds (terms, test) pairs, each term (coeff, variable
@@ -244,7 +247,7 @@ def hoisted_loops(sums, levels, name: str, pad: str):
     its variables, and a solved sum holds by construction.  Coefficients
     are named ``c<k>``, one per distinct sum.
 
-    Returns (lines, pad, rest): the lines indented from ``pad``, the pad
+    Returns (lines, pad, rest): the lines indented from ``LOOP_PAD``, the pad
     inside the last loop, and per sum the source of its value there, in
     the coefficients, or None for a test or solved sum.
     """
@@ -318,7 +321,7 @@ def hoisted_loops(sums, levels, name: str, pad: str):
     rest: list[str | None] = [None] * len(sums)
     for j, state in states.items():
         rest[j] = state.get(0, "0")
-    lines = []
+    lines, pad = [], LOOP_PAD
     for depth, (v, solved) in enumerate(levels):
         lines += [pad + line for line in blocks[depth]]
         lines.append(f"{pad}for {name}{v} in values{'' if solved is None else v}:")

@@ -132,36 +132,48 @@ class LinkInvariants(Record):
     __slots__ = ("components", "euler_characteristic", "first_betti", "tb", "milnor_number")
 
 
-class ADELabel(Record):
+class DynkinType(Record):
+    """A finite-type Dynkin label: A_n (n >= 1), B_n and C_n (n >= 2),
+    D_n (n >= 3), E_6, E_7, E_8, F_4 or G_2."""
+
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int) -> None:
         super().__init__(family.upper(), rank)
         fam = self.family
-        if fam == "A":
-            if rank < 1:
-                raise LinkError("A_n needs n >= 1")
-        elif fam == "D":
-            if rank < 3:
-                raise LinkError("D_n needs n >= 3")
-        elif fam == "E":
-            if rank not in (6, 7, 8):
-                raise LinkError("E_n exists for n in {6, 7, 8}")
-        else:
-            raise LinkError(f"not an ADE family: {fam!r}")
+        ok = (
+            (fam == "A" and rank >= 1)
+            or (fam in ("B", "C") and rank >= 2)
+            or (fam == "D" and rank >= 3)
+            or (fam == "E" and rank in (6, 7, 8))
+            or (fam == "F" and rank == 4)
+            or (fam == "G" and rank == 2)
+        )
+        if not ok:
+            raise LinkError(f"({fam}, {rank}) is not in the finite-type table")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-_LABEL_RE = re.compile(r"\s*([ADEade])_?(\d+)\s*\Z")
+# A family letter, any underscores and decimal digits: E6, d_5, " b3 ".
+_LABEL_RE = re.compile(r"\s*([A-Ga-g])_*(\d+)\s*")
 
 
-def parse_ade_label(text: str) -> ADELabel:
-    m = _LABEL_RE.match(text)
+def parse_dynkin_type(text: str) -> DynkinType:
+    m = _LABEL_RE.fullmatch(text)
     if not m:
-        raise LinkError(f"cannot parse ADE label {text!r}")
-    return ADELabel(m.group(1).upper(), int(m.group(2)))
+        raise LinkError(f"cannot parse Dynkin type {text!r}")
+    return DynkinType(m.group(1), int(m.group(2)))
+
+
+def parse_ade_label(label: DynkinType | str) -> DynkinType:
+    """The label of a simple singularity: family A, D or E (text is parsed)."""
+    if isinstance(label, str):
+        label = parse_dynkin_type(label)
+    if label.family not in ("A", "D", "E"):
+        raise LinkError(f"not an ADE family: {label.family!r}")
+    return label
 
 
 # -- operations ---------------------------------------------------------------
@@ -202,15 +214,14 @@ def is_algebraic(c: CablePairs) -> bool:
     return True
 
 
-def ade_braid(label: ADELabel | str) -> BraidWord:
+def ade_braid(label: DynkinType | str) -> BraidWord:
     """Positive braid presenting the link of a simple singularity.
 
     A_n: sigma_1^(n+1) on 2 strands.
     D_n: sigma_1^(n-2) sigma_2 sigma_1^2 sigma_2 on 3 strands (n >= 3).
     E_n: sigma_1^(n-3) sigma_2 sigma_1^3 sigma_2 on 3 strands (n = 6, 7, 8).
     """
-    if isinstance(label, str):
-        label = parse_ade_label(label)
+    label = parse_ade_label(label)
     n = label.rank
     if label.family == "A":
         _check_braid_size(2, n + 1)

@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from singlink import checks, cluster, divides
+from singlink import checks, cluster, divides, links, quivers
 
 
 def report(number: int, passed: bool, started: float, detail: str = "") -> None:
@@ -55,10 +55,10 @@ def test_criterion_4_seed_counts():
 @pytest.mark.parametrize("text,target", [("E7", 4160), ("E8", 25080)])
 def test_criterion_4_deep_seed_counts(text, target):
     started = time.perf_counter()
-    dynkin = cluster.parse_dynkin_type(text)
-    matrix = cluster.initial_matrix(dynkin)
+    dynkin = links.parse_dynkin_type(text)
+    matrix = quivers.initial_matrix(dynkin)
     enumerated = len(cluster.enumerate_seeds(matrix, cap=checks.SEED_COUNT_CAP))
-    ok = enumerated == target == cluster.expected_seed_count(dynkin)
+    ok = enumerated == target == quivers.expected_seed_count(dynkin)
     report(4, ok, started, f"deep {text}: {enumerated}")
     assert ok
 

@@ -8,8 +8,8 @@ from singlink.bricks import (
     brick_quiver,
     to_exchange_matrix,
 )
-from singlink.graphs import dynkin_tree_edges, graphs_isomorphic
-from singlink.links import BraidWord, ade_braid
+from singlink.links import BraidWord, DynkinType, ade_braid
+from singlink.quivers import dynkin_tree_edges, graphs_isomorphic
 
 ADE_LABELS = (
     [("A", n) for n in range(1, 9)]
@@ -83,7 +83,7 @@ def test_all_ade_brick_quivers_are_dynkin_trees():
             quiver.rank,
             quiver.arrows,
             rank,
-            dynkin_tree_edges(family, rank),
+            dynkin_tree_edges(DynkinType(family, rank)),
         ), (family, rank)
 
 

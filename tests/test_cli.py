@@ -20,17 +20,11 @@ from hypothesis import given, settings, strategies as st
 from singlink import cli
 from singlink.augment import T_CONVENTIONS
 from singlink.checks import augmentation_ring, theta_ring
-from singlink.cluster import (
-    MAX_RANK,
-    DynkinType,
-    exchange_matrix_from_json,
-    initial_matrix,
-    mutate,
-)
 from singlink.dividecatalog import CATALOG_LABELS, divide_catalog
 from singlink.exactmath import parse_polynomial
 from singlink.fqmath import MR_EXACT_BOUND
-from singlink.links import MAX_BRAID, braid_from_text
+from singlink.links import MAX_BRAID, DynkinType, braid_from_text
+from singlink.quivers import MAX_RANK, exchange_matrix_from_json, initial_matrix, mutate
 from singlink.sheafmoduli import (
     THETA_METHODS,
     count_positroid_points,
@@ -471,6 +465,29 @@ def test_classify_infinite():
         assert json.loads(out) == {"type": None, "seeds": None}
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("text", ["a_3", "A__3", " b3 ", "A٣"])
+def test_type_and_ade_flags_share_one_label_grammar(text):
+    # One pattern reads both flags, any decimal digit included (the last
+    # label ends in an Arabic-Indic three); --ade then takes only A, D and E.
+    family = text.strip()[0].upper()
+    code, out, err = run_cli("classify", "--type", text)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == f"{family}3"
+    code, out, err = run_cli("classify", "--ade", text)
+    if family == "B":
+        assert (code, out, err) == (2, "", "error: not an ADE family: 'B'\n")
+    else:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["type"] == "A3"
+
+
+def test_superscript_rank_is_a_parse_error():
+    for flag in ("--type", "--ade"):
+        code, out, err = run_cli("classify", flag, "A²")  # a superscript two
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse Dynkin type 'A²'\n"
 
 
 def test_malformed_matrix_json_is_a_usage_error():

@@ -8,26 +8,29 @@ from math import comb, gcd
 import pytest
 
 import singlink.cluster as cluster_module
+import singlink.quivers as quivers_module
 from singlink.bricks import brick_quiver, to_exchange_matrix
-from singlink.cluster import (
-    ClusterError,
-    DynkinType,
-    ExchangeMatrix,
-    Seed,
-    canonical_form,
-    count_seeds,
-    enumerate_seeds,
-    expected_seed_count,
-    initial_matrix,
-    initial_seed,
-    is_finite_type,
-    mutate,
-    mutate_seed,
-    parse_dynkin_type,
-)
+from singlink.cluster import Seed, enumerate_seeds, initial_seed, mutate_seed
 from singlink.exactmath import divide_exact
 from singlink.fqmath import BudgetExceededError
-from singlink.links import BraidWord, ade_braid, torus_braid
+from singlink.links import (
+    BraidWord,
+    DynkinType,
+    LinkError,
+    ade_braid,
+    parse_dynkin_type,
+    torus_braid,
+)
+from singlink.quivers import (
+    ClusterError,
+    ExchangeMatrix,
+    canonical_form,
+    count_seeds,
+    expected_seed_count,
+    initial_matrix,
+    is_finite_type,
+    mutate,
+)
 
 
 def M(rows, sym=None):
@@ -517,14 +520,14 @@ def _c_vector_reference_walk(matrix: ExchangeMatrix) -> set:
 
 def _unpack_c_vector(packed: int, n: int) -> tuple[int, ...]:
     """The entries of a c-vector packed as sum_i c_i 2^(16 i)."""
-    width = 1 << cluster_module._C_DIGIT_BITS
+    width = 1 << quivers_module._C_DIGIT_BITS
     entries = []
     for _ in range(n):
         digit = packed % width
         if digit >= width // 2:
             digit -= width
         entries.append(digit)
-        packed = (packed - digit) >> cluster_module._C_DIGIT_BITS
+        packed = (packed - digit) >> quivers_module._C_DIGIT_BITS
     assert packed == 0
     return tuple(entries)
 
@@ -534,7 +537,7 @@ def test_c_vectors_are_sign_coherent_and_unpack_to_the_reference_walk(type_text)
     matrix = initial_matrix(parse_dynkin_type(type_text))
     reference = _c_vector_reference_walk(matrix)
     assert len(reference) == expected_seed_count(parse_dynkin_type(type_text))
-    packed = cluster_module._c_vector_seed_keys(matrix, cap=len(reference))
+    packed = quivers_module._c_vector_seed_keys(matrix, cap=len(reference))
     unpacked = {frozenset(_unpack_c_vector(x, matrix.n) for x in key) for key in packed}
     assert unpacked == reference
     # The sign of a packed c-vector is the sign of its entries.
@@ -550,7 +553,7 @@ def test_packed_c_vector_entries_stay_far_inside_the_digit_width():
     largest = 0
     for text in types:
         matrix = initial_matrix(parse_dynkin_type(text))
-        vectors = set().union(*cluster_module._c_vector_seed_keys(matrix, cap=25080))
+        vectors = set().union(*quivers_module._c_vector_seed_keys(matrix, cap=25080))
         for x in vectors:
             largest = max(largest, max(map(abs, _unpack_c_vector(x, matrix.n))))
     # The highest root of E8 has a coefficient 6; the packing holds |c_i| < 2^15.
@@ -661,11 +664,11 @@ def test_classify_catalog_divide_quivers():
 
 
 def test_dynkin_type_table():
-    with pytest.raises(ClusterError):
+    with pytest.raises(LinkError):
         DynkinType("E", 9)
-    with pytest.raises(ClusterError):
+    with pytest.raises(LinkError):
         DynkinType("F", 5)
-    with pytest.raises(ClusterError):
+    with pytest.raises(LinkError):
         DynkinType("H", 3)
     assert str(DynkinType("E", 6)) == "E6"
 

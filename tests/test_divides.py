@@ -24,8 +24,8 @@ from singlink.divides import (
     milnor_number,
     trace_faces,
 )
-from singlink.graphs import dynkin_tree_edges, graphs_isomorphic
 from singlink.links import ade_braid, braid_invariants, parse_ade_label
+from singlink.quivers import dynkin_tree_edges, graphs_isomorphic
 
 
 def embedded_arc() -> Divide:
@@ -85,7 +85,7 @@ def test_catalog_quivers_are_dynkin_trees():
             quiver.rank,
             quiver.arrows,
             label.rank,
-            dynkin_tree_edges(label.family, label.rank),
+            dynkin_tree_edges(label),
         ), text
 
 

@@ -540,7 +540,7 @@ def test_hoisted_loops_evaluate_every_sum(case):
     nv, roles, levels, sums, q = case
     outer = [i for i in range(nv) if roles[i] == "o"]
     solved = {j for _, j in levels if j is not None}
-    lines, pad, rest = hoisted_loops(sums, levels, "v", "        ")
+    lines, pad, rest = hoisted_loops(sums, levels, "v")
     # Every test and solved sum holds in the lines; every other sum is
     # left to the caller, in the coefficients.
     held = [test or j in solved for j, (_, test) in enumerate(sums)]

@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlink.graphs import dynkin_tree_edges, graphs_isomorphic
+from singlink.links import DynkinType
+from singlink.quivers import dynkin_tree_edges, graphs_isomorphic
 
 
 def test_path_vs_star():
@@ -17,10 +18,10 @@ def test_path_vs_star():
 
 
 def test_relabeled_tree():
-    e6 = dynkin_tree_edges("E", 6)
+    e6 = dynkin_tree_edges(DynkinType("E", 6))
     relabeled = [(5 - u, 5 - v) for u, v in e6]
     assert graphs_isomorphic(6, e6, 6, relabeled)
-    assert not graphs_isomorphic(6, e6, 6, dynkin_tree_edges("D", 6))
+    assert not graphs_isomorphic(6, e6, 6, dynkin_tree_edges(DynkinType("D", 6)))
 
 
 def test_multigraph_edge_multiplicity():
@@ -36,13 +37,13 @@ def test_size_mismatch():
 
 
 def test_dynkin_tree_shapes():
-    assert dynkin_tree_edges("A", 1) == []
-    assert dynkin_tree_edges("D", 3) == [(0, 1), (0, 2)]
-    assert len(dynkin_tree_edges("E", 8)) == 7
+    assert dynkin_tree_edges(DynkinType("A", 1)) == []
+    assert dynkin_tree_edges(DynkinType("D", 3)) == [(0, 1), (0, 2)]
+    assert len(dynkin_tree_edges(DynkinType("E", 8))) == 7
     with pytest.raises(ValueError):
-        dynkin_tree_edges("E", 9)
+        dynkin_tree_edges(DynkinType("E", 9))  # the label refuses the rank
     with pytest.raises(ValueError):
-        dynkin_tree_edges("B", 3)
+        dynkin_tree_edges(DynkinType("B", 3))
 
 
 def test_edge_range_validation():

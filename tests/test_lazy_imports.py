@@ -110,6 +110,30 @@ def test_integer_commands_load_no_fractions():
     assert "decimal" not in loaded
 
 
+def test_quivers_loads_no_laurent_algebra():
+    out = _python(
+        "import sys, singlink.quivers\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'singlink')))\n"
+    )
+    assert out.split() == [
+        "singlink", "singlink.fqmath", "singlink.links", "singlink.quivers", "singlink.records",
+    ]
+
+
+def test_integer_commands_load_no_laurent_algebra():
+    # Classification, mutation and the pipeline's c-vector seed count run
+    # in quivers; the Laurent seeds of cluster and exactmath stay unloaded.
+    codes, loaded = _run_cli(
+        ("classify", "--type", "E6"),
+        ("mutate", "--ade", "D4", "--at", "1"),
+        ("link", "--torus", "3", "4", "--pipeline"),
+    )
+    assert codes == [0, 0, 0]
+    assert "singlink.quivers" in loaded
+    assert "singlink.cluster" not in loaded
+    assert "singlink.exactmath" not in loaded
+
+
 def test_every_exported_name_resolves():
     out = _python(
         "import importlib, singlink\n"
@@ -118,7 +142,7 @@ def test_every_exported_name_resolves():
         "    assert getattr(singlink, name) is getattr(owner, name), name\n"
         "print(len(singlink.__all__), singlink.cluster.__name__)\n"
     )
-    assert out.split() == ["53", "singlink.cluster"]
+    assert out.split() == ["52", "singlink.cluster"]
 
 
 def test_unknown_name_is_an_attribute_error():

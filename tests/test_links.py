@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from singlink.augment import count_solutions_dp
+from singlink.dividecatalog import divide_catalog
 from singlink.fqmath import BudgetExceededError
 from singlink.links import (
     MAX_BRAID,
-    ADELabel,
     BraidWord,
     CablePairs,
+    DynkinType,
     LinkError,
     PuiseuxPairs,
     ade_braid,
@@ -27,9 +28,9 @@ from singlink.links import (
 )
 
 ADE_LABELS = (
-    [ADELabel("A", n) for n in range(1, 9)]
-    + [ADELabel("D", n) for n in range(3, 9)]
-    + [ADELabel("E", n) for n in (6, 7, 8)]
+    [DynkinType("A", n) for n in range(1, 9)]
+    + [DynkinType("D", n) for n in range(3, 9)]
+    + [DynkinType("E", n) for n in (6, 7, 8)]
 )
 
 
@@ -81,7 +82,7 @@ def test_ade_braid_examples():
     assert ade_braid("A2") == BraidWord(2, (1, 1, 1))
     assert ade_braid("D4") == BraidWord(3, (1, 1, 2, 1, 1, 2))
     assert ade_braid("E6") == BraidWord(3, (1, 1, 1, 2, 1, 1, 1, 2))
-    assert ade_braid(ADELabel("E", 8)) == BraidWord(3, (1, 1, 1, 1, 1, 2, 1, 1, 1, 2))
+    assert ade_braid(DynkinType("E", 8)) == BraidWord(3, (1, 1, 1, 1, 1, 2, 1, 1, 1, 2))
 
 
 def test_ade_label_validation():
@@ -91,7 +92,15 @@ def test_ade_label_validation():
         parse_ade_label("E9")
     with pytest.raises(LinkError):
         parse_ade_label("F4")
-    assert parse_ade_label("d_5") == ADELabel("D", 5)
+    assert parse_ade_label("d_5") == DynkinType("D", 5)
+
+
+def test_ade_inputs_refuse_the_other_finite_families():
+    for make in (ade_braid, divide_catalog):
+        with pytest.raises(LinkError, match="not an ADE family: 'B'"):
+            make(DynkinType("B", 3))
+        with pytest.raises(LinkError, match="not an ADE family: 'G'"):
+            make("G2")
 
 
 def test_torus_braid_examples():

@@ -1,7 +1,6 @@
 """Value semantics of every record class: field-wise equality and hashing,
 no assignment, a dataclass-style repr, the defaults, the base
-constructor's argument errors, Brick ordering and the mutable
-CheckResult."""
+constructor's argument errors and the mutable CheckResult."""
 
 import copy
 import importlib
@@ -14,10 +13,11 @@ import singlink
 from singlink.augment import AugmentationSystem
 from singlink.bricks import Brick, BrickQuiver
 from singlink.checks import CheckResult
-from singlink.cluster import DynkinType, ExchangeMatrix, Seed, initial_seed
+from singlink.cluster import Seed, initial_seed
 from singlink.divides import AcampoQuiver, Divide, DivideFaces, Face, Strand
 from singlink.exactmath import RingDescriptor
-from singlink.links import ADELabel, BraidWord, CablePairs, LinkInvariants, PuiseuxPairs
+from singlink.links import BraidWord, CablePairs, DynkinType, LinkInvariants, PuiseuxPairs
+from singlink.quivers import ExchangeMatrix
 from singlink.records import Record
 from singlink.sheafmoduli import ThetaSystem
 
@@ -34,7 +34,6 @@ RECORDS = [
     (BraidWord, {"strands": 3, "letters": (1, 2, 1)}, {"letters": (2, 1, 2)}),
     (LinkInvariants, {"components": 1, "euler_characteristic": -1, "first_betti": 2,
                       "tb": 1, "milnor_number": 2}, {"tb": 2}),
-    (ADELabel, {"family": "E", "rank": 6}, {"rank": 7}),
     (Brick, {"row": 1, "span": (1, 3)}, {"span": (1, 4)}),
     (BrickQuiver, {"bricks": (Brick(1, (1, 3)), Brick(1, (3, 5))), "arrows": ((1, 0),)},
      {"arrows": ()}),
@@ -130,15 +129,13 @@ def test_same_fields_in_different_classes_differ():
     pairs = ((3, 2), (7, 2))
     assert PuiseuxPairs(pairs) != CablePairs(pairs)
     assert not PuiseuxPairs(pairs) == CablePairs(pairs)
-    assert ADELabel("E", 6) != DynkinType("E", 6)
-    assert str(ADELabel("E", 6)) == str(DynkinType("E", 6)) == "E6"
 
 
 def test_constructors_normalize_their_fields():
     assert PuiseuxPairs([[3, 2], [7, 2]]).pairs == ((3, 2), (7, 2))
     assert CablePairs([[2, 3]]) == CablePairs(((2, 3),))
     assert BraidWord(3, [1, 2]).letters == (1, 2)
-    assert ADELabel("e", 6).family == "E"
+    assert DynkinType("e", 6).family == "E"
     assert DynkinType("b", 3) == DynkinType("B", 3)
     assert Strand(False, [[0, 0], [1, 2]]).passages == ((0, 0), (1, 2))
     assert Divide(0, [ARC], [[0, 0], [0, 1]]) == Divide(0, (ARC,), ((0, 0), (0, 1)))
@@ -153,7 +150,7 @@ def test_defaults():
 
 
 def test_repr_is_dataclass_style():
-    assert repr(ADELabel("e", 6)) == "ADELabel(family='E', rank=6)"
+    assert repr(DynkinType("e", 6)) == "DynkinType(family='E', rank=6)"
     assert repr(Brick(1, (1, 3))) == "Brick(row=1, span=(1, 3))"
     assert repr(PuiseuxPairs(((3, 2),))) == "PuiseuxPairs(pairs=((3, 2),))"
     assert repr(RingDescriptor(("x",))) == "RingDescriptor(variables=('x',), laurent=frozenset())"
@@ -165,16 +162,6 @@ def test_ring_equality_ignores_its_index():
     assert a == b and hash(a) == hash(b)
     assert "_index" not in repr(b)
     assert a.index("y") == 1
-
-
-def test_bricks_sort_by_row_then_span():
-    bricks = [Brick(2, (1, 4)), Brick(1, (3, 5)), Brick(1, (1, 3)), Brick(2, (0, 1))]
-    order = [Brick(1, (1, 3)), Brick(1, (3, 5)), Brick(2, (0, 1)), Brick(2, (1, 4))]
-    assert sorted(bricks) == order
-    assert Brick(1, (1, 3)) < Brick(1, (1, 4)) <= Brick(1, (1, 4)) < Brick(2, (0, 1))
-    assert Brick(2, (0, 1)) > Brick(1, (9, 10)) >= Brick(1, (9, 10))
-    with pytest.raises(TypeError):
-        Brick(1, (1, 3)) < (1, (1, 4))
 
 
 def test_check_result_is_mutable_with_a_fresh_details_dict():
