@@ -157,7 +157,9 @@ class DynkinType(Record):
 
 
 # A family letter, any underscores and decimal digits: E6, d_5, " b3 ".
-_LABEL_RE = re.compile(r"\s*([A-Ga-g])_*(\d+)\s*")
+# At most 6 digits after leading zeros, enough for every rank up to MAX_BRAID
+# and few enough that int() never meets CPython's digit limit.
+_LABEL_RE = re.compile(r"\s*([A-Ga-g])_*0*(\d{1,6})\s*")
 
 
 def parse_dynkin_type(text: str) -> DynkinType:

@@ -1,6 +1,6 @@
 """The integer quiver layer: exchange matrices and their mutation, Dynkin
-trees and multigraph isomorphism, finite-type classification, and seed
-counts by c-vectors.
+trees, one canonical form for quiver and multigraph isomorphism,
+finite-type classification, and seed counts by c-vectors.
 
 Nothing here holds a Laurent polynomial, so ``link --pipeline``,
 ``classify`` and ``mutate`` load no dense algebra; :mod:`cluster` builds
@@ -153,69 +153,21 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
 # -- graphs --------------------------------------------------------------------
 
 
-def _edge_multiset(n: int, edges) -> Counter:
-    ms = Counter()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        ms[(u, v) if u <= v else (v, u)] += 1
-    return ms
-
-
 def graphs_isomorphic(n1: int, edges1, n2: int, edges2) -> bool:
-    """Exact isomorphism of undirected multigraphs via pruned backtracking.
-
-    Intended for the small quivers appearing here (rank <= ~20).
-    """
+    """Exact isomorphism of undirected multigraphs given as edge lists, loops
+    allowed: equal :func:`_canonical` forms of their multiplicity matrices."""
     if n1 != n2:
         return False
-    e1 = _edge_multiset(n1, edges1)
-    e2 = _edge_multiset(n2, edges2)
-    if sum(e1.values()) != sum(e2.values()):
+    matrices = ([[0] * n1 for _ in range(n1)], [[0] * n1 for _ in range(n1)])
+    for rows, edges in zip(matrices, (edges1, edges2)):
+        for u, v in edges:
+            if not (0 <= u < n1 and 0 <= v < n1):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+            rows[u][v] += 1
+            rows[v][u] += 1  # so a loop adds 2 on the diagonal
+    if len(edges1) != len(edges2):
         return False
-
-    adj1 = [Counter() for _ in range(n1)]
-    adj2 = [Counter() for _ in range(n2)]
-    for (u, v), c in e1.items():
-        adj1[u][v] += c
-        adj1[v][u] += c
-    for (u, v), c in e2.items():
-        adj2[u][v] += c
-        adj2[v][u] += c
-
-    def signature(adj, i):
-        return tuple(sorted(adj[i].values()))
-
-    sig1 = sorted(signature(adj1, i) for i in range(n1))
-    sig2 = sorted(signature(adj2, i) for i in range(n2))
-    if sig1 != sig2:
-        return False
-
-    mapping: dict[int, int] = {}
-    used = [False] * n2
-    order = sorted(range(n1), key=lambda i: (-sum(adj1[i].values()), signature(adj1, i)))
-
-    def extend(pos: int) -> bool:
-        if pos == n1:
-            return True
-        u = order[pos]
-        for v in range(n2):
-            # A Counter reads 0 for a missing key, so absent edges match too.
-            if (
-                used[v]
-                or signature(adj1, u) != signature(adj2, v)
-                or not all(adj1[u][w] == adj2[v][x] for w, x in mapping.items())
-            ):
-                continue
-            mapping[u] = v
-            used[v] = True
-            if extend(pos + 1):
-                return True
-            del mapping[u]
-            used[v] = False
-        return False
-
-    return extend(0)
+    return _canonical(matrices[0], [0] * n1) == _canonical(matrices[1], [0] * n1)
 
 
 def dynkin_tree_edges(label: DynkinType) -> list[tuple[int, int]]:
@@ -452,51 +404,69 @@ def _symmetrizer_for(rows) -> tuple[int, ...]:
 
 
 # -- canonical forms -----------------------------------------------------------
-# Nothing in the package needs a canonical form any more: the tests use it
-# in their mutation-class oracle, and bench/tracer.py times it through
-# :mod:`cluster`.
+# One engine decides "equal up to relabelling": check reaches it through
+# graphs_isomorphic, and the tests' mutation-class oracle and
+# bench/tracer.py (through :mod:`cluster`) through canonical_form.
 
 
-def _vertex_invariants(matrix: ExchangeMatrix) -> list[tuple]:
-    b = matrix.entries
-    n = matrix.n
-    invs = []
-    for i in range(n):
-        profile = sorted(
-            (b[i][j], b[j][i]) for j in range(n) if j != i and (b[i][j] or b[j][i])
-        )
-        invs.append((matrix.symmetrizer[i], tuple(profile)))
-    return invs
+def _canonical(rows, colours) -> tuple:
+    """The least ``(colours, rows)`` pair over the leaves of an
+    individualization-refinement search (McKay-Piperno, arXiv:1301.1493),
+    permuted by the leaf's vertex order: equal for two coloured square
+    matrices exactly when a simultaneous permutation maps one onto the other.
+
+    Refinement ranks the keys (colour, sorted (b_ij, b_ji, colour_j) over the
+    neighbours j) until the number of colours is stable.  The search then
+    individualizes each vertex of the first smallest cell in turn.  A leaf
+    with an earlier leaf's pair is its image under an automorphism fixing
+    their common path, so the rest of the branch where the two part is skipped.
+    """
+    n = len(rows)
+    neighbours = [
+        [(j, b, rows[j][i]) for j, b in enumerate(row) if j != i and (b or rows[j][i])]
+        for i, row in enumerate(rows)
+    ]
+
+    def refine(cols, cells):
+        while True:
+            keys = [(c, *sorted([(b, back, cols[j]) for j, b, back in near]))
+                    for c, near in zip(cols, neighbours)]
+            rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+            cols = [rank[key] for key in keys]
+            if len(rank) in (cells, n):  # stable, or discrete
+                return cols, len(rank)
+            cells = len(rank)
+
+    leaves = {}  # pair -> path, for every leaf searched
+
+    def search(cols, cells, path) -> int:
+        """The depth of the node whose next child the search visits."""
+        if cells == n:
+            order = sorted(range(n), key=cols.__getitem__)
+            pair = (
+                tuple(colours[v] for v in order),
+                tuple(tuple(rows[u][v] for v in order) for u in order),
+            )
+            if pair in leaves:
+                return next(d for d, (u, v) in enumerate(zip(path, leaves[pair])) if u != v)
+            leaves[pair] = path
+            return len(path)
+        cell = min((size, c) for c, size in Counter(cols).items() if size > 1)[1]
+        for v in [v for v, c in enumerate(cols) if c == cell]:
+            individual = [2 * c + (u != v) for u, c in enumerate(cols)]
+            depth = search(*refine(individual, cells + 1), path + [v])
+            if depth < len(path):
+                return depth
+        return len(path)
+
+    start = [(c, rows[i][i]) for i, c in enumerate(colours)]  # the diagonal holds loops
+    search(*refine(start, len(set(start))), [])
+    return min(leaves)
 
 
 def canonical_form(matrix: ExchangeMatrix) -> tuple:
-    """Minimum representative over simultaneous permutations.
-
-    Permutations are restricted to preserve vertex invariants (degree and
-    incident entry profiles), which prunes the search to the candidates
-    that could possibly achieve the minimum.
-    """
-    n = matrix.n
-    invs = _vertex_invariants(matrix)
-    groups: dict[tuple, list[int]] = {}
-    for i, inv in enumerate(invs):
-        groups.setdefault(inv, []).append(i)
-    ordered_groups = [groups[key] for key in sorted(groups)]
-
-    best: tuple | None = None
-    # Assign target positions group by group; total work is the product of
-    # factorials of group sizes, small for the sparse matrices used here.
-    group_perms = [list(itertools.permutations(grp)) for grp in ordered_groups]
-    for choice in itertools.product(*group_perms):
-        order = [v for grp in choice for v in grp]
-        perm = [0] * n
-        for target, source in enumerate(order):
-            perm[source] = target
-        candidate = matrix.permuted(tuple(perm))
-        flat = (candidate.symmetrizer, candidate.entries)
-        if best is None or flat < best:
-            best = flat
-    return best
+    """The (symmetrizer, entries) pair of :func:`_canonical`."""
+    return _canonical(matrix.entries, matrix.symmetrizer)
 
 
 # -- classification ------------------------------------------------------------

@@ -26,3 +26,9 @@ def test_every_tracer_target_exists():
         if attr not in owner.__dict__
     ]
     assert not missing, missing
+    # It times canonical_form and is_finite_type through cluster, which
+    # imports them from quivers: aliases, not stale copies.
+    from singlink import cluster, quivers
+
+    assert cluster.canonical_form is quivers.canonical_form
+    assert cluster.is_finite_type is quivers.is_finite_type

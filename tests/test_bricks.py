@@ -1,15 +1,17 @@
 """Tests for the brick quiver construction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlink.bricks import (
     Brick,
     BrickError,
+    BrickQuiver,
     brick_quiver,
     to_exchange_matrix,
 )
 from singlink.links import BraidWord, DynkinType, ade_braid
-from singlink.quivers import dynkin_tree_edges, graphs_isomorphic
+from singlink.quivers import canonical_form, dynkin_tree_edges, graphs_isomorphic, mutate
 
 ADE_LABELS = (
     [("A", n) for n in range(1, 9)]
@@ -121,3 +123,61 @@ def test_dot_and_json_roundtrip():
     dot = quiver.to_dot()
     assert '"1:[2,4]" -> "1:[1,2]"' in dot
     assert quiver.to_json_dict()["bricks"][1] == {"row": 1, "span": [2, 4]}
+
+
+# -- braid moves are mutations ----------------------------------------------------
+# A braid relation or a commutation keeps the Legendrian isotopy class of the
+# rainbow closure, and the brick quiver answers with one mutation or none.
+
+
+@st.composite
+def _moves(draw, relation: bool):
+    """(strands, prefix, pattern, moved pattern, suffix): a word of at most
+    5 strands and 12 letters around sigma_a sigma_b sigma_a with |a - b| = 1
+    (``relation``) or around sigma_a sigma_b with |a - b| >= 2."""
+    strands = draw(st.integers(3 if relation else 4, 5))
+    letter = st.integers(1, strands - 1)
+    pairs = [(a, b) for a in range(1, strands) for b in range(1, strands) if a != b]
+    a, b = draw(st.sampled_from([(a, b) for a, b in pairs if (abs(a - b) == 1) == relation]))
+    pattern, moved = ((a, b, a), (b, a, b)) if relation else ((a, b), (b, a))
+    prefix = draw(st.lists(letter, max_size=12 - len(pattern)))
+    suffix = draw(st.lists(letter, max_size=12 - len(pattern) - len(prefix)))
+    return strands, tuple(prefix), pattern, moved, tuple(suffix)
+
+
+def _form(quiver: BrickQuiver):
+    return canonical_form(to_exchange_matrix(quiver)) if quiver.rank else None
+
+
+@given(_moves(relation=True))
+@settings(max_examples=200, deadline=None)
+def test_a_braid_relation_is_one_mutation_at_the_middle_brick(case):
+    strands, prefix, pattern, moved, suffix = case
+    quiver = brick_quiver(BraidWord(strands, prefix + pattern + suffix))
+    first = len(prefix) + 1  # the 1-based position of the first sigma_a
+    k = quiver.bricks.index(Brick(pattern[0], (first, first + 2))) + 1
+    after = brick_quiver(BraidWord(strands, prefix + moved + suffix))
+    assert canonical_form(mutate(to_exchange_matrix(quiver), k)) == _form(after)
+
+
+@given(_moves(relation=False))
+@settings(max_examples=200, deadline=None)
+def test_a_commutation_keeps_the_quiver(case):
+    strands, prefix, pattern, moved, suffix = case
+    before = brick_quiver(BraidWord(strands, prefix + pattern + suffix))
+    after = brick_quiver(BraidWord(strands, prefix + moved + suffix))
+    assert _form(before) == _form(after)
+
+
+def test_a_dropped_arrow_breaks_the_braid_relation():
+    # sigma_1 sigma_2 sigma_1 sigma_2 sigma_1 sigma_2 on 3 strands; the
+    # relation at the start moves it to sigma_2 sigma_1 sigma_2 sigma_2 sigma_1 sigma_2.
+    quiver = brick_quiver(BraidWord(3, (1, 2, 1, 2, 1, 2)))
+    k = quiver.bricks.index(Brick(1, (1, 3))) + 1
+    mutated = canonical_form(mutate(to_exchange_matrix(quiver), k))
+    after = brick_quiver(BraidWord(3, (2, 1, 2, 2, 1, 2)))
+    assert mutated == _form(after)
+    assert after.arrows
+    for dropped in range(len(after.arrows)):
+        arrows = after.arrows[:dropped] + after.arrows[dropped + 1 :]
+        assert mutated != _form(BrickQuiver(after.bricks, arrows)), after.arrows[dropped]

@@ -467,10 +467,13 @@ def test_classify_infinite():
         os.unlink(path)
 
 
-@pytest.mark.parametrize("text", ["a_3", "A__3", " b3 ", "A٣"])
+@pytest.mark.parametrize(
+    "text", ["a_3", "A__3", " b3 ", "A٣", pytest.param("A" + "0" * 5000 + "3", id="A0..03")]
+)
 def test_type_and_ade_flags_share_one_label_grammar(text):
-    # One pattern reads both flags, any decimal digit included (the last
-    # label ends in an Arabic-Indic three); --ade then takes only A, D and E.
+    # One pattern reads both flags, any decimal digit included (the fourth
+    # label ends in an Arabic-Indic three) and leading zeros dropped before
+    # int() reads the rest; --ade then takes only A, D and E.
     family = text.strip()[0].upper()
     code, out, err = run_cli("classify", "--type", text)
     assert (code, err) == (0, "")
@@ -484,10 +487,13 @@ def test_type_and_ade_flags_share_one_label_grammar(text):
 
 
 def test_superscript_rank_is_a_parse_error():
-    for flag in ("--type", "--ade"):
-        code, out, err = run_cli("classify", flag, "A²")  # a superscript two
-        assert (code, out) == (2, "")
-        assert err == "error: cannot parse Dynkin type 'A²'\n"
+    # A superscript two, and more than 6 digits after leading zeros, which
+    # int() would refuse past CPython's digit limit.
+    for text in ("A²", "A" + "9" * 5000):
+        for flag in ("--type", "--ade"):
+            code, out, err = run_cli("classify", flag, text)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot parse Dynkin type {text!r}\n"
 
 
 def test_malformed_matrix_json_is_a_usage_error():
@@ -549,8 +555,9 @@ def test_exchange_matrix_rank_is_bounded():
 
 
 def test_ade_rank_is_checked_before_the_brick_quiver(monkeypatch):
-    # The brick quiver of an ADE label has the label's rank, so a rank over
-    # the bound exits 3 before the quiver is built.
+    # A brick quiver has one brick per repeat of a letter, so a rank over the
+    # bound exits 3, in well under a second, before the quiver is built: an
+    # ADE label's rank, or the 89,700 bricks of T(300, 301).
     from singlink import bricks
 
     def refuse(braid):
@@ -558,16 +565,18 @@ def test_ade_rank_is_checked_before_the_brick_quiver(monkeypatch):
 
     monkeypatch.setattr(bricks, "brick_quiver", refuse)
     over = f"A{MAX_RANK + 1}"
-    message = f"budget exceeded: rank {MAX_RANK + 1} exceeds the exchange matrix rank bound"
-    for argv in (
-        ("classify", "--ade", over),
-        ("seeds", "--ade", over),
-        ("mutate", "--ade", over, "--at", "1"),
-        ("link", "--ade", over, "--pipeline"),
+    for argv, rank in (
+        (("classify", "--ade", over), MAX_RANK + 1),
+        (("seeds", "--ade", over), MAX_RANK + 1),
+        (("mutate", "--ade", over, "--at", "1"), MAX_RANK + 1),
+        (("link", "--ade", over, "--pipeline"), MAX_RANK + 1),
+        (("link", "--torus", "300", "301", "--pipeline"), 89700),
     ):
+        started = time.perf_counter()
         code, out, err = run_cli(*argv)
+        assert time.perf_counter() - started < 0.5, argv
         assert (code, out) == (3, ""), argv
-        assert err.startswith(message), argv
+        assert err.startswith(f"budget exceeded: rank {rank} exceeds the exchange matrix"), argv
 
 
 def test_classify_cap_flag_is_gone():

@@ -1,13 +1,17 @@
-"""Unit tests for the small graph utilities."""
+"""Unit tests for the small graph utilities and the one isomorphism engine
+behind graphs_isomorphic and canonical_form."""
 
+import random
+import time
 from collections import Counter
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlink.links import DynkinType
-from singlink.quivers import dynkin_tree_edges, graphs_isomorphic
+from singlink.bricks import brick_quiver, to_exchange_matrix
+from singlink.links import DynkinType, torus_braid
+from singlink.quivers import ExchangeMatrix, canonical_form, dynkin_tree_edges, graphs_isomorphic
 
 
 def test_path_vs_star():
@@ -84,3 +88,95 @@ def _multigraph_pairs(draw):
 def test_isomorphism_agrees_with_exhaustive_search(case):
     n, edges1, edges2 = case
     assert graphs_isomorphic(n, edges1, n, edges2) == _isomorphic_by_search(n, edges1, edges2)
+
+
+def _exchange_matrix(symmetrizer, upper) -> ExchangeMatrix:
+    """B = S D for the skew-symmetric S with upper triangle ``upper``, so
+    that D B is skew-symmetric."""
+    n = len(symmetrizer)
+    s = [[0] * n for _ in range(n)]
+    for (i, j), x in upper.items():
+        s[i][j], s[j][i] = x, -x
+    rows = [[s[i][j] * symmetrizer[j] for j in range(n)] for i in range(n)]
+    return ExchangeMatrix.from_rows(rows, symmetrizer)
+
+
+@st.composite
+def _quiver_pairs(draw):
+    """Two exchange matrices of rank n <= 6 with symmetrizers; the second is
+    often a relabelling of the first with a few entries moved."""
+    n = draw(st.integers(1, 6))
+    symmetrizer = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entry = st.integers(-2, 2)
+    d1 = draw(symmetrizer)
+    upper1 = {pair: draw(entry) for pair in pairs}
+    if draw(st.booleans()):
+        d2, upper2 = draw(symmetrizer), {pair: draw(entry) for pair in pairs}
+    else:
+        p = draw(st.permutations(range(n)))
+        d2 = [0] * n
+        for i, d in enumerate(d1):
+            d2[p[i]] = d
+        upper2 = {}
+        for (i, j), x in upper1.items():
+            upper2[min(p[i], p[j]), max(p[i], p[j])] = x if p[i] < p[j] else -x
+        for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+            upper2[draw(st.sampled_from(pairs))] = draw(entry)
+    return n, _exchange_matrix(d1, upper1), _exchange_matrix(d2, upper2)
+
+
+@given(_quiver_pairs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_agrees_with_exhaustive_search(case):
+    n, m1, m2 = case
+    by_search = any(m1.permuted(p) == m2 for p in permutations(range(n)))
+    assert (canonical_form(m1) == canonical_form(m2)) == by_search
+
+
+@pytest.mark.parametrize("a, b", [(3, 7), (3, 10)])
+def test_torus_brick_quivers_keep_their_form_under_relabelling(a, b):
+    # Ranks 12 and 18: the old form enumerated 80,640 orderings of T(3,7)
+    # and about 1.7e11 of T(3,10).
+    matrix = to_exchange_matrix(brick_quiver(torus_braid(a, b)))
+    perm = list(range(matrix.n))
+    random.Random(b).shuffle(perm)
+    started = time.perf_counter()
+    assert canonical_form(matrix) == canonical_form(matrix.permuted(tuple(perm)))
+    assert time.perf_counter() - started < 0.5
+
+
+UNIONS_OF_CYCLES = [(12,), (6, 6), (6, 3, 3), (4, 4, 4), (3, 3, 3, 3), (5, 7), (4, 8), (3, 4, 5)]
+
+
+def _union_of_cycles(lengths, rng) -> list[tuple[int, int]]:
+    """The arrows i -> i + 1 around each cycle, vertices shuffled by ``rng``."""
+    label = list(range(sum(lengths)))
+    rng.shuffle(label)
+    arrows, start = [], 0
+    for length in lengths:
+        arrows += [(label[start + i], label[start + (i + 1) % length]) for i in range(length)]
+        start += length
+    return arrows
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+def test_unions_of_cycles_are_told_apart_by_the_search(rng):
+    # Every vertex of a union of oriented cycles on 12 vertices has one arrow
+    # in and one out, so refinement alone leaves a single cell of 12 vertices,
+    # and only the search tells the unions apart.
+    forms, graphs = [], []
+    for lengths in UNIONS_OF_CYCLES:
+        arrows = _union_of_cycles(lengths, rng)
+        rows = [[0] * 12 for _ in range(12)]
+        for u, v in arrows:
+            rows[u][v], rows[v][u] = 1, -1
+        forms.append(canonical_form(ExchangeMatrix.from_rows(rows)))
+        graphs.append(arrows)
+    for i, lengths in enumerate(UNIONS_OF_CYCLES):
+        for j, other in enumerate(UNIONS_OF_CYCLES):
+            assert (forms[i] == forms[j]) == (i == j), (lengths, other)
+        again = _union_of_cycles(lengths, rng)
+        assert graphs_isomorphic(12, graphs[i], 12, again)
+        assert not graphs_isomorphic(12, graphs[i], 12, graphs[i - 1])
