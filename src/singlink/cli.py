@@ -496,36 +496,43 @@ COMMAND_NAMES = tuple(name for name, _, _, _ in COMMANDS)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.
+    """The parser of ``command`` alone, or of every subcommand when
+    ``command`` names none.
 
-    A one-command parser still names every subcommand in its usage line,
-    so its messages read as the full parser's for that command.
+    A one-command parser is the full parser's subparser for that command,
+    built on its own, with the same ``prog`` ("singlink <command>"),
+    arguments and messages.
     """
+    for name, _, add_arguments, handler in COMMANDS:
+        if name == command:
+            parser = argparse.ArgumentParser(prog=f"singlink {name}")
+            add_arguments(parser)
+            parser.set_defaults(func=handler)
+            return parser
     parser = argparse.ArgumentParser(
         prog="singlink",
         description="Exact toolkit for plane-curve singularity links: braids, "
         "divides, quivers, cluster seeds, and moduli equation systems.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        metavar = "{" + ",".join(COMMAND_NAMES) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in COMMANDS:
-        if command is None or name == command:
-            subparser = sub.add_parser(name, help=help_text)
-            add_arguments(subparser)
-            subparser.set_defaults(func=handler)
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Only the parser of the subcommand that runs is built; help, no
-    # command or an unknown one take the full parser.
-    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
-    args = build_parser(command).parse_args(argv)
+    # Only the parser of the subcommand that runs is built.  Help, no
+    # command, an unknown one or stray arguments take the full parser,
+    # which prints the full parser's messages.
+    args = stray = None
+    if argv and argv[0] in COMMAND_NAMES:
+        args, stray = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or stray:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every singlink error is a ValueError

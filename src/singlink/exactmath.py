@@ -314,23 +314,15 @@ def _unpack(key: int, shifts, masks):
 def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact division ``num / den`` in the Laurent polynomial ring.
 
-    Both arguments are shifted by their per-variable minimum exponents
-    into the ordinary polynomial ring, divided by leading-term
-    cancellation (graded lex), and the monomial shift is restored.
-    Raises :class:`DivisionError` when the quotient does not exist in the
-    ring: a leading monomial that the divisor's does not divide, a
-    coefficient that its leading coefficient does not divide, or a
-    quotient with a negative exponent on a non-Laurent variable.
-
-    The division runs on packed monomials.  After the shift every
-    exponent is >= 0, and no term of the running remainder has a larger
-    total degree than the shifted dividend, so every exponent is at most
-    ``top`` = the largest total degree of either operand.  A monomial is
-    one integer: its total degree in the top field, then one field of
-    ``width`` = top.bit_length() + 1 bits per variable, variable 0 most
-    significant.  Integer order is then graded lex.  The top bit of each
-    variable field is a guard: ``(w | guard) - d`` cannot borrow across
-    fields, and clears the guard of exactly the fields where w < d.
+    A one-term divisor c*x^e divides each term at once: its exponent is
+    shifted by -e and its coefficient divided by c.  Any other divisor
+    takes :func:`_packed_quotient`.  Raises :class:`DivisionError` when
+    the quotient does not exist in the ring: a leading monomial that the
+    divisor's does not divide, a coefficient that its leading coefficient
+    does not divide, or a quotient with a negative exponent on a
+    non-Laurent variable.  In a ring whose variables are all Laurent, as
+    every cluster ring is, no quotient can leave the ring, and its terms
+    are not checked again.
     """
     if num.ring != den.ring:
         raise RingMismatchError("polynomials live in different rings")
@@ -338,6 +330,38 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         raise DivisionError("division by zero polynomial")
     if num.is_zero():
         return num
+    if len(den.terms) == 1:
+        ((dexp, dc),) = den.terms.items()
+        result = {
+            tuple(map(operator.sub, exp, dexp)): _int_div(c, dc) for exp, c in num.terms.items()
+        }
+    else:
+        result = _packed_quotient(num, den)
+    ring = num.ring
+    if len(ring.laurent) == ring.nvars:
+        return _fast_poly(ring, result)
+    try:
+        return Polynomial(ring, result)
+    except ExactMathError as exc:
+        raise DivisionError(f"quotient leaves the ring: {exc}") from None
+
+
+def _packed_quotient(num: Polynomial, den: Polynomial) -> dict:
+    """The terms of ``num / den`` for nonzero operands of one ring, by
+    leading-term cancellation (graded lex) on packed monomials.
+
+    Both operands are shifted by their per-variable minimum exponents into
+    the ordinary polynomial ring, divided there, and the monomial shift is
+    restored.  After the shift every exponent is >= 0, and no term of the
+    running remainder has a larger total degree than the shifted dividend,
+    so every exponent is at most ``top`` = the largest total degree of
+    either operand.  A monomial is one integer: its total degree in the
+    top field, then one field of ``width`` = top.bit_length() + 1 bits per
+    variable, variable 0 most significant.  Integer order is then graded
+    lex.  The top bit of each variable field is a guard: ``(w | guard) - d``
+    cannot borrow across fields, and clears the guard of exactly the
+    fields where w < d.
+    """
     # The true per-variable minimum: a Laurent quotient, when it exists,
     # is then an ordinary polynomial.
     num_shift = tuple(map(min, zip(*num.terms)))
@@ -383,14 +407,10 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
                 work[exp] = s
     shift = tuple(map(operator.sub, num_shift, den_shift))
     masks = repeat((1 << (width - 1)) - 1)
-    result = {
+    return {
         tuple(map(operator.add, _unpack(key, shifts, masks), shift)): c
         for key, c in quotient.items()
     }
-    try:
-        return Polynomial(num.ring, result)
-    except ExactMathError as exc:
-        raise DivisionError(f"quotient leaves the ring: {exc}") from None
 
 
 def _int_div(a: int, b: int) -> int:

@@ -245,17 +245,21 @@ def hoisted_loops(sums, levels, name: str):
     and c_{m v} by one coefficient, c_m + v c_{m v}.  A test sum is
     tested, ``if (...) % q: continue``, at the first level that binds all
     its variables, and a solved sum holds by construction.  Coefficients
-    are named ``c<k>``, one per distinct sum.
+    are named ``c<k>``, one per distinct sum, and the residue mod q of a
+    coefficient b that solves a level is named ``r<k>`` where it first
+    does, and read again wherever it is needed after that.
 
     Returns (lines, pad, rest): the lines indented from ``LOOP_PAD``, the pad
     inside the last loop, and per sum the source of its value there, in
-    the coefficients, or None for a test or solved sum.
+    the coefficients (its residue mod q where one is named), or None for
+    a test or solved sum.
     """
     # A monomial in the level variables is keyed by a mask with bit d for
     # the variable of level d.
     bit_of = {v: 1 << d for d, (v, _) in enumerate(levels)}
     blocks = [[] for _ in range(len(levels) + 1)]
     named: dict[str, str] = {}
+    reduced: dict[str, str] = {}  # coefficient -> the name of its residue mod q
 
     def atom(expr: str, depth: int) -> str:
         # An integer literal or a name stands as it is; a sum gets a name,
@@ -295,11 +299,16 @@ def hoisted_loops(sums, levels, name: str):
         bit = bit_of[v]
         if solved is not None:
             state = states.pop(solved)
-            a = state.get(0, "0")
+            a, b = state.get(0, "0"), state.get(bit, "0")
+            if b in reduced:  # reduced where it solved an earlier level
+                r = residue = reduced[b]
+            else:
+                r = reduced[b] = f"r{len(reduced)}"
+                residue = f"({r} := ({b}) % q)"
             blocks[depth - 1] += [
-                f"if not (b := ({state.get(bit, '0')}) % q) and {a} % q:",
+                f"if not {residue} and {a} % q:",
                 "    continue",
-                f"values{v} = (-{a} * inverse[b] % q,) if b else values",
+                f"values{v} = (-{a} * inverse[{r}] % q,) if {r} else values",
             ]
         combined = {}
         for j, state in states.items():
@@ -320,7 +329,8 @@ def hoisted_loops(sums, levels, name: str):
             states[j] = {key: atom(" + ".join(part), depth) for key, part in parts.items()}
     rest: list[str | None] = [None] * len(sums)
     for j, state in states.items():
-        rest[j] = state.get(0, "0")
+        value = state.get(0, "0")
+        rest[j] = reduced.get(value, value)
     lines, pad = [], LOOP_PAD
     for depth, (v, solved) in enumerate(levels):
         lines += [pad + line for line in blocks[depth]]

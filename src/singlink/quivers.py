@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter, deque
+from collections import deque
 
 from .fqmath import BudgetExceededError
 from .links import DynkinType, parse_ade_label
@@ -77,19 +77,30 @@ class ExchangeMatrix(Record):
         return cls(n, entries, tuple(int(d) for d in symmetrizer))
 
     def permuted(self, perm: tuple[int, ...]) -> "ExchangeMatrix":
-        """Simultaneous row/column permutation: entry (i, j) -> (perm[i], perm[j])."""
-        n = self.n
-        inv = [0] * n
+        """Simultaneous row/column permutation: entry (i, j) -> (perm[i], perm[j]).
+
+        ``perm`` is a permutation of range(n).  It keeps D*B skew-symmetric,
+        so the result is not validated again.
+        """
+        inv = [0] * self.n
         for i, p in enumerate(perm):
             inv[p] = i
-        entries = tuple(
-            tuple(self.entries[inv[i]][inv[j]] for j in range(n)) for i in range(n)
-        )
-        sym = tuple(self.symmetrizer[inv[i]] for i in range(n))
-        return ExchangeMatrix(n, entries, sym)
+        rows = map(self.entries.__getitem__, inv)
+        entries = tuple(tuple(map(row.__getitem__, inv)) for row in rows)
+        return _derived(self.n, entries, tuple(map(self.symmetrizer.__getitem__, inv)))
 
     def to_json_dict(self) -> dict:
         return {"entries": [list(r) for r in self.entries], "symmetrizer": list(self.symmetrizer)}
+
+
+def _derived(n: int, entries: tuple, symmetrizer: tuple) -> ExchangeMatrix:
+    """An exchange matrix built from a valid one, which keeps D*B
+    skew-symmetric, so the O(n^2) validation is skipped."""
+    matrix = object.__new__(ExchangeMatrix)
+    object.__setattr__(matrix, "n", n)
+    object.__setattr__(matrix, "entries", entries)
+    object.__setattr__(matrix, "symmetrizer", symmetrizer)
+    return matrix
 
 
 def _is_int_list(value) -> bool:
@@ -143,11 +154,7 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
             new[kk] = -bik
             row = tuple(new)
         new_rows.append(row)
-    mutated = object.__new__(ExchangeMatrix)
-    object.__setattr__(mutated, "n", n)
-    object.__setattr__(mutated, "entries", tuple(new_rows))
-    object.__setattr__(mutated, "symmetrizer", matrix.symmetrizer)
-    return mutated
+    return _derived(n, tuple(new_rows), matrix.symmetrizer)
 
 
 # -- graphs --------------------------------------------------------------------
@@ -155,7 +162,8 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 def graphs_isomorphic(n1: int, edges1, n2: int, edges2) -> bool:
     """Exact isomorphism of undirected multigraphs given as edge lists, loops
-    allowed: equal :func:`_canonical` forms of their multiplicity matrices."""
+    allowed: equal first leaves, or equal least leaves, of :func:`_leaves`
+    on their multiplicity matrices."""
     if n1 != n2:
         return False
     matrices = ([[0] * n1 for _ in range(n1)], [[0] * n1 for _ in range(n1)])
@@ -167,7 +175,10 @@ def graphs_isomorphic(n1: int, edges1, n2: int, edges2) -> bool:
             rows[v][u] += 1  # so a loop adds 2 on the diagonal
     if len(edges1) != len(edges2):
         return False
-    return _canonical(matrices[0], [0] * n1) == _canonical(matrices[1], [0] * n1)
+    # Equal first leaves already relabel one graph onto the other.
+    first, second = (_leaves(rows, [0] * n1) for rows in matrices)
+    one, other = next(first), next(second)
+    return one == other or min([one, *first]) == min([other, *second])
 
 
 def dynkin_tree_edges(label: DynkinType) -> list[tuple[int, int]]:
@@ -409,64 +420,106 @@ def _symmetrizer_for(rows) -> tuple[int, ...]:
 # bench/tracer.py (through :mod:`cluster`) through canonical_form.
 
 
-def _canonical(rows, colours) -> tuple:
-    """The least ``(colours, rows)`` pair over the leaves of an
+def _leaves(rows, colours):
+    """The ``(colours, rows)`` pairs at the leaves of an
     individualization-refinement search (McKay-Piperno, arXiv:1301.1493),
-    permuted by the leaf's vertex order: equal for two coloured square
-    matrices exactly when a simultaneous permutation maps one onto the other.
+    each permuted by its leaf's vertex order, as the search reaches them.
+    Their least pair is a canonical form.  ``b_ij`` and ``b_ji`` vanish
+    together, as in an exchange matrix or a multigraph.
 
-    Refinement ranks the keys (colour, sorted (b_ij, b_ji, colour_j) over the
-    neighbours j) until the number of colours is stable.  The search then
-    individualizes each vertex of the first smallest cell in turn.  A leaf
+    The cells of the ordered partition are numbered by the position of
+    their first vertex, and the diagonal joins the first colour.
+    Refinement takes one splitter cell S at a time from a queue: each
+    vertex's signature is the multiset of its (b_ij, b_ji) over the
+    neighbours j in S, and every cell a neighbour of S lies in splits by
+    signature, in signature order.  The first part keeps the cell's
+    number, and every other part joins the queue; the first is implied,
+    since signatures add up over the parts of a cell.  The search
+    individualizes each vertex of the first smallest cell in turn, ahead
+    of the rest of its cell, and refines from that vertex alone.  A leaf
     with an earlier leaf's pair is its image under an automorphism fixing
-    their common path, so the rest of the branch where the two part is skipped.
+    their common path, so it is not yielded, and the rest of the branch
+    where the two part is skipped.
     """
     n = len(rows)
-    neighbours = [
-        [(j, b, rows[j][i]) for j, b in enumerate(row) if j != i and (b or rows[j][i])]
-        for i, row in enumerate(rows)
-    ]
+    near = [[j for j in itertools.compress(range(n), row) if j != i] for i, row in enumerate(rows)]
+    kinds = sorted({(rows[i][j], rows[j][i]) for i, js in enumerate(near) for j in js})
+    # A signature sums (n + 1)^(rank of its kind) over the edges into S.
+    weight = {kind: (n + 1) ** r for r, kind in enumerate(kinds)}
+    edges = [[(j, weight[rows[i][j], rows[j][i]]) for j in js] for i, js in enumerate(near)]
 
-    def refine(cols, cells):
-        while True:
-            keys = [(c, *sorted([(b, back, cols[j]) for j, b, back in near]))
-                    for c, near in zip(cols, neighbours)]
-            rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-            cols = [rank[key] for key in keys]
-            if len(rank) in (cells, n):  # stable, or discrete
-                return cols, len(rank)
-            cells = len(rank)
+    def refine(cols, cells, queue):
+        queued = set(queue)
+        for s in queue:  # the queue grows as cells split
+            if len(cells) == n:
+                break
+            queued.discard(s)
+            signature = {}
+            for u in cells[s]:
+                for j, w in edges[u]:
+                    signature[j] = signature.get(j, 0) + w
+            for c in sorted({cols[j] for j in signature}):
+                if len(cells[c]) == 1:
+                    continue
+                parts = {}
+                for v in cells[c]:
+                    parts.setdefault(signature.get(v, 0), []).append(v)
+                if len(parts) == 1:
+                    continue
+                start = c
+                for key in sorted(parts):
+                    cells[start] = part = parts[key]
+                    if start != c:
+                        for v in part:
+                            cols[v] = start
+                        if start not in queued:
+                            queued.add(start)
+                            queue.append(start)
+                    start += len(part)
+        return cols, cells
 
     leaves = {}  # pair -> path, for every leaf searched
 
-    def search(cols, cells, path) -> int:
-        """The depth of the node whose next child the search visits."""
-        if cells == n:
-            order = sorted(range(n), key=cols.__getitem__)
-            pair = (
-                tuple(colours[v] for v in order),
-                tuple(tuple(rows[u][v] for v in order) for u in order),
-            )
+    def search(cols, cells, path):
+        """Yields the new leaf pairs below this node; returns the depth of
+        the node whose next child the search visits."""
+        if len(cells) == n:
+            order = [cells[c][0] for c in range(n)]
+            pick = operator.itemgetter(*order) if n > 1 else tuple
+            pair = (pick(colours), tuple(map(pick, map(rows.__getitem__, order))))
             if pair in leaves:
                 return next(d for d, (u, v) in enumerate(zip(path, leaves[pair])) if u != v)
             leaves[pair] = path
+            yield pair
             return len(path)
-        cell = min((size, c) for c, size in Counter(cols).items() if size > 1)[1]
-        for v in [v for v, c in enumerate(cols) if c == cell]:
-            individual = [2 * c + (u != v) for u, c in enumerate(cols)]
-            depth = search(*refine(individual, cells + 1), path + [v])
+        cell = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)[1]
+        vs = cells[cell]
+        for v in vs:
+            individual, split = cols.copy(), cells.copy()
+            split[cell] = [v]
+            split[cell + 1] = rest = [u for u in vs if u != v]
+            for u in rest:
+                individual[u] = cell + 1
+            depth = yield from search(*refine(individual, split, [cell]), path + [v])
             if depth < len(path):
                 return depth
         return len(path)
 
     start = [(c, rows[i][i]) for i, c in enumerate(colours)]  # the diagonal holds loops
-    search(*refine(start, len(set(start))), [])
-    return min(leaves)
+    cols, cells, at = [0] * n, {}, 0
+    for value in sorted(set(start)):
+        cells[at] = part = [v for v in range(n) if start[v] == value]
+        for v in part:
+            cols[v] = at
+        at += len(part)
+    return search(*refine(cols, cells, list(cells)), [])
 
 
 def canonical_form(matrix: ExchangeMatrix) -> tuple:
-    """The (symmetrizer, entries) pair of :func:`_canonical`."""
-    return _canonical(matrix.entries, matrix.symmetrizer)
+    """The least (symmetrizer, entries) pair of :func:`_leaves`: equal for
+    two exchange matrices exactly when a simultaneous permutation maps one
+    onto the other."""
+    return min(_leaves(matrix.entries, matrix.symmetrizer))
 
 
 # -- classification ------------------------------------------------------------
@@ -494,7 +547,7 @@ def _components(matrix: ExchangeMatrix) -> list[ExchangeMatrix]:
         vs = _bfs_order(matrix, min(left))
         left.difference_update(vs)
         entries = tuple(tuple(b[i][j] for j in vs) for i in vs)
-        parts.append(ExchangeMatrix(len(vs), entries, tuple(d[i] for i in vs)))
+        parts.append(_derived(len(vs), entries, tuple(d[i] for i in vs)))
     return parts
 
 

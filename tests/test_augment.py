@@ -912,6 +912,19 @@ def test_hoisted_coefficients_vanishing_at_some_outer_prefixes(monkeypatch):
         assert any(re.fullmatch(r"\s*c\d+ = .*", line) for line in lines), texts
 
 
+def test_a_solving_coefficient_is_reduced_once(monkeypatch):
+    # The D4 kernel solves z10 and z11 by the same z-coefficient, and its
+    # body reads that coefficient again as u: each coefficient that solves
+    # a level is reduced mod q once, and its residue is read after that.
+    word = append_full_twist(ade_braid(parse_ade_label("D4")))
+    for q in (2, 3, 5):
+        source = "\n".join(kernel_source(monkeypatch, word, q))
+        reduced = re.findall(r"\((\w+)\) % q", source)
+        assert len(reduced) == len(set(reduced)), reduced
+        assert re.search(r"if not r\d+ and ", source)
+        assert re.search(r"u = -\(r\d+\) % q", source)
+
+
 def test_free_variables_past_the_nesting_cap(monkeypatch):
     # beta = sigma_4^2 on five strands with the full twist: s = 22, with 16
     # pins and 5 free prefix variables.  The pins and z_s leave room for

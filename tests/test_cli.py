@@ -186,6 +186,8 @@ PARSER_ARGVS = [
     *([name, "--help"] for name in cli.COMMAND_NAMES),
     ["classify", "--type", "E6", "--cap", "10"],
     ["seeds", "--type", "A3", "--summary", "extra"],
+    ["link", "--torus", "3", "4", "--bogus"],
+    ["theta", "--n", "x", "extra"],
     ["aug", "--method", "Brute"],
     ["theta"],
     ["mutate", "--type", "A2"],
@@ -197,27 +199,39 @@ PARSER_ARGVS = [
 
 def test_one_command_parser_reads_as_the_full_parser(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    built = cli.build_parser
-    lazy = [run_cli(*argv) for argv in PARSER_ARGVS]
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built())
+    one = [run_cli(*argv) for argv in PARSER_ARGVS]
+    # With no command name known, every argv takes the full parser.
+    monkeypatch.setattr(cli, "COMMAND_NAMES", ())
     full = [run_cli(*argv) for argv in PARSER_ARGVS]
-    for argv, one, every in zip(PARSER_ARGVS, lazy, full):
-        assert one == every, argv
+    for argv, lazy, every in zip(PARSER_ARGVS, one, full):
+        assert lazy == every, argv
     # The list reaches help, usage errors and a run.
     assert {code for code, _, _ in full} == {0, 2}
 
 
 def test_main_builds_only_the_parser_it_runs(monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    built, parsers = [], []
+    init = argparse.ArgumentParser.__init__
 
-    def counting_add_parser(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    def counting(name, add_arguments):
+        def add(parser):
+            built.append(name)
+            add_arguments(parser)
+
+        return add
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(
+        cli,
+        "COMMANDS",
+        tuple((name, text, counting(name, add), run) for name, text, add, run in cli.COMMANDS),
+    )
     assert run_cli("theta", "--n", "2")[0] == 0
-    assert built == ["theta"]
+    assert (built, parsers) == (["theta"], ["singlink theta"])
     built.clear()
     cli.build_parser()
     assert built == list(cli.COMMAND_NAMES)

@@ -269,6 +269,28 @@ def test_involution_and_equivariance_random():
         assert mutate(m.permuted(perm), perm[k - 1] + 1) == mutate(m, k).permuted(perm)
 
 
+def test_permuted_and_components_match_validated_matrices():
+    # permuted and the components of the seed pre-check do not re-validate
+    # their results: build the same data through the checking constructor.
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        m = random_skew_symmetrizable(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = m.permuted(tuple(perm))
+        assert p == ExchangeMatrix(n, p.entries, p.symmetrizer)
+        assert all(p.symmetrizer[perm[i]] == m.symmetrizer[i] for i in range(n))
+        assert all(
+            p.entries[perm[i]][perm[j]] == m.entries[i][j] for i in range(n) for j in range(n)
+        )
+        assert all(type(row) is tuple for row in p.entries) and type(p.entries) is tuple
+        parts = quivers_module._components(m)
+        assert sum(part.n for part in parts) == n
+        for part in parts:
+            assert part == ExchangeMatrix(part.n, part.entries, part.symmetrizer)
+
+
 def test_seed_mutation_a1():
     seed = initial_seed(M([[0]]))
     out = mutate_seed(seed, 1)

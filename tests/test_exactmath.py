@@ -4,10 +4,12 @@ import heapq
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import singlink.exactmath as exactmath
 from singlink.exactmath import (
     DivisionError,
     PolyMatrix,
@@ -354,6 +356,50 @@ def test_division_matches_the_oracle_on_any_input(pair):
     assert _outcome(divide_exact, a, b) == _outcome(divide_oracle, a, b)
 
 
+def packed_divide(num, den):
+    """:func:`divide_exact` through the packed path, whatever the divisor."""
+    if num.is_zero():
+        return num
+    quotient = exactmath._packed_quotient(num, den)
+    try:
+        return Polynomial(num.ring, quotient)
+    except ExactMathError:
+        raise DivisionError("quotient leaves the ring") from None
+
+
+@st.composite
+def laurent_monomial_pairs(draw):
+    """A Laurent polynomial and a one-term divisor c*x^e of its ring."""
+    ring = draw(st.sampled_from(LAURENT_RINGS))
+    return draw(laurent_polys(ring)), draw(laurent_polys(ring, min_terms=1, max_terms=1))
+
+
+@given(laurent_monomial_pairs())
+@settings(max_examples=300)
+def test_one_term_division_matches_the_packed_path(pair):
+    a, monomial = pair
+    assert divide_exact(a * monomial, monomial) == a == packed_divide(a * monomial, monomial)
+    # Inexact coefficients and quotients that leave the ring raise on both.
+    assert _outcome(divide_exact, a, monomial) == _outcome(packed_divide, a, monomial)
+
+
+def test_one_term_division_skips_the_packed_path(monkeypatch):
+    def refuse(num, den):
+        raise AssertionError("a one-term divisor took the packed path")
+
+    ring = RingDescriptor(("x", "y"), laurent=frozenset({"x", "y"}))
+    num, den = parse_polynomial("6*x^2*y - 4*y^-1", ring), parse_polynomial("-2*x*y^3", ring)
+    monkeypatch.setattr(exactmath, "_packed_quotient", refuse)
+    assert divide_exact(num, den) == parse_polynomial("-3*x*y^-2 + 2*x^-1*y^-4", ring)
+    for divisor in ("4*x", "3"):
+        with pytest.raises(DivisionError, match="coefficient mismatch"):
+            divide_exact(num, parse_polynomial(divisor, ring))
+    monkeypatch.undo()
+    for divisor in ("4*x", "3"):
+        with pytest.raises(DivisionError, match="coefficient mismatch"):
+            packed_divide(num, parse_polynomial(divisor, ring))
+
+
 @pytest.mark.parametrize(
     "num,den",
     [
@@ -565,9 +611,14 @@ def test_hoisted_loops_evaluate_every_sum(case):
     for point in itertools.product(range(q), repeat=nv):
         if any(h and value(terms, point) % q for (terms, _), h in zip(sums, held)):
             continue
-        left = tuple(value(terms, point) for (terms, _), r in zip(sums, rest) if r)
+        left = tuple(
+            value(terms, point) % q if re.fullmatch(r"r\d+", r) else value(terms, point)
+            for (terms, _), r in zip(sums, rest)
+            if r
+        )
         expected.append((point, left))
-    # The values are exact integers, not residues: regrouping is exact.
+    # The values are exact integers, not residues: regrouping is exact.  A
+    # sum left as a named residue r<k> reads its value mod q, in range(q).
     assert sorted(seen) == sorted(expected)
 
 
