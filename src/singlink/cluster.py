@@ -10,8 +10,9 @@ Cluster algebras II; Gekhtman-Shapiro-Vainshtein), so
 variables and returns the Laurent seeds (the ``seeds`` command and the
 seed-count check).  The integer matrices, their mutation, classification
 and the c-vector seed count live in :mod:`quivers`, which this module
-builds on; mutation is an involution, so both seed searches skip the edge
-back to a seed's BFS parent.
+builds on.  Both seed searches evaluate each edge of the exchange graph
+once, from whichever end is popped first: an edge that lands on a queued
+seed is recorded there and skipped when that seed is popped.
 """
 
 from __future__ import annotations
@@ -99,33 +100,45 @@ def enumerate_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> tuple[Seed, .
     is memoized on ``(id of x_k, frozenset of (id of x_i, b_ik) with
     b_ik != 0)``, a local configuration that the larger frontiers (E7,
     E8) revisit constantly.  The matrix of a neighbour is mutated only
-    when its cluster is new.  Each seed is queued with the direction that
-    reached it, and that direction is skipped when the seed is popped:
-    mutation is an involution, so the exchange would only return the
-    parent.
+    when its cluster is new.
+
+    Each exchange-graph edge is evaluated once.  An edge from s at k that
+    lands on a queued seed t records on t the pooled id of the variable it
+    brought in, and t skips the direction of each recorded variable when
+    it is popped: exchanging that variable returns the cluster of s, and
+    in finite type the cluster determines the seed, so the edge could only
+    find s again.  A seed's first record is the edge that found it, and
+    its records are dropped when it is popped.  An edge never lands on a
+    popped seed, whose own evaluation of that edge found or recorded s.
     """
     check_seed_budget(matrix, cap)
     start = initial_seed(matrix)
     pool: dict = {var: var for var in start.cluster}
     exchange_memo: dict = {}
-    seen: dict[frozenset, Seed] = {frozenset(map(id, start.cluster)): start}
-    queue: deque[tuple[Seed, int]] = deque([(start, -1)])
+    key = frozenset(map(id, start.cluster))
+    seen: dict[frozenset, Seed] = {key: start}
+    skips: dict[frozenset, set[int]] = {key: set()}  # queued seeds only
+    queue: deque[frozenset] = deque([key])
     while queue:
-        seed, parent = queue.popleft()
+        key = queue.popleft()
+        seed, skip = seen[key], skips.pop(key)
         ids = tuple(map(id, seed.cluster))
         for kk, column in enumerate(zip(*seed.matrix.entries)):
-            if kk == parent:
-                continue  # mutation at kk is an involution
+            if ids[kk] in skip:
+                continue  # this edge was evaluated from its other end
             memo_key = (ids[kk], frozenset(itertools.compress(zip(ids, column), column)))
             new_var = exchange_memo.get(memo_key)
             if new_var is None:
                 new_var = _exchange(seed, kk)
                 new_var = exchange_memo[memo_key] = pool.setdefault(new_var, new_var)
-            key = frozenset(ids[:kk] + (id(new_var),) + ids[kk + 1 :])
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise BudgetExceededError(f"more than {cap} seeds reached", cap)
-                cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]
-                seen[key] = neighbor = Seed(mutate(seed.matrix, kk + 1), cluster)
-                queue.append((neighbor, kk))
+            new_key = frozenset(ids[:kk] + (id(new_var),) + ids[kk + 1 :])
+            if new_key in seen:
+                skips[new_key].add(id(new_var))
+                continue
+            if len(seen) >= cap:
+                raise BudgetExceededError(f"more than {cap} seeds reached", cap)
+            cluster = seed.cluster[:kk] + (new_var,) + seed.cluster[kk + 1 :]
+            seen[new_key] = Seed(mutate(seed.matrix, kk + 1), cluster)
+            skips[new_key] = {id(new_var)}
+            queue.append(new_key)
     return tuple(seen.values())

@@ -237,7 +237,13 @@ def count_seeds(matrix: ExchangeMatrix, cap: int = 100_000) -> int:
     edge at k updates only the c_j with [e b_kj]_+ != 0, and a new seed
     rebuilds only row k and the rows of its neighbours
     (:func:`_mutated_sparse_rows`) and shares the others with its parent.
-    Mutation is an involution, so the edge back to the parent is skipped.
+
+    Each exchange-graph edge is evaluated once.  An edge from s at k that
+    lands on a queued seed t records on t the new c-vector -c_k, and t
+    skips the direction of each recorded c-vector when it is popped: that
+    mutation gives back the c-vectors of s, which determine s, so the edge
+    could only find s again.  A seed's first record is the edge that found
+    it, and its records are dropped when it is popped.
 
     Each c-vector is packed into one integer sum_i c_i 2^(16 i), so that a
     column update is one integer addition and the sign of the integer is
@@ -256,16 +262,19 @@ def _c_vector_seed_keys(matrix: ExchangeMatrix, cap: int) -> set[frozenset[int]]
     """The packed c-vector sets of the seeds that :func:`count_seeds` counts."""
     n = matrix.n
     start = [1 << (_C_DIGIT_BITS * i) for i in range(n)]
-    seen = {frozenset(start)}
+    key = frozenset(start)
+    seen = {key}
+    skips: dict[frozenset[int], set[int]] = {key: set()}  # queued seeds only
     rows = tuple({j: b for j, b in enumerate(row) if b} for row in matrix.entries)
-    queue = deque([(rows, start, -1)])
+    queue = deque([(rows, start, key)])
     while queue:
-        rows, c, parent = queue.popleft()
+        rows, c, key = queue.popleft()
+        skip = skips.pop(key)
         for kk in range(n):
-            if kk == parent:
-                continue  # mutation at kk is an involution
-            row_k = rows[kk]
             ck = c[kk]
+            if ck in skip:
+                continue  # this edge was evaluated from its other end
+            row_k = rows[kk]
             new = c.copy()
             new[kk] = -ck
             if ck > 0:
@@ -276,13 +285,15 @@ def _c_vector_seed_keys(matrix: ExchangeMatrix, cap: int) -> set[frozenset[int]]
                 for j, b in row_k.items():
                     if b < 0:
                         new[j] -= b * ck
-            key = frozenset(new)
-            if key in seen:
+            new_key = frozenset(new)
+            if new_key in seen:
+                skips[new_key].add(-ck)
                 continue
             if len(seen) >= cap:
                 raise BudgetExceededError(f"more than {cap} seeds reached", cap)
-            seen.add(key)
-            queue.append((_mutated_sparse_rows(rows, kk), new, kk))
+            seen.add(new_key)
+            skips[new_key] = {-ck}
+            queue.append((_mutated_sparse_rows(rows, kk), new, new_key))
     return seen
 
 

@@ -372,14 +372,30 @@ def _enumerate_seeds_plainly(matrix: ExchangeMatrix, cap: int) -> tuple[Seed, ..
     return tuple(seen.values())
 
 
-# Initial seeds other than initial_matrix's trees: a disconnected one, and
-# two with oriented cycles, so that the parent-edge skip is also checked
-# away from acyclic seeds.
+def _randomly_mutated(type_text: str, seed: int) -> ExchangeMatrix:
+    """initial_matrix of the type after 3 to 15 mutations in seeded random
+    directions."""
+    rng = random.Random(seed)
+    matrix = initial_matrix(parse_dynkin_type(type_text))
+    for _ in range(rng.randint(3, 15)):
+        matrix = mutate(matrix, rng.randint(1, matrix.n))
+    return matrix
+
+
+# Initial seeds away from initial_matrix's trees, so that skipping the
+# directions recorded on a queued seed is checked where a cluster (and a
+# c-vector set) must determine its seed far from an acyclic start.
+_RANDOM_STARTS = {
+    f"{text}-mutated-at-random": (text, _randomly_mutated(text, 34))
+    for text in ("A5", "D5", "B3", "C3", "G2", "F4")
+}
+# Besides the random starts: a disconnected seed, and two with oriented
+# cycles.
 _NAMED_MATRICES = {
     "A1xA2": M([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
     "D4-mutated-at-centre": mutate(initial_matrix(DynkinType("D", 4)), 2),
     "A3-oriented-3-cycle": M([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]),
-}
+} | {name: matrix for name, (_, matrix) in _RANDOM_STARTS.items()}
 
 
 @pytest.mark.parametrize(
@@ -401,7 +417,7 @@ def test_enumerate_seeds_matches_a_plain_breadth_first_search(type_text):
         _enumerate_seeds_plainly(matrix, cap=count - 1)
 
 
-def test_enumerate_seeds_mutates_each_new_seed_once_and_divides_as_before(monkeypatch):
+def test_enumerate_seeds_mutates_each_new_seed_once_and_evaluates_each_edge_once(monkeypatch):
     calls = {"mutate": 0, "divide_exact": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cluster_module, name)):
@@ -411,11 +427,10 @@ def test_enumerate_seeds_mutates_each_new_seed_once_and_divides_as_before(monkey
         monkeypatch.setattr(cluster_module, name, counted)
     seeds = enumerate_seeds(initial_matrix(DynkinType("E", 6)), cap=1000)
     assert len(seeds) == 833
-    # One matrix mutation per seed past the first; 654 Laurent divisions,
-    # the exchange memo's count on E6.  The edge back to a seed's parent is
-    # never exchanged: mutation is an involution, so it only returns the
-    # parent.
-    assert calls == {"mutate": 832, "divide_exact": 654}
+    # One matrix mutation per seed past the first; 430 Laurent divisions,
+    # the exchange memo's count on E6 when each of the 833 * 6 / 2 = 2499
+    # exchange-graph edges is evaluated once, from the end popped first.
+    assert calls == {"mutate": 832, "divide_exact": 430}
 
 
 # -- the c-vector seed counter -------------------------------------------------
@@ -554,14 +569,29 @@ def _unpack_c_vector(packed: int, n: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-@pytest.mark.parametrize("type_text", ["E6", "F4", "G2", "B3", "C3"])
-def test_c_vectors_are_sign_coherent_and_unpack_to_the_reference_walk(type_text):
-    matrix = initial_matrix(parse_dynkin_type(type_text))
+@pytest.mark.parametrize(
+    "type_text,matrix",
+    [
+        *(
+            pytest.param(text, initial_matrix(parse_dynkin_type(text)), id=text)
+            for text in ("E6", "F4", "G2", "B3", "C3")
+        ),
+        *(pytest.param(text, matrix, id=name) for name, (text, matrix) in _RANDOM_STARTS.items()),
+    ],
+)
+def test_c_vectors_are_sign_coherent_and_unpack_to_the_reference_walk(type_text, matrix):
     reference = _c_vector_reference_walk(matrix)
     assert len(reference) == expected_seed_count(parse_dynkin_type(type_text))
     packed = quivers_module._c_vector_seed_keys(matrix, cap=len(reference))
     unpacked = {frozenset(_unpack_c_vector(x, matrix.n) for x in key) for key in packed}
     assert unpacked == reference
+    # The pre-check refuses cap = count - 1 first; the search alone also
+    # stops at its last seed.
+    message = f"more than {len(reference) - 1} seeds reached"
+    with pytest.raises(BudgetExceededError, match=message):
+        count_seeds(matrix, cap=len(reference) - 1)
+    with pytest.raises(BudgetExceededError, match=message):
+        quivers_module._c_vector_seed_keys(matrix, cap=len(reference) - 1)
     # The sign of a packed c-vector is the sign of its entries.
     for key in packed:
         for x in key:
