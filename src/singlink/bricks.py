@@ -51,6 +51,12 @@ class BrickQuiver(Record):
         }
 
 
+def brick_count(braid: BraidWord) -> int:
+    """The rank of :func:`brick_quiver`, known before it is built: one brick
+    per repeat of a letter."""
+    return len(braid.letters) - len(set(braid.letters))
+
+
 def brick_quiver(braid: BraidWord) -> BrickQuiver:
     """Build the brick quiver of a positive braid word.
 

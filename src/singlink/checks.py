@@ -9,10 +9,10 @@ chain system's F_2 point count (11) is incompatible with the polynomial
 q^3 - 1 interpolating the odd-prime counts; see the README discussion.
 The check is implemented as stated and reports the failure honestly.
 
-The dense oracles live here, not in the counting modules, so that a
-counting process compiles none of them: the augmentation and chain
-systems as dense polynomials of :mod:`exactmath`, the symbolic braid
-determinant, the elimination of x_2, the chain-system brute force over
+The oracles live here, not in the counting modules, so that a counting
+process compiles none of them: the augmentation and chain systems as
+dense polynomials of :mod:`exactmath`, the symbolic braid determinant,
+the elimination of x_2 on term maps, the chain-system brute force over
 F_q^(2n) and the integer interpolation of the polynomiality check.  The
 tests use them too.
 """
@@ -67,12 +67,12 @@ WORKED_EXAMPLE_EQ11 = (
 )
 
 
-# -- dense oracles -------------------------------------------------------------
+# -- oracles -------------------------------------------------------------------
 
 
 def augmentation_ring(s: int) -> RingDescriptor:
     """Z[z_1..z_s, t, t^-1], the dense ring of the augmentation oracles."""
-    return RingDescriptor(augment.augmentation_variables(s), laurent=frozenset({"t"}))
+    return RingDescriptor(augment.augmentation_variables(s))
 
 
 def augmentation_polynomials(system: augment.AugmentationSystem) -> tuple[Polynomial, ...]:
@@ -142,15 +142,22 @@ def count_theta_points_brute(system: sheafmoduli.ThetaSystem, q: int) -> int:
 def eliminate_x2(system: sheafmoduli.ThetaSystem) -> Polynomial:
     """For n = 2: substitute x_2 = -1 - x_1 a_1 into the second equation.
 
-    The sign-normalized result equals x*y*z + x - z - 1 under the variable
-    relabeling (x, y, z) = (a_2, x_1, a_1).
+    Each term that holds x_2 becomes its other factors times the
+    replacement, which shares no variable with them.  The sign-normalized
+    result equals x*y*z + x - z - 1 under the variable relabeling
+    (x, y, z) = (a_2, x_1, a_1).
     """
     if system.n != 2:
         raise sheafmoduli.ThetaError("elimination shortcut is defined for n = 2")
-    ring = theta_ring(2)
-    replacement = -ring.one() - ring.var("x1") * ring.var("a1")
-    result = theta_polynomials(system)[1].substitute("x2", replacement)
-    return -result if result and result.leading_term()[1] < 0 else result
+    (x1, x2), (a1, _) = sheafmoduli.theta_masks(2)
+    replacement = {0: -1, x1 | a1: -1}
+    result: dict[int, int] = {}
+    for mask, coeff in system.equations[1].items():
+        for term, c in (replacement if mask & x2 else {0: 1}).items():
+            key = mask & ~x2 | term
+            result[key] = result.get(key, 0) + coeff * c
+    result = sheafmoduli.sign_normalized({mask: c for mask, c in result.items() if c})
+    return multilinear_polynomial(theta_ring(2), result)
 
 
 def interpolate_integer_polynomial(points: list[tuple[int, int]]) -> list[int] | None:

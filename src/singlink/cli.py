@@ -126,8 +126,7 @@ def build_pipeline_report(
     """
     from . import bricks, quivers
 
-    # One brick per repeat of a letter: the quiver's rank, checked before it is built.
-    quivers.check_rank(len(braid.letters) - len(set(braid.letters)))
+    quivers.check_rank(bricks.brick_count(braid))
     report = _link_payload(descriptor, braid)
     if not braid.letters:
         return report
@@ -281,7 +280,7 @@ def _matrix_from_args(args) -> quivers.ExchangeMatrix:
         return quivers.initial_matrix(links.parse_dynkin_type(args.type))
     label = links.parse_ade_label(args.ade)
     braid = links.ade_braid(label)
-    quivers.check_rank(len(braid.letters) - len(set(braid.letters)))  # as build_pipeline_report
+    quivers.check_rank(bricks.brick_count(braid))
     return bricks.to_exchange_matrix(bricks.brick_quiver(braid))
 
 

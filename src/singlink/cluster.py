@@ -32,8 +32,7 @@ from .quivers import canonical_form, is_finite_type
 
 
 def initial_cluster_ring(n: int) -> RingDescriptor:
-    names = tuple(f"u{i}" for i in range(1, n + 1))
-    return RingDescriptor(names, laurent=frozenset(names))
+    return RingDescriptor(tuple(f"u{i}" for i in range(1, n + 1)))
 
 
 class Seed(Record):

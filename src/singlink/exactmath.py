@@ -1,10 +1,11 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
 A polynomial is a map from exponent vectors to nonzero coefficients,
-attached to a ring descriptor that fixes the variable names, their order
-and which variables are allowed negative exponents (Laurent variables).
-Coefficients are Python integers: cluster variables and the dense
-equations of the counting oracles all lie over Z.
+attached to a ring descriptor that fixes the variable names and their
+order.  The ring is the Laurent ring Z[u_1^(+-1), ..., u_n^(+-1)]: any
+variable may carry a negative exponent, as the cluster variables do by
+the Laurent phenomenon (Fomin-Zelevinsky, Cluster algebras I).
+Coefficients are Python integers.
 
 Canonical form: zero coefficients are never stored, and the printed form
 orders terms by graded lex (total degree descending, ties broken
@@ -29,10 +30,6 @@ class RingMismatchError(ExactMathError):
     pass
 
 
-class SubstitutionError(ExactMathError):
-    pass
-
-
 class PolynomialParseError(ExactMathError):
     pass
 
@@ -53,26 +50,23 @@ def _coeff(value) -> int:
 
 
 class RingDescriptor(Record):
-    """Ambient ring over Z: ordered variable names and Laurent flags.
+    """The Laurent ring over Z in ordered variable names.
 
     The declared variable order is part of the data: it fixes exponent
     vector layout and the graded-lex term order used for printing.
     ``_index`` maps each name to its position; it is not a field.
     """
 
-    __slots__ = ("variables", "laurent", "_index")
+    __slots__ = ("variables", "_index")
 
-    def __init__(self, variables: tuple[str, ...], laurent: frozenset[str] = frozenset()) -> None:
-        super().__init__(tuple(variables), frozenset(laurent))
+    def __init__(self, variables: tuple[str, ...]) -> None:
+        super().__init__(tuple(variables))
         variables = self.variables
         if len(set(variables)) != len(variables):
             raise ExactMathError("variable names must be unique")
         for name in variables:
             if not _VAR_TOKEN.match(name):
                 raise ExactMathError(f"invalid variable name {name!r}")
-        unknown = self.laurent - set(variables)
-        if unknown:
-            raise ExactMathError(f"Laurent flags for unknown variables {sorted(unknown)}")
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
 
     @property
@@ -99,8 +93,6 @@ class RingDescriptor(Record):
 
     def var(self, name: str, power: int = 1) -> "Polynomial":
         i = self.index(name)
-        if power < 0 and name not in self.laurent:
-            raise ExactMathError(f"negative exponent on non-Laurent variable {name!r}")
         if power == 0:
             return self.one()
         exp = [0] * self.nvars
@@ -132,20 +124,12 @@ class Polynomial:
         self.ring = ring
         clean = {}
         nv = ring.nvars
-        all_laurent = len(ring.laurent) == nv
         for exp, coeff in terms.items():
             if len(exp) != nv:
                 raise ExactMathError("exponent vector length does not match ring")
             c = coeff if type(coeff) is int else _coeff(coeff)
-            if c == 0:
-                continue
-            if not all_laurent and min(exp, default=0) < 0:
-                for name, e in zip(ring.variables, exp):
-                    if e < 0 and name not in ring.laurent:
-                        raise ExactMathError(
-                            f"negative exponent on non-Laurent variable {name!r}"
-                        )
-            clean[tuple(exp)] = c
+            if c:
+                clean[tuple(exp)] = c
         self.terms = clean
         self._hash = None
 
@@ -159,12 +143,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        if not self.terms:
-            raise ExactMathError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -251,32 +229,6 @@ class Polynomial:
                 base = base * base
         return self.ring.one() if result is None else result
 
-    # -- substitution -----------------------------------------------------
-
-    def substitute(self, name: str, replacement: "Polynomial") -> "Polynomial":
-        """Replace every occurrence of ``name`` by ``replacement``, exactly expanded.
-
-        Rejected if the variable carries a negative exponent anywhere in
-        this polynomial (substituting into t^-1 has no polynomial meaning).
-        """
-        idx = self.ring.index(name)
-        self._check_ring(replacement)
-        if any(exp[idx] < 0 for exp in self.terms):
-            raise SubstitutionError(
-                f"cannot substitute into {name!r}: negative exponents present"
-            )
-        result = self.ring.zero()
-        power_cache: dict[int, Polynomial] = {0: self.ring.one()}
-        for exp, coeff in self.terms.items():
-            e = exp[idx]
-            if e not in power_cache:
-                power_cache[e] = replacement ** e
-            rest = list(exp)
-            rest[idx] = 0
-            mono = Polynomial(self.ring, {tuple(rest): coeff})
-            result = result + mono * power_cache[e]
-        return result
-
     # -- printing ----------------------------------------------------------
 
     def _monomial_text(self, exp: tuple[int, ...]) -> str:
@@ -318,11 +270,8 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     shifted by -e and its coefficient divided by c.  Any other divisor
     takes :func:`_packed_quotient`.  Raises :class:`DivisionError` when
     the quotient does not exist in the ring: a leading monomial that the
-    divisor's does not divide, a coefficient that its leading coefficient
-    does not divide, or a quotient with a negative exponent on a
-    non-Laurent variable.  In a ring whose variables are all Laurent, as
-    every cluster ring is, no quotient can leave the ring, and its terms
-    are not checked again.
+    divisor's does not divide, or a coefficient that its leading
+    coefficient does not divide.
     """
     if num.ring != den.ring:
         raise RingMismatchError("polynomials live in different rings")
@@ -337,13 +286,7 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         }
     else:
         result = _packed_quotient(num, den)
-    ring = num.ring
-    if len(ring.laurent) == ring.nvars:
-        return _fast_poly(ring, result)
-    try:
-        return Polynomial(ring, result)
-    except ExactMathError as exc:
-        raise DivisionError(f"quotient leaves the ring: {exc}") from None
+    return _fast_poly(num.ring, result)
 
 
 def _packed_quotient(num: Polynomial, den: Polynomial) -> dict:
@@ -453,8 +396,7 @@ def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
 
     Grammar: ``term (("+"|"-") term)*`` with
     ``term = [coeff "*"] var["^" int] ("*" var["^" int])*``; a bare
-    number is also a term.  Exponents may be negative only on Laurent
-    variables.
+    number is also a term.  Any exponent may be negative.
     """
     tokens = []
     pos = 0
@@ -515,10 +457,6 @@ def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
             raise PolynomialParseError("empty term")
         result = ring.const(sign if coeff is None else sign * coeff)
         for name, power in factors:
-            if power < 0 and name not in ring.laurent:
-                raise PolynomialParseError(
-                    f"negative exponent on non-Laurent variable {name!r}"
-                )
             result = result * ring.var(name, power)
         return result
 

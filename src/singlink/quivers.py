@@ -400,29 +400,12 @@ def initial_matrix(t: DynkinType) -> ExchangeMatrix:
         else:
             rows[u][v] = -w_uv
             rows[v][u] = w_vu
-    sym = _symmetrizer_for(rows)
-    return ExchangeMatrix.from_rows(rows, sym)
-
-
-def _symmetrizer_for(rows) -> tuple[int, ...]:
-    """The least positive integer diagonal D with D*B skew-symmetric (B tree-shaped)."""
-    n = len(rows)
-    d = [0] * n
-    d[0] = 1
-    pending = [0]
-    while pending:
-        i = pending.pop()
-        for j in range(n):
-            if rows[i][j] != 0 and d[j] == 0:
-                # d_i b_ij = -d_j b_ji; scale D by the least factor that makes d_j an integer
-                top, bottom = -d[i] * rows[i][j], rows[j][i]
-                scale = abs(bottom) // math.gcd(top, bottom)
-                d = [x * scale for x in d]
-                d[j] = top * scale // bottom
-                pending.append(j)
-    if any(x == 0 for x in d):
-        raise ClusterError("symmetrizer construction needs a connected matrix")
-    return tuple(d)
+    # D*B is skew-symmetric when d_u w_uv = d_v w_vu on every edge (u, v):
+    # d_v is the product of the w_uv before v and the w_vu after it, over
+    # their gcd.
+    d = [math.prod(w for w, _ in weights[:v]) * math.prod(w for _, w in weights[v:]) for v in range(n)]
+    g = math.gcd(*d)
+    return ExchangeMatrix.from_rows(rows, tuple(x // g for x in d))
 
 
 # -- canonical forms -----------------------------------------------------------

@@ -68,12 +68,12 @@ class ThetaSystem(Record):
         return theta_variables(self.n)
 
 
-def _theta_masks(n: int) -> tuple[list[int], list[int]]:
+def theta_masks(n: int) -> tuple[list[int], list[int]]:
     """The one-bit masks of x_1..x_n and of a_1..a_n."""
     return [1 << (2 * n - i) for i in range(1, n + 1)], [1 << (n - i) for i in range(1, n + 1)]
 
 
-def _sign_normalized(terms: dict[int, int]) -> dict[int, int]:
+def sign_normalized(terms: dict[int, int]) -> dict[int, int]:
     """Flip the global sign so the graded-lex leading coefficient is positive."""
     if terms and terms[max(terms, key=multilinear_key)] < 0:
         return {mask: -coeff for mask, coeff in terms.items()}
@@ -84,11 +84,11 @@ def theta_equations_recursion(n: int) -> ThetaSystem:
     """Boundary and middle trivialization equations, sign-normalized."""
     if n < 2:
         raise ThetaError("the chain system needs n >= 2 (boundary equations collide)")
-    x, a = _theta_masks(n)
-    equations = [_sign_normalized({x[0] | a[0]: 1, 0: 1, x[1]: 1})]
+    x, a = theta_masks(n)
+    equations = [sign_normalized({x[0] | a[0]: 1, 0: 1, x[1]: 1})]
     for j in range(2, n):
-        equations.append(_sign_normalized({0: 1, x[j - 1] | a[j - 1]: 1, a[j - 2] | x[j]: -1}))
-    equations.append(_sign_normalized({x[n - 1] | a[n - 1]: 1, 0: 1, a[n - 2]: 1}))
+        equations.append(sign_normalized({0: 1, x[j - 1] | a[j - 1]: 1, a[j - 2] | x[j]: -1}))
+    equations.append(sign_normalized({x[n - 1] | a[n - 1]: 1, 0: 1, a[n - 2]: 1}))
     return ThetaSystem(n, tuple(equations))
 
 
@@ -109,14 +109,14 @@ def theta_equations_wedge(n: int) -> ThetaSystem:
     """Consecutive wedge conditions v_i ^ v_{i+1} = 1 on the vector tuple."""
     if n < 2:
         raise ThetaError("the chain system needs n >= 2 (boundary equations collide)")
-    x, a = ([{mask: 1} for mask in masks] for masks in _theta_masks(n))
+    x, a = ([{mask: 1} for mask in masks] for masks in theta_masks(n))
     one, minus_one, zero = {0: 1}, {0: -1}, {}
     vectors = [(one, zero), (one, zero), (minus_one, x[0])]
     for j in range(1, n):
         vectors.append((a[j - 1], x[j]))
     vectors.append((a[n - 1], minus_one))
     equations = [
-        _sign_normalized(_wedge_minus_one(vectors[i], vectors[i + 1]))
+        sign_normalized(_wedge_minus_one(vectors[i], vectors[i + 1]))
         for i in range(2, n + 2)  # 0-based: v_i ^ v_{i+1} for i in [3, n+2]
     ]
     return ThetaSystem(n, tuple(equations))

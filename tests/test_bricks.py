@@ -7,6 +7,7 @@ from singlink.bricks import (
     Brick,
     BrickError,
     BrickQuiver,
+    brick_count,
     brick_quiver,
     to_exchange_matrix,
 )
@@ -74,7 +75,10 @@ def test_disjoint_spans_no_arrow():
 def test_brick_quiver_rank_formula():
     for word, strands in [((1, 1, 1), 2), ((1, 1, 2, 1, 1, 2), 3), ((1, 2, 1, 2), 3)]:
         braid = BraidWord(strands, word)
-        assert brick_quiver(braid).rank == len(word) - len(set(word))
+        assert brick_quiver(braid).rank == brick_count(braid) == len(word) - len(set(word))
+    for family, rank in ADE_LABELS:
+        braid = ade_braid(DynkinType(family, rank))
+        assert brick_quiver(braid).rank == brick_count(braid) == rank
 
 
 def test_all_ade_brick_quivers_are_dynkin_trees():

@@ -701,6 +701,21 @@ def test_initial_matrix_reference_entries():
     assert g2.entries == ((0, 1), (-3, 0)) and g2.symmetrizer == (3, 1)
     b2 = initial_matrix(DynkinType("B", 2))
     assert b2.entries == ((0, 1), (-2, 0)) and b2.symmetrizer == (2, 1)
+    # The symmetrizer is computed along the weighted path: d_v = d_u |b_uv| / |b_vu|.
+    reference = {
+        ("B", 3): (((0, 1, 0), (-1, 0, -2), (0, 1, 0)), (1, 1, 2)),
+        ("B", 4): (((0, 1, 0, 0), (-1, 0, -1, 0), (0, 1, 0, 2), (0, 0, -1, 0)), (1, 1, 1, 2)),
+        ("C", 3): (((0, 1, 0), (-1, 0, -1), (0, 2, 0)), (2, 2, 1)),
+        ("C", 5): (
+            ((0, 1, 0, 0, 0), (-1, 0, -1, 0, 0), (0, 1, 0, 1, 0), (0, 0, -1, 0, -1),
+             (0, 0, 0, 2, 0)),
+            (2, 2, 2, 2, 1),
+        ),
+        ("F", 4): (((0, 1, 0, 0), (-1, 0, -1, 0), (0, 2, 0, 1), (0, 0, -1, 0)), (2, 2, 1, 1)),
+    }
+    for (family, rank), (entries, symmetrizer) in reference.items():
+        m = initial_matrix(DynkinType(family, rank))
+        assert (m.entries, m.symmetrizer) == (entries, symmetrizer), (family, rank)
 
 
 def test_classify_catalog_divide_quivers():

@@ -49,8 +49,7 @@ RECORDS = [
      {"endpoints": ()}),
     (DivideFaces, {"faces": (FACE,)}, {"faces": ()}),
     (AcampoQuiver, {"crossings": 1, "regions": 1, "arrows": ((0, 1),)}, {"regions": 2}),
-    (RingDescriptor, {"variables": ("x", "t"), "laurent": frozenset({"t"})},
-     {"laurent": frozenset()}),
+    (RingDescriptor, {"variables": ("x", "t")}, {"variables": ("t", "x")}),
     (AugmentationSystem, {"strands": 2, "word": WORD, "equations": ({1: 1}, {0: 1}),
                           "t_convention": "t"}, {"t_convention": "t-inverse"}),
     (ThetaSystem, {"n": 1, "equations": ({3: 1},)}, {"equations": ({3: 2},)}),
@@ -139,21 +138,19 @@ def test_constructors_normalize_their_fields():
     assert DynkinType("b", 3) == DynkinType("B", 3)
     assert Strand(False, [[0, 0], [1, 2]]).passages == ((0, 0), (1, 2))
     assert Divide(0, [ARC], [[0, 0], [0, 1]]) == Divide(0, (ARC,), ((0, 0), (0, 1)))
-    ring = RingDescriptor(["x", "t"], {"t"})
-    assert ring.variables == ("x", "t") and ring.laurent == frozenset({"t"})
+    assert RingDescriptor(["x", "t"]).variables == ("x", "t")
+    assert RingDescriptor._fields == ("variables",)
 
 
 def test_defaults():
     assert Face(((0, 0),), True).endpoints == ()
-    assert RingDescriptor(("x",)).laurent == frozenset()
-    assert RingDescriptor(("x",)) == RingDescriptor(("x",), frozenset())
 
 
 def test_repr_is_dataclass_style():
     assert repr(DynkinType("e", 6)) == "DynkinType(family='E', rank=6)"
     assert repr(Brick(1, (1, 3))) == "Brick(row=1, span=(1, 3))"
     assert repr(PuiseuxPairs(((3, 2),))) == "PuiseuxPairs(pairs=((3, 2),))"
-    assert repr(RingDescriptor(("x",))) == "RingDescriptor(variables=('x',), laurent=frozenset())"
+    assert repr(RingDescriptor(("x",))) == "RingDescriptor(variables=('x',))"
 
 
 def test_ring_equality_ignores_its_index():

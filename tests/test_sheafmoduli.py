@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from singlink import checks, sheafmoduli
 from singlink.augment import count_solutions_dp
 from singlink.checks import (
     check_point_count_polynomiality,
@@ -20,6 +21,7 @@ from singlink.sheafmoduli import (
     THETA_MAX_N,
     BudgetExceededError,
     ThetaError,
+    ThetaSystem,
     count_positroid_points,
     count_theta_points_chain,
     system_to_json_dict,
@@ -106,7 +108,9 @@ def positroid_count_by_enumeration(n: int, q: int) -> int:
 
 
 def dense_sign_normalized(p: Polynomial) -> Polynomial:
-    return -p if p.leading_term()[1] < 0 else p
+    """Flip the sign so the graded-lex leading coefficient is positive."""
+    lead = max(p.terms, key=lambda e: (sum(e), e))
+    return -p if p.terms[lead] < 0 else p
 
 
 def dense_recursion(n: int) -> tuple[Polynomial, ...]:
@@ -192,6 +196,20 @@ def test_elimination_matches_surface():
     ring = theta_ring(2)
     # (x, y, z) = (a2, x1, a1) sends x*y*z + x - z - 1 to this polynomial.
     assert eliminate_x2(system) == parse_polynomial("x1*a1*a2 + a2 - a1 - 1", ring)
+
+
+@pytest.mark.parametrize("lost", range(3))
+def test_theta_equivalence_reports_an_elimination_that_loses_a_term(monkeypatch, lost):
+    # The n = 2 system's second equation, x2*a2 + a1 + 1, without one term.
+    first, second = theta_equations_recursion(2).equations
+    second = {mask: c for k, (mask, c) in enumerate(sorted(second.items())) if k != lost}
+    broken = ThetaSystem(2, (first, second))
+    monkeypatch.setattr(
+        sheafmoduli, "theta_equations_recursion",
+        lambda n: broken if n == 2 else theta_equations_recursion(n),
+    )
+    result = checks.check_theta_equivalence()
+    assert result.details["elimination"] is False and not result.passed
 
 
 def test_surface_count_f2_is_5_three_ways():
