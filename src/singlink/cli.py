@@ -45,28 +45,21 @@ def _emit(payload) -> None:
 
 
 def _braid_from_args(args) -> tuple[str, links.BraidWord | None, dict]:
-    """Resolve the single braid input form; returns (descriptor, braid, extras).
+    """Resolve the braid input form that the parser let through (exactly
+    one); returns (descriptor, braid, extras).
 
     Iterated cables beyond a single torus pair have no catalog braid, so
     the braid slot is None and the extras carry the cable data.
     """
     from . import links
 
-    chosen = [
-        name
-        for name in ("ade", "torus", "puiseux", "braid")
-        if getattr(args, name, None) is not None
-    ]
-    if len(chosen) != 1:
-        raise UsageError("choose exactly one of --ade / --torus / --puiseux / --braid")
-    kind = chosen[0]
-    if kind == "ade":
+    if args.ade is not None:
         label = links.parse_ade_label(args.ade)
         return f"ade:{label}", links.ade_braid(label), {}
-    if kind == "torus":
+    if args.torus is not None:
         a, b = args.torus
         return f"torus:{a},{b}", links.torus_braid(a, b), {}
-    if kind == "braid":
+    if args.braid is not None:
         braid = links.braid_from_text(args.braid, args.strands)
         return f"braid:{braid.to_text() or '(empty)'}", braid, {}
     pairs = []
@@ -228,12 +221,6 @@ def cmd_link(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    sources = ("ade", "torus", "puiseux", "braid", "divide", "divide_label")
-    if sum(getattr(args, name) is not None for name in sources) != 1:
-        raise UsageError(
-            "choose exactly one of --ade / --torus / --puiseux / --braid"
-            " / --divide / --divide-label"
-        )
     if args.divide is None and args.divide_label is None:
         _, braid, _ = _braid_from_args(args)
         if braid is None:
@@ -264,19 +251,16 @@ def cmd_quiver(args) -> int:
 
 
 def _matrix_from_args(args) -> quivers.ExchangeMatrix:
-    sources = [bool(args.matrix), bool(getattr(args, "type", None)), bool(getattr(args, "ade", None))]
-    if sum(sources) != 1:
-        raise UsageError("choose exactly one matrix source (--matrix / --type / --ade)")
     from . import bricks, links, quivers
 
-    if args.matrix:
+    if args.matrix is not None:
         if args.matrix == "-":
             text = sys.stdin.read()
         else:
             with open(args.matrix) as handle:
                 text = handle.read()
         return quivers.exchange_matrix_from_json(json.loads(text))
-    if getattr(args, "type", None):
+    if args.type is not None:
         return quivers.initial_matrix(links.parse_dynkin_type(args.type))
     label = links.parse_ade_label(args.ade)
     braid = links.ade_braid(label)
@@ -401,18 +385,30 @@ def cmd_check(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_braid_inputs(parser: argparse.ArgumentParser, with_puiseux: bool = True) -> None:
-    parser.add_argument("--ade", help="ADE label, e.g. A3, D5, E8")
-    parser.add_argument("--torus", nargs=2, type=int, metavar=("A", "B"),
-                        help="(a,b)-torus link braid")
-    parser.add_argument("--braid", help="whitespace-separated generator indices")
+def _add_braid_inputs(parser: argparse.ArgumentParser, with_puiseux: bool = True):
+    """Add the braid inputs, of which exactly one must be given; returns
+    their group.  ``--strands`` comes first: usage prints a group as one
+    alternative only when its members, a caller's additions included, are
+    adjacent."""
     parser.add_argument("--strands", type=int, help="strand count for --braid")
+    sources = parser.add_mutually_exclusive_group(required=True)
+    sources.add_argument("--ade", help="ADE label, e.g. A3, D5, E8")
+    sources.add_argument("--torus", nargs=2, type=int, metavar=("A", "B"),
+                         help="(a,b)-torus link braid")
+    sources.add_argument("--braid", help="whitespace-separated generator indices")
     if with_puiseux:
-        parser.add_argument(
+        sources.add_argument(
             "--puiseux", help='Puiseux pairs "n1,m1 n2,m2 ..." (innermost first)'
         )
-    else:
-        parser.set_defaults(puiseux=None)
+    return sources
+
+
+def _add_matrix_inputs(parser: argparse.ArgumentParser) -> None:
+    """Add the matrix inputs, of which exactly one must be given."""
+    sources = parser.add_mutually_exclusive_group(required=True)
+    sources.add_argument("--matrix", help="matrix JSON file, or - for stdin")
+    sources.add_argument("--type", help="Dynkin type, e.g. D4: its initial matrix")
+    sources.add_argument("--ade", help="ADE label: its brick quiver's matrix")
 
 
 def _add_link_arguments(parser: argparse.ArgumentParser) -> None:
@@ -424,30 +420,20 @@ def _add_link_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_quiver_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_braid_inputs(parser)
-    parser.add_argument("--divide", help="divide JSON file")
-    parser.add_argument("--divide-label", help="catalog divide label, e.g. E7")
+    sources = _add_braid_inputs(parser)
+    sources.add_argument("--divide", help="divide JSON file")
+    sources.add_argument("--divide-label", help="catalog divide label, e.g. E7")
     parser.add_argument("--format", choices=("json", "dot", "text"), default="json")
 
 
 def _add_mutate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-    parser.add_argument("--type", help="start from a Dynkin initial matrix")
-    parser.add_argument("--ade", help="start from an ADE brick quiver matrix")
+    _add_matrix_inputs(parser)
     parser.add_argument("--at", type=int, nargs="+", required=True,
                         metavar="K", help="1-based mutation directions, applied in order")
 
 
-def _add_classify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-    parser.add_argument("--type", help="Dynkin type, e.g. E6")
-    parser.add_argument("--ade", help="ADE label; classifies its brick quiver")
-
-
 def _add_seeds_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-    parser.add_argument("--type", help="Dynkin type, e.g. D4")
-    parser.add_argument("--ade", help="ADE label; enumerates its brick quiver")
+    _add_matrix_inputs(parser)
     parser.add_argument("--cap", type=int, default=2000)
     parser.add_argument("--summary", action="store_true", help="emit the count only")
 
@@ -485,7 +471,7 @@ COMMANDS = (
     ("quiver", "brick quiver of a braid or quiver of a divide", _add_quiver_arguments,
      cmd_quiver),
     ("mutate", "mutate an exchange matrix", _add_mutate_arguments, cmd_mutate),
-    ("classify", "finite-type detection", _add_classify_arguments, cmd_classify),
+    ("classify", "finite-type detection", _add_matrix_inputs, cmd_classify),
     ("seeds", "enumerate cluster seeds", _add_seeds_arguments, cmd_seeds),
     ("aug", "augmentation equation system", _add_aug_arguments, cmd_aug),
     ("theta", "sheaf-moduli chain system", _add_theta_arguments, cmd_theta),

@@ -160,3 +160,19 @@ def test_run_all_checks_times_each_check_once(monkeypatch):
     results = checks.run_all_checks(fast=True)
     assert [result.seconds for result in results] == [1] * 10
     assert len({result.name for result in results}) == 10
+
+
+def test_a_check_that_raises_fails_under_the_name_it_reports(monkeypatch):
+    # run_all_checks names each check in its suite; the name must be the one
+    # the check itself reports, since it stands in when the check raises.
+    names = [result.name for result in checks.run_all_checks(fast=True)]
+    for function in [name for name in vars(checks) if name.startswith("check_")]:
+        def fail(*args, _function=function, **kwargs):
+            raise quivers.ClusterError(_function)
+
+        monkeypatch.setattr(checks, function, fail)
+    results = checks.run_all_checks(fast=True)
+    assert [result.name for result in results] == names
+    assert not any(result.passed for result in results)
+    errors = [result.details["error"] for result in results]
+    assert len(set(errors)) == len(names)  # each pair runs a check of its own

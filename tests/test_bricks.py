@@ -11,8 +11,16 @@ from singlink.bricks import (
     brick_quiver,
     to_exchange_matrix,
 )
-from singlink.links import BraidWord, DynkinType, ade_braid
-from singlink.quivers import canonical_form, dynkin_tree_edges, graphs_isomorphic, mutate
+from singlink.augment import count_solutions_dp
+from singlink.links import BraidWord, DynkinType, ade_braid, append_full_twist, braid_invariants
+from singlink.quivers import (
+    _components,
+    canonical_form,
+    dynkin_tree_edges,
+    graphs_isomorphic,
+    is_finite_type,
+    mutate,
+)
 
 ADE_LABELS = (
     [("A", n) for n in range(1, 9)]
@@ -185,3 +193,36 @@ def test_a_dropped_arrow_breaks_the_braid_relation():
     for dropped in range(len(after.arrows)):
         arrows = after.arrows[:dropped] + after.arrows[dropped + 1 :]
         assert mutated != _form(BrickQuiver(after.bricks, arrows)), after.arrows[dropped]
+
+
+# -- cyclic rotation ----------------------------------------------------------------
+# Moving the first letter of beta to the end is a Legendrian isotopy of the
+# rainbow closure (conjugation by that letter).
+
+
+@st.composite
+def _rotations(draw):
+    """(beta, its rotation by r letters): at most 4 strands and 9 letters."""
+    strands = draw(st.integers(2, 4))
+    letters = tuple(draw(st.lists(st.integers(1, strands - 1), min_size=1, max_size=9)))
+    r = draw(st.integers(1, len(letters)))
+    return BraidWord(strands, letters), BraidWord(strands, letters[r:] + letters[:r])
+
+
+def _rotation_invariants(braid: BraidWord):
+    invariants = braid_invariants(braid)
+    quiver = brick_quiver(braid)
+    types = []
+    if quiver.rank:
+        types = sorted(str(is_finite_type(part)) for part in _components(to_exchange_matrix(quiver)))
+    counts = None
+    if invariants.components == 1:  # one base point counts a knot honestly
+        counts = [count_solutions_dp(append_full_twist(braid), q) for q in (2, 3)]
+    return invariants.components, invariants.milnor_number, quiver.rank, types, counts
+
+
+@given(_rotations())
+@settings(max_examples=100, deadline=None)
+def test_a_cyclic_rotation_keeps_the_invariants(case):
+    braid, rotated = case
+    assert _rotation_invariants(braid) == _rotation_invariants(rotated)

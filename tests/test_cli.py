@@ -416,19 +416,56 @@ def test_quiver_from_divide_file(tmp_path):
 def test_quiver_takes_exactly_one_source(tmp_path):
     path = tmp_path / "divide.json"
     path.write_text(json.dumps(divide_catalog("A2").to_json_dict()))
-    for argv in (
-        ("--divide-label", "A2", "--ade", "E8"),
-        ("--divide-label", "A2", "--divide", str(path)),
-        ("--divide", str(path), "--torus", "2", "3"),
-        ("--ade", "A2", "--braid", "1 1"),
-        (),
+    for argv, message in (
+        (("--divide-label", "A2", "--ade", "E8"),
+         "argument --ade: not allowed with argument --divide-label"),
+        (("--divide-label", "A2", "--divide", str(path)),
+         "argument --divide: not allowed with argument --divide-label"),
+        (("--divide", str(path), "--torus", "2", "3"),
+         "argument --torus: not allowed with argument --divide"),
+        (("--ade", "A2", "--braid", "1 1"),
+         "argument --braid: not allowed with argument --ade"),
+        ((),
+         "one of the arguments --ade --torus --braid --puiseux --divide --divide-label"
+         " is required"),
     ):
         code, out, err = run_cli("quiver", *argv)
         assert (code, out) == (2, ""), argv
-        assert err == (
-            "error: choose exactly one of --ade / --torus / --puiseux / --braid"
-            " / --divide / --divide-label\n"
-        ), argv
+        assert err.startswith("usage: singlink quiver "), argv
+        assert err.endswith(f"singlink quiver: error: {message}\n"), argv
+
+
+# (command, other required arguments, its sources as argparse names them,
+# a first source, a second source)
+ONE_SOURCE_CASES = [
+    ("link", (), "--ade --torus --braid --puiseux",
+     ("--torus", "2", "3"), ("--puiseux", "2,3")),
+    ("aug", (), "--ade --torus --braid", ("--braid", "1 1"), ("--ade", "A2")),
+    ("quiver", (), "--ade --torus --braid --puiseux --divide --divide-label",
+     ("--ade", "A2"), ("--divide-label", "A2")),
+    ("mutate", ("--at", "1"), "--matrix --type --ade", ("--matrix", "-"), ("--ade", "A2")),
+    ("classify", (), "--matrix --type --ade", ("--type", "A2"), ("--ade", "A2")),
+    ("seeds", (), "--matrix --type --ade", ("--ade", "A2"), ("--type", "A2")),
+]
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["no-source", "two-sources"])
+@pytest.mark.parametrize(
+    "command, required, sources, first, second",
+    ONE_SOURCE_CASES,
+    ids=[case[0] for case in ONE_SOURCE_CASES],
+)
+def test_each_command_takes_exactly_one_source(command, required, sources, first, second, two):
+    argv = [command, *required, *(first + second if two else ())]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, ""), argv
+    if two:
+        message = f"argument {second[0]}: not allowed with argument {first[0]}"
+    else:
+        message = f"one of the arguments {sources} is required"
+    assert err.startswith(f"usage: singlink {command} "), err
+    assert err.endswith(f"singlink {command}: error: {message}\n"), err
+    assert "Traceback" not in err
 
 
 def test_matrix_file_is_closed(tmp_path):
@@ -907,6 +944,54 @@ def test_check_fast_reports_known_failure():
     assert [r["n"] for r in failing_rows] == [3]
     others = [c for c in data["checks"] if c["name"] != "theta_polynomiality"]
     assert all(c["passed"] for c in others)
+
+
+def test_check_reports_a_check_that_raises_as_failed(monkeypatch):
+    # A fault inside one check fails that check (exit 1), not the command
+    # (exit 2), and every other check is still run and reported.
+    from singlink import cluster
+    from singlink.fqmath import BudgetExceededError
+
+    _, healthy, _ = run_cli("check", "--fast")
+
+    def fault(*args, **kwargs):
+        raise BudgetExceededError("injected fault", 1)
+
+    monkeypatch.setattr(cluster, "enumerate_seeds", fault)
+    code, out, err = run_cli("check", "--fast")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    expected = json.loads(healthy)["checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in expected]
+    for check, before in zip(checks, expected):
+        if check["name"] == "seed_counts":
+            assert check == {
+                "name": "seed_counts", "passed": False, "details": {"error": "injected fault"}
+            }
+        else:
+            assert check == before
+
+
+def test_check_reports_a_laurent_remainder_as_failed(monkeypatch):
+    # Every exchange division leaves a remainder: the mutation walks report
+    # the Laurent phenomenon violated instead of ending the command.
+    from singlink import cluster
+    from singlink.exactmath import DivisionError
+
+    def remainder(num, den):
+        raise DivisionError("injected remainder")
+
+    monkeypatch.setattr(cluster, "divide_exact", remainder)
+    code, out, err = run_cli("check", "--fast")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert len(by_name) == 10 and not data["passed"]
+    mutation = by_name["mutation_properties"]
+    assert not mutation["passed"]
+    assert mutation["details"]["laurent"] is False
+    assert mutation["details"]["involution"] and mutation["details"]["equivariance"]
+    assert "Laurent phenomenon violated" in by_name["seed_counts"]["details"]["error"]
 
 
 def test_usage_error_exit_code():
